@@ -1,26 +1,19 @@
 """
-Anomaly extraction and confirmation.
+Anomaly confirmation: the decision tree over one video's detections.
 
 A vehicle that survives the background median is a candidate; candidates off
 the road mask are discarded as parked. The rest are confirmed by how often
 foreground detections overlap them: the first and last overlapping frames
-give the event's start and end.
+give the event's start and end. Nothing here reads files or runs the
+detector; `pipeline.process_video` computes the inputs once per video.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .background import BackgroundFrame, background_stream
-from .detector import DetectorHandle
-from .media import AnomalyEvent, BBox, Detection, Frame, FrameSequence
-from .roadmask import Mask, MaskParams, adaptive_road_mask, bbox_on_road, mask_union
-from .sorting import VideoCategory
-
-logger = logging.getLogger(__name__)
+from .media import AnomalyEvent, BBox, Detection
+from .roadmask import Mask, bbox_on_road
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -169,55 +162,30 @@ def coalesce_events(events: list[AnomalyEvent], iou_merge: float) -> list[Anomal
 
 
 def detect_anomalies(
-    seq: FrameSequence,
-    category: VideoCategory,
+    road: Mask,
+    per_window: list[tuple[float, list[Detection]]],
     foreground: list[Detection],
-    handle: DetectorHandle,
     params: DecisionParams,
-    mask_params: MaskParams,
     min_overlap: float,
-    fraction: float = 0.10,
-    seed: int = 0,
-    backgrounds: list[BackgroundFrame] | None = None,
-    bg_paths: list | None = None,
-    sink=None,
+    fps: float,
+    video_id: str,
+    frame_area: int,
 ) -> list[AnomalyEvent]:
-    """Full per-video flow: backgrounds, masks, candidates, confirmation.
+    """Decide one video's events from already-computed inputs.
 
-    `backgrounds` may be passed in when already computed by an earlier stage;
-    `bg_paths` gives their on-disk locations for detectors that need files.
-    `sink(bg, mask, window_detections)` is called per window for artifact
-    persistence. A detector failure skips that window with a warning.
+    `road` is the union of the per-window road masks, `per_window` holds
+    (window start in seconds, background detections) for every background
+    window, and `foreground` is the video's foreground detections.
     """
-    if backgrounds is None:
-        backgrounds = background_stream(seq, category, fraction, seed)
-
-    masks: list[Mask] = []
-    per_window: list[tuple[float, list[Detection]]] = []
-    for i, bg in enumerate(backgrounds):
-        mask = adaptive_road_mask(bg.frame, mask_params)
-        masks.append(mask)
-        try:
-            dets = handle.detect(bg_paths[i] if bg_paths is not None else bg.frame)
-        except Exception as exc:
-            logger.warning("%s: detector failed on window at %.1fs: %s",
-                           seq.video_id, bg.window_start, exc)
-            dets = []
-        per_window.append((bg.window_start, dets))
-        if sink is not None:
-            sink(bg, mask, dets)
-
-    road = mask_union(masks)
-    cands = extract_candidates(per_window, road, params,
-                               frame_area=seq.width * seq.height,
+    cands = extract_candidates(per_window, road, params, frame_area=frame_area,
                                min_overlap=min_overlap)
     cands = merge_candidates(cands, params.iou_merge)
 
     events = []
     for cand in cands:
         profile = support_profile(cand, foreground, params.iou_support)
-        ev = decide(cand, profile, params, seq.fps, seq.video_id,
-                    n_windows=len(backgrounds))
+        ev = decide(cand, profile, params, fps, video_id,
+                    n_windows=len(per_window))
         if ev is not None:
             events.append(ev)
     return coalesce_events(events, params.iou_merge)

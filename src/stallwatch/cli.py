@@ -78,12 +78,13 @@ def _require(path: Path, what: str) -> None:
 def _stage_videos(args, cfg: PipelineConfig, upto: str) -> None:
     """Run the pipeline per video, stopping after the requested stage."""
     _require(args.corpus, "corpus directory")
-    from .media import open_sequence
+    from .media import open_sequence, read_detections
 
     for video_dir in pipeline.corpus_video_dirs(args.corpus):
         out_vid = args.out / video_dir.name
         seq = open_sequence(video_dir)
-        category = pipeline.sort_stage(seq, video_dir, out_vid, cfg)
+        foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
+        category = pipeline.sort_stage(seq, foreground, out_vid, cfg)
         if upto == "sort":
             continue
         bgs, _ = pipeline.background_stage(seq, category, out_vid, cfg)

@@ -1,16 +1,18 @@
 """
 Uniform interface to the object detector that scans background images.
 
-Three kinds of handle:
+Every handle is called as ``detect(path, frame)`` with a background
+image's file and its pixels; each kind uses the one it needs:
 
-* ``oracle``       -- knows a synthetic scene's geometry and reports the
-                      stationary rectangles actually present in an image;
-                      anchors end-to-end tests with zero detector noise.
-* ``precomputed``  -- reads ``<frame_stem>.det.jsonl`` next to (or in a
-                      configured directory for) each frame.
-* ``external``     -- a child process speaking a line protocol: we write
-                      one line ``{"image": "<path>"}``, it replies one line
-                      ``{"detections": [{"class": ..., "score": ...,
+* ``oracle``       -- the pixels: knows a synthetic scene's geometry and
+                      reports the stationary rectangles actually present in
+                      an image; anchors end-to-end tests with zero detector
+                      noise.
+* ``precomputed``  -- the path: reads ``<frame_stem>.det.jsonl`` next to (or
+                      in a configured directory for) each frame.
+* ``external``     -- the path: a child process speaking a line protocol:
+                      we write one line ``{"image": "<path>"}``, it replies
+                      one line ``{"detections": [{"class": ..., "score": ...,
                       "bbox": [x, y, w, h]}, ...]}``. On startup the bridge
                       sends ``{"ping": 1}`` and expects ``{"ready": true}``.
 
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DetectorTimeout, MissingDetections, ProtocolError
-from .media import Frame, read_detections, read_frame, _detection_from_obj, Detection
+from .media import Frame, read_detections, _detection_from_obj, Detection
 from .synth import SceneSpec, static_boxes
 
 DEFAULT_VEHICLE_CLASSES = frozenset({"car", "truck", "bus"})
@@ -42,11 +44,11 @@ class DetectorHandle:
 
     vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
 
-    def detect(self, frame_path_or_id) -> list[Detection]:
-        dets = self._detect_raw(frame_path_or_id)
+    def detect(self, path: str | Path, frame: Frame) -> list[Detection]:
+        dets = self._detect_raw(path, frame)
         return [d for d in dets if d.class_label in self.vehicle_classes]
 
-    def _detect_raw(self, frame_path_or_id) -> list[Detection]:
+    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -72,9 +74,7 @@ class OracleDetector(DetectorHandle):
     tolerance: float = ORACLE_MATCH_TOLERANCE
     vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
 
-    def _detect_raw(self, frame_path_or_id) -> list[Detection]:
-        frame = (frame_path_or_id if isinstance(frame_path_or_id, Frame)
-                 else read_frame(frame_path_or_id))
+    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         out = []
         for box, intensity, label in static_boxes(self.scene):
             patch = frame.pixels[box.y : box.y2, box.x : box.x2].astype(np.float64)
@@ -91,8 +91,8 @@ class PrecomputedDetector(DetectorHandle):
     directory: Path | None = None
     vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
 
-    def _detect_raw(self, frame_path_or_id) -> list[Detection]:
-        frame_path = Path(frame_path_or_id)
+    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
+        frame_path = Path(path)
         base = self.directory if self.directory is not None else frame_path.parent
         det_path = base / (frame_path.stem + ".det.jsonl")
         if not det_path.is_file():
@@ -149,8 +149,8 @@ class ExternalProcessDetector(DetectorHandle):
         if reply.get("ready") is not True:
             raise ProtocolError(f"bad handshake reply: {reply}")
 
-    def _detect_raw(self, frame_path_or_id) -> list[Detection]:
-        reply = self._roundtrip({"image": str(frame_path_or_id)})
+    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
+        reply = self._roundtrip({"image": str(path)})
         if "detections" not in reply or not isinstance(reply["detections"], list):
             raise ProtocolError(f"response missing detections list: {reply}")
         out = []

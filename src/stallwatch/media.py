@@ -184,10 +184,7 @@ def read_frame(path: str | Path) -> Frame:
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise ParseError(f"bad magic {data[:2]!r}, expected P5")
-    try:
-        (width, height, maxval), offset = _pgm_header_tokens(data[2:], 3)
-    except ParseError:
-        raise
+    (width, height, maxval), offset = _pgm_header_tokens(data[2:], 3)
     offset += 2
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")

@@ -39,15 +39,17 @@ from .errors import MissingMetadata, StallwatchError
 from .media import (
     AnomalyEvent,
     BBox,
+    Detection,
     FrameSequence,
     open_sequence,
     read_detections,
     read_frame,
     read_ground_truth,
+    read_predictions,
     write_frame,
     write_predictions,
 )
-from .roadmask import adaptive_road_mask, mask_union
+from .roadmask import Mask, adaptive_road_mask, mask_union
 from .sorting import VideoCategory
 
 logger = logging.getLogger(__name__)
@@ -76,15 +78,12 @@ def make_detector(cfg: PipelineConfig, video_dir: Path,
 
 # --- per-video stages ------------------------------------------------------
 
-def sort_stage(seq: FrameSequence, video_dir: Path, out_vid: Path,
+def sort_stage(seq: FrameSequence, foreground: list[Detection], out_vid: Path,
                cfg: PipelineConfig) -> VideoCategory:
     cat_path = out_vid / "category.json"
     if cat_path.is_file():
         return VideoCategory.from_obj(json.loads(cat_path.read_text()))
-    foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
-    table = {cls: tuple(cfg.k1k2[cls.value]) for cls in sorting.LightingClass}
-    category = sorting.sort_video(seq, foreground, stride=cfg.histogram_stride,
-                                  k1k2_table=table)
+    category = sorting.sort_video(seq, foreground, stride=cfg.histogram_stride)
     out_vid.mkdir(parents=True, exist_ok=True)
     cat_path.write_text(json.dumps(category.to_obj(), sort_keys=True, indent=2) + "\n")
     return category
@@ -130,7 +129,7 @@ def background_stage(seq: FrameSequence, category: VideoCategory,
 
 
 def mask_stage(bgs, category: VideoCategory, out_vid: Path,
-               cfg: PipelineConfig, mask_out: Path | None = None):
+               cfg: PipelineConfig, mask_out: Path | None = None) -> Mask:
     params = cfg.mask_params(category.lighting)
     union = mask_union([adaptive_road_mask(bg.frame, params) for bg in bgs])
     write_frame(union.to_frame(), out_vid / "mask.pgm")
@@ -161,7 +160,12 @@ def events_from_obj(objs: list[dict]) -> list[AnomalyEvent]:
 
 def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                   mask_out: Path | None = None) -> list[AnomalyEvent]:
-    """Run (or resume) the full per-video pipeline; returns accepted events."""
+    """Run (or resume) the full per-video pipeline; returns accepted events.
+
+    One pass: each value (foreground detections, backgrounds, road mask,
+    per-window detections) is computed once and handed to the next step.
+    A detector failure skips that window with a warning.
+    """
     seq = open_sequence(video_dir)
     out_vid.mkdir(parents=True, exist_ok=True)
 
@@ -169,23 +173,30 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     if events_path.is_file():
         return events_from_obj(json.loads(events_path.read_text()))
 
-    category = sort_stage(seq, video_dir, out_vid, cfg)
-    bgs, bg_paths = background_stage(seq, category, out_vid, cfg)
-    mask_stage(bgs, category, out_vid, cfg, mask_out)
-
     foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
+    category = sort_stage(seq, foreground, out_vid, cfg)
+    bgs, bg_paths = background_stage(seq, category, out_vid, cfg)
+    road = mask_stage(bgs, category, out_vid, cfg, mask_out)
+
+    per_window: list[tuple[float, list[Detection]]] = []
     with make_detector(cfg, video_dir, out_vid / "backgrounds") as handle:
-        needs_path = cfg.detector.kind in ("precomputed", "external")
-        events = anomaly.detect_anomalies(
-            seq, category, foreground, handle,
-            params=cfg.decision,
-            mask_params=cfg.mask_params(category.lighting),
-            min_overlap=cfg.mask_min_overlap,
-            fraction=cfg.background_fraction,
-            seed=cfg.seed,
-            backgrounds=bgs,
-            bg_paths=bg_paths if needs_path else None,
-        )
+        for bg, path in zip(bgs, bg_paths):
+            try:
+                dets = handle.detect(path, bg.frame)
+            except Exception as exc:
+                logger.warning("%s: detector failed on window at %.1fs: %s",
+                               seq.video_id, bg.window_start, exc)
+                dets = []
+            per_window.append((bg.window_start, dets))
+
+    events = anomaly.detect_anomalies(
+        road, per_window, foreground,
+        params=cfg.decision,
+        min_overlap=cfg.mask_min_overlap,
+        fps=seq.fps,
+        video_id=seq.video_id,
+        frame_area=seq.width * seq.height,
+    )
     events_path.write_text(json.dumps(events_to_obj(events), sort_keys=True,
                                       indent=2) + "\n")
     return events
@@ -214,8 +225,6 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
 
 def score_corpus(pred_path: Path, gt_path: Path, out_path: Path | None = None
                  ) -> scoring.ScoreReport:
-    from .media import read_predictions
-
     report = scoring.score_report(read_predictions(pred_path),
                                   read_ground_truth(gt_path))
     if out_path is not None:

@@ -55,11 +55,10 @@ class ScoreReport:
 def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
                      window: float) -> MatchResult:
     pairs = sorted(
-        ((abs(p.start - g.start), gi, pi)
-         for pi, p in enumerate(preds)
-         for gi, g in enumerate(gts)
-         if abs(p.start - g.start) <= window),
-        key=lambda t: t,
+        (abs(p.start - g.start), gi, pi)
+        for pi, p in enumerate(preds)
+        for gi, g in enumerate(gts)
+        if abs(p.start - g.start) <= window
     )
     used_p: set[int] = set()
     used_g: set[int] = set()
@@ -75,10 +74,9 @@ def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
     return result
 
 
-def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
-          window: float = MATCH_WINDOW_S) -> MatchResult:
-    """Greedy closest-first matching of prediction and ground-truth starts,
-    per video, within the matching window."""
+def _match_videos(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
+                  window: float) -> dict[str, MatchResult]:
+    """Per-video matches, keyed by video id in sorted order."""
     by_video_p: dict[str, list[AnomalyEvent]] = defaultdict(list)
     by_video_g: dict[str, list[GroundTruthEntry]] = defaultdict(list)
     for p in preds:
@@ -91,10 +89,22 @@ def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
         seen.add(key)
         by_video_g[g.video_id].append(g)
 
+    return {vid: _match_one_video(by_video_p[vid], by_video_g[vid], window)
+            for vid in sorted(set(by_video_p) | set(by_video_g))}
+
+
+def _total(per_video: dict[str, MatchResult]) -> MatchResult:
     total = MatchResult()
-    for vid in sorted(set(by_video_p) | set(by_video_g)):
-        total.extend(_match_one_video(by_video_p[vid], by_video_g[vid], window))
+    for result in per_video.values():
+        total.extend(result)
     return total
+
+
+def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
+          window: float = MATCH_WINDOW_S) -> MatchResult:
+    """Greedy closest-first matching of prediction and ground-truth starts,
+    per video, within the matching window."""
+    return _total(_match_videos(preds, gts, window))
 
 
 def f1(m: MatchResult) -> float:
@@ -120,22 +130,21 @@ def s4(f1_val: float, rmse_val: float) -> tuple[float, float]:
 
 def score_report(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
                  window: float = MATCH_WINDOW_S) -> ScoreReport:
-    total = match(preds, gts, window)
+    by_video = _match_videos(preds, gts, window)
+    total = _total(by_video)
     f1_val = f1(total)
     rmse_val = rmse(total)
     nrmse_val, s4_val = s4(f1_val, rmse_val)
 
-    per_video: dict[str, dict] = {}
-    vids = sorted({p.video_id for p in preds} | {g.video_id for g in gts})
-    for vid in vids:
-        sub = match([p for p in preds if p.video_id == vid],
-                    [g for g in gts if g.video_id == vid], window)
-        per_video[vid] = {
+    per_video = {
+        vid: {
             "tp": sub.tp,
             "fp": sub.false_positives,
             "fn": sub.false_negatives,
             "start_errors": [round(err, 6) for _, _, err in sub.true_positives],
         }
+        for vid, sub in by_video.items()
+    }
     return ScoreReport(
         f1=f1_val, rmse=rmse_val, nrmse=nrmse_val, s4=s4_val,
         tp=total.tp, fp=total.false_positives, fn=total.false_negatives,

@@ -3,7 +3,7 @@ Video sorting: lighting/weather class from the average pixel histogram,
 road type from the number of distinct traffic flow directions.
 
 The class drives the per-video pipeline parameters (background window
-length and the road-mask constants k1/k2).
+length here, the road-mask constants k1/k2 via `PipelineConfig.mask_params`).
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ class VideoCategory:
     lighting: LightingClass
     road_type: RoadType
     background_window: float
-    k1: float
-    k2: float
 
     def to_obj(self) -> dict:
         return {
@@ -85,8 +83,6 @@ class VideoCategory:
             "lighting": self.lighting.value,
             "road_type": self.road_type.value,
             "background_window_s": self.background_window,
-            "k1": self.k1,
-            "k2": self.k2,
         }
 
     @classmethod
@@ -96,8 +92,6 @@ class VideoCategory:
             lighting=LightingClass(obj["lighting"]),
             road_type=RoadType(obj["road_type"]),
             background_window=float(obj["background_window_s"]),
-            k1=float(obj["k1"]),
-            k2=float(obj["k2"]),
         )
 
 
@@ -234,18 +228,13 @@ def sort_video(
     seq: FrameSequence,
     detections: list[Detection],
     stride: int = 30,
-    k1k2_table: dict[LightingClass, tuple[float, float]] | None = None,
 ) -> VideoCategory:
-    """Classify one video and derive its pipeline parameters."""
-    table = k1k2_table if k1k2_table is not None else DEFAULT_K1K2
+    """Classify one video and derive its background window length."""
     lighting = classify_lighting(average_histogram(seq, stride))
     road_type = classify_road_type(estimate_directions(detections, seq.width))
-    k1, k2 = table[lighting]
     return VideoCategory(
         video_id=seq.video_id,
         lighting=lighting,
         road_type=road_type,
         background_window=background_window_for(lighting, road_type),
-        k1=k1,
-        k2=k2,
     )

@@ -21,3 +21,16 @@ def acceptance_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     corpus(root, seed=0)
     return root
+
+
+@pytest.fixture(scope="session")
+def mini_corpus(tmp_path_factory):
+    """One short day-freeway video with a stall; fast enough for CLI tests."""
+    from stallwatch.sorting import LightingClass
+    from stallwatch.synth import corpus, make_scene
+
+    root = tmp_path_factory.mktemp("mini")
+    spec = make_scene("mini_day_stall", LightingClass.DAY, False,
+                      (10.0, 50.0), False, seed=1, duration=60.0)
+    corpus(root, specs=[spec])
+    return root

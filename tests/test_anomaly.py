@@ -9,6 +9,7 @@ from stallwatch.anomaly import (
     SupportProfile,
     coalesce_events,
     decide,
+    detect_anomalies,
     extract_candidates,
     iou,
     merge_candidates,
@@ -182,6 +183,30 @@ class TestDecide:
                             self.fps, "v1", n_windows=10)
             if loose is None:
                 assert strict is None
+
+    def _video(self, y):
+        """A box seen in two background windows and densely supported by
+        foreground rows in frames 100-199, against a road band at rows
+        100-130."""
+        road = np.zeros((240, 320), dtype=bool)
+        road[100:130, :] = True
+        per_window = [(0.0, [det(10, y, score=0.9)]), (30.0, [det(10, y)])]
+        foreground = [det(10, y, frame=f) for f in range(100, 200)]
+        return detect_anomalies(Mask(road), per_window, foreground,
+                                DecisionParams(), min_overlap=0.2, fps=self.fps,
+                                video_id="v1", frame_area=320 * 240)
+
+    def test_detect_anomalies_on_road_event(self):
+        events = self._video(y=110)
+        assert len(events) == 1
+        ev = events[0]
+        assert (ev.video_id, ev.bbox) == ("v1", BBox(10, 110, 16, 6))
+        assert ev.start == pytest.approx(10.0)
+        assert ev.end == pytest.approx(19.9)
+        assert ev.confidence == 1.0
+
+    def test_detect_anomalies_off_road_none(self):
+        assert self._video(y=10) == []
 
 
 class TestCoalesce:

@@ -10,18 +10,6 @@ from stallwatch.cli import (
     run,
 )
 from stallwatch.media import read_predictions
-from stallwatch.sorting import LightingClass
-from stallwatch.synth import corpus, make_scene
-
-
-@pytest.fixture(scope="module")
-def mini_corpus(tmp_path_factory):
-    """One short day-freeway video with a stall; fast enough for CLI tests."""
-    root = tmp_path_factory.mktemp("mini")
-    spec = make_scene("mini_day_stall", LightingClass.DAY, False,
-                      (10.0, 50.0), False, seed=1, duration=60.0)
-    corpus(root, specs=[spec])
-    return root
 
 
 class TestExitCodes:

@@ -10,9 +10,12 @@ from stallwatch.detector import (
     PrecomputedDetector,
 )
 from stallwatch.errors import DetectorTimeout, MissingDetections, ProtocolError
-from stallwatch.media import BBox, Detection, Frame, write_detections, write_frame
+from stallwatch.media import BBox, Detection, Frame, write_detections
 from stallwatch.sorting import LightingClass
 from stallwatch.synth import RoadBand, SceneSpec, VehicleSpec
+
+# The precomputed and external detectors read the path, not the pixels.
+BLANK = Frame(np.zeros((60, 100), dtype=np.uint8))
 
 
 def stall_scene() -> SceneSpec:
@@ -33,7 +36,7 @@ class TestOracle:
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[20:40, :] = 70
         img[box.y:box.y2, box.x:box.x2] = 25
-        dets = OracleDetector(scene=scene).detect(Frame(img))
+        dets = OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img))
         assert [d.bbox for d in dets] == [box]
         assert dets[0].class_label == "car"
 
@@ -41,14 +44,7 @@ class TestOracle:
         scene = stall_scene()
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[20:40, :] = 70
-        assert OracleDetector(scene=scene).detect(Frame(img)) == []
-
-    def test_reads_frame_from_path(self, tmp_path):
-        scene = stall_scene()
-        img = np.full((60, 100), 190, dtype=np.uint8)
-        path = tmp_path / "bg.pgm"
-        write_frame(Frame(img), path)
-        assert OracleDetector(scene=scene).detect(path) == []
+        assert OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img)) == []
 
     def test_class_filter(self):
         scene = stall_scene()
@@ -56,7 +52,7 @@ class TestOracle:
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[box.y:box.y2, box.x:box.x2] = 25
         det = OracleDetector(scene=scene, vehicle_classes=frozenset({"bus"}))
-        assert det.detect(Frame(img)) == []
+        assert det.detect("bg_0.pgm", Frame(img)) == []
 
 
 class TestPrecomputed:
@@ -64,7 +60,7 @@ class TestPrecomputed:
         dets = [Detection(0, "car", 0.9, BBox(1, 2, 3, 4))]
         write_detections(dets, tmp_path / "bg_0.det.jsonl")
         handle = PrecomputedDetector()
-        assert handle.detect(tmp_path / "bg_0.pgm") == dets
+        assert handle.detect(tmp_path / "bg_0.pgm", BLANK) == dets
 
     def test_configured_directory(self, tmp_path):
         side = tmp_path / "dets"
@@ -72,17 +68,17 @@ class TestPrecomputed:
         dets = [Detection(0, "truck", 0.8, BBox(5, 5, 10, 10))]
         write_detections(dets, side / "bg_0.det.jsonl")
         handle = PrecomputedDetector(directory=side)
-        assert handle.detect(tmp_path / "bg_0.pgm") == dets
+        assert handle.detect(tmp_path / "bg_0.pgm", BLANK) == dets
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingDetections):
-            PrecomputedDetector().detect(tmp_path / "bg_0.pgm")
+            PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
 
     def test_non_vehicle_classes_dropped(self, tmp_path):
         dets = [Detection(0, "person", 0.9, BBox(1, 1, 2, 2)),
                 Detection(0, "car", 0.9, BBox(4, 4, 2, 2))]
         write_detections(dets, tmp_path / "bg_0.det.jsonl")
-        out = PrecomputedDetector().detect(tmp_path / "bg_0.pgm")
+        out = PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
         assert [d.class_label for d in out] == ["car"]
 
 
@@ -108,7 +104,7 @@ class TestExternal:
     def test_handshake_and_detect(self, tmp_path):
         with ExternalProcessDetector(child_script(tmp_path, ECHO_DETECTOR),
                                      timeout=10.0) as handle:
-            dets = handle.detect("/some/frame.pgm")
+            dets = handle.detect("/some/frame.pgm", BLANK)
         assert dets == [Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]
 
     def test_timeout(self, tmp_path):
@@ -123,7 +119,7 @@ class TestExternal:
         """)
         with pytest.raises(DetectorTimeout):
             handle = ExternalProcessDetector(cmd, timeout=0.5)
-            handle.detect("/some/frame.pgm")
+            handle.detect("/some/frame.pgm", BLANK)
 
     def test_garbage_response(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -137,7 +133,7 @@ class TestExternal:
         """)
         with ExternalProcessDetector(cmd, timeout=10.0) as handle:
             with pytest.raises(ProtocolError):
-                handle.detect("/some/frame.pgm")
+                handle.detect("/some/frame.pgm", BLANK)
 
     def test_bad_handshake(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -156,7 +152,7 @@ class TestExternal:
         """)
         with ExternalProcessDetector(cmd, timeout=10.0) as handle:
             with pytest.raises(ProtocolError):
-                handle.detect("/some/frame.pgm")
+                handle.detect("/some/frame.pgm", BLANK)
 
     def test_malformed_detection_record(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -171,4 +167,4 @@ class TestExternal:
         """)
         with ExternalProcessDetector(cmd, timeout=10.0) as handle:
             with pytest.raises(ProtocolError):
-                handle.detect("/some/frame.pgm")
+                handle.detect("/some/frame.pgm", BLANK)
