@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, EmptyInput, VideoTooShort
 from .media import Frame, FrameSequence
 from .sorting import VideoCategory
 
-DEFAULT_FRACTION = 0.10
 # a trailing partial window shorter than this share of the nominal window
 # is merged into the previous one instead of producing a tiny median
 MIN_PARTIAL_FRACTION = 0.10
@@ -88,14 +87,15 @@ def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[i
 def background_stream(
     seq: FrameSequence,
     category: VideoCategory,
-    fraction: float = DEFAULT_FRACTION,
-    seed: int = 0,
+    fraction: float,
+    seed: int,
 ) -> list[BackgroundFrame]:
-    """One background image per window of ``category.background_window`` seconds."""
+    """One background image per window of ``category.background_window_s`` seconds."""
     if seq.duration < 1.0:
         raise VideoTooShort(f"{seq.video_id}: duration {seq.duration:.3f}s < 1s")
     out: list[BackgroundFrame] = []
-    for start, end in window_bounds(seq.frame_count, seq.fps, category.background_window):
+    for start, end in window_bounds(seq.frame_count, seq.fps,
+                                    category.background_window_s):
         indices = sample_indices(
             range(start, end), fraction, derive_seed(seed, seq.video_id, start)
         )

@@ -9,14 +9,16 @@ Exit codes: 0 success, 2 bad configuration, 3 missing input,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
+from .codec import dumps
 from .config import PipelineConfig
 from .errors import ConfigError, StallwatchError
+from .media import open_sequence, read_detections
 
 SUBCOMMANDS = ("synth", "sort", "background", "mask", "detect", "score", "run-all")
 
@@ -57,15 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args) -> PipelineConfig:
     cfg = (PipelineConfig.from_json_file(args.config) if args.config
            else PipelineConfig())
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        cfg = PipelineConfig.from_obj({**cfg.to_obj(), **overrides})
-    else:
-        cfg.validate()
+        cfg = replace(cfg, jobs=args.jobs)
+    cfg.validate()
     return cfg
 
 
@@ -78,8 +76,6 @@ def _require(path: Path, what: str) -> None:
 def _stage_videos(args, cfg: PipelineConfig, upto: str) -> None:
     """Run the pipeline per video, stopping after the requested stage."""
     _require(args.corpus, "corpus directory")
-    from .media import open_sequence, read_detections
-
     for video_dir in pipeline.corpus_video_dirs(args.corpus):
         out_vid = args.out / video_dir.name
         seq = open_sequence(video_dir)
@@ -117,7 +113,7 @@ def run(argv: list[str]) -> int:
         return EXIT_CONFIG
 
     if args.dump_config:
-        print(cfg.to_json())
+        sys.stdout.write(dumps(cfg))
         return EXIT_OK
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
@@ -136,11 +132,11 @@ def run(argv: list[str]) -> int:
             _require(args.pred, "predictions file")
             _require(args.gt, "ground-truth file")
             report = pipeline.score_corpus(args.pred, args.gt, args.out)
-            print(json.dumps(report.to_obj(), sort_keys=True, indent=2))
+            sys.stdout.write(dumps(report))
         elif stage == "run-all":
             _require(args.corpus, "corpus directory")
             manifest = pipeline.run_all(args.corpus, args.out, cfg, args.mask_out)
-            print(json.dumps(manifest, sort_keys=True, indent=2))
+            sys.stdout.write(dumps(manifest))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FAILURE
     except FileNotFoundError as exc:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anomaly import DecisionParams
-from .errors import ConfigError
+from .codec import decode, encode, read_json
+from .errors import ConfigError, ParseError
 from .roadmask import DEFAULT_BLOCK, DEFAULT_MIN_OVERLAP, MaskParams
 from .sorting import DEFAULT_K1K2, LightingClass
 
@@ -76,71 +77,38 @@ class PipelineConfig:
         k1, k2 = self.k1k2[lighting.value]
         return MaskParams(k1=k1, k2=k2, block=self.mask_block)
 
-    def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "background_fraction": self.background_fraction,
-            "histogram_stride": self.histogram_stride,
-            "mask_min_overlap": self.mask_min_overlap,
-            "mask_block": self.mask_block,
-            "k1k2": {k: list(v) for k, v in self.k1k2.items()},
-            "decision": vars(self.decision).copy(),
-            "vehicle_classes": list(self.vehicle_classes),
-            "detector": {
-                "kind": self.detector.kind,
-                "command": list(self.detector.command),
-                "directory": self.detector.directory,
-                "timeout": self.detector.timeout,
-            },
-            "jobs": self.jobs,
-        }
-
     @classmethod
     def from_obj(cls, obj: dict) -> "PipelineConfig":
-        defaults = cls()
+        """Defaults overridden by `obj`; a key `--dump-config` does not
+        print, at any level, is rejected."""
+        unknown = sorted(_unknown_keys(obj, encode(cls())))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         try:
-            det_obj = obj.get("detector", {})
-            cfg = cls(
-                seed=int(obj.get("seed", defaults.seed)),
-                background_fraction=float(obj.get("background_fraction",
-                                                  defaults.background_fraction)),
-                histogram_stride=int(obj.get("histogram_stride",
-                                             defaults.histogram_stride)),
-                mask_min_overlap=float(obj.get("mask_min_overlap",
-                                               defaults.mask_min_overlap)),
-                mask_block=int(obj.get("mask_block", defaults.mask_block)),
-                k1k2={**defaults.k1k2, **obj.get("k1k2", {})},
-                decision=DecisionParams(**{**vars(defaults.decision),
-                                           **obj.get("decision", {})}),
-                vehicle_classes=tuple(obj.get("vehicle_classes",
-                                              defaults.vehicle_classes)),
-                detector=DetectorConfig(
-                    kind=det_obj.get("kind", "oracle"),
-                    command=tuple(det_obj.get("command", ())),
-                    directory=det_obj.get("directory"),
-                    timeout=float(det_obj.get("timeout", 30.0)),
-                ),
-                jobs=int(obj.get("jobs", defaults.jobs)),
-            )
-        except (TypeError, ValueError, KeyError) as exc:
+            cfg = decode(cls, obj, default=cls())
+            cfg.validate()
+        except (ParseError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        cfg.validate()
         return cfg
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
         try:
-            obj = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            obj = read_json(path, dict)
+        except (OSError, ParseError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_obj(obj)
 
     def content_hash(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.to_obj(), sort_keys=True).encode()
+            json.dumps(encode(self), sort_keys=True).encode()
         ).hexdigest()
+
+
+def _unknown_keys(obj: dict, known: dict, prefix: str = ""):
+    """Dotted names of the keys of `obj` absent from the key tree `known`."""
+    for key, value in obj.items():
+        if key not in known:
+            yield prefix + key
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            yield from _unknown_keys(value, known[key], f"{prefix}{key}.")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import write_json
 from .errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -30,6 +31,8 @@ from .errors import (
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box in pixel coordinates, (x, y) is the top-left corner."""
+
+    JSON_ARRAY = True  # stored as [x, y, w, h]
 
     x: int
     y: int
@@ -266,14 +269,13 @@ def open_sequence(dir_path: str | Path) -> FrameSequence:
 
 def write_sequence_meta(directory: str | Path, video_id: str, fps: float,
                         frame_count: int, width: int, height: int) -> None:
-    meta = {
+    write_json(Path(directory, "meta.json"), {
         "video_id": video_id,
         "fps": fps,
         "frame_count": frame_count,
         "width": width,
         "height": height,
-    }
-    Path(directory, "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """
 Corpus orchestration: sort -> background -> mask -> detect -> score.
 
-Each stage persists its artifacts under the output directory and reuses
-anything an earlier invocation left behind, so rerunning a later stage
-from persisted artifacts gives the same result as one chained run.
+Each stage persists its artifacts under the output directory. category.json,
+backgrounds/ and events.json are reused when an earlier invocation left
+them, so rerunning a later stage gives the same result as one chained run.
+mask.pgm is an output only: it is rebuilt from the backgrounds with the
+current config's k1/k2 and block whenever events.json is missing.
 
 Output layout, per corpus:
 
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import json
 import logging
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import anomaly, background, scoring, sorting, synth
+from .codec import encode, read_json, write_json
 from .config import PipelineConfig
 from .detector import (
     DetectorHandle,
@@ -38,7 +41,6 @@ from .detector import (
 from .errors import MissingMetadata, StallwatchError
 from .media import (
     AnomalyEvent,
-    BBox,
     Detection,
     FrameSequence,
     open_sequence,
@@ -76,16 +78,31 @@ def make_detector(cfg: PipelineConfig, video_dir: Path,
                                    vehicle_classes=classes)
 
 
+@dataclass(frozen=True)
+class BackgroundWindow:
+    """One entry of backgrounds/index.json."""
+
+    file: str
+    window_start_s: float
+    window_end_s: float
+    sampled_indices: list[int]
+
+
+@dataclass(frozen=True)
+class BackgroundIndex:
+    windows: list[BackgroundWindow]
+
+
 # --- per-video stages ------------------------------------------------------
 
 def sort_stage(seq: FrameSequence, foreground: list[Detection], out_vid: Path,
                cfg: PipelineConfig) -> VideoCategory:
     cat_path = out_vid / "category.json"
     if cat_path.is_file():
-        return VideoCategory.from_obj(json.loads(cat_path.read_text()))
+        return read_json(cat_path, VideoCategory)
     category = sorting.sort_video(seq, foreground, stride=cfg.histogram_stride)
     out_vid.mkdir(parents=True, exist_ok=True)
-    cat_path.write_text(json.dumps(category.to_obj(), sort_keys=True, indent=2) + "\n")
+    write_json(cat_path, category)
     return category
 
 
@@ -95,41 +112,32 @@ def background_stage(seq: FrameSequence, category: VideoCategory,
     bg_dir = out_vid / "backgrounds"
     index_path = bg_dir / "index.json"
     if index_path.is_file():
-        index = json.loads(index_path.read_text())
-        bgs, paths = [], []
-        for entry in index["windows"]:
-            path = bg_dir / entry["file"]
-            bgs.append(background.BackgroundFrame(
-                frame=read_frame(path),
-                window_start=entry["window_start_s"],
-                window_end=entry["window_end_s"],
-                sampled_indices=entry["sampled_indices"],
-            ))
-            paths.append(path)
+        windows = read_json(index_path, BackgroundIndex).windows
+        paths = [bg_dir / w.file for w in windows]
+        bgs = [background.BackgroundFrame(read_frame(path), w.window_start_s,
+                                          w.window_end_s, w.sampled_indices)
+               for w, path in zip(windows, paths)]
         return bgs, paths
 
     bgs = background.background_stream(seq, category,
                                        fraction=cfg.background_fraction,
                                        seed=cfg.seed)
     bg_dir.mkdir(parents=True, exist_ok=True)
-    paths, index_windows = [], []
+    paths, windows = [], []
     for bg in bgs:
-        name = f"bg_{int(round(bg.window_start * 1000))}.pgm"
-        write_frame(bg.frame, bg_dir / name)
-        paths.append(bg_dir / name)
-        index_windows.append({
-            "file": name,
-            "window_start_s": bg.window_start,
-            "window_end_s": bg.window_end,
-            "sampled_indices": list(bg.sampled_indices),
-        })
-    index_path.write_text(json.dumps({"windows": index_windows},
-                                     sort_keys=True, indent=2) + "\n")
+        path = bg_dir / f"bg_{int(round(bg.window_start * 1000))}.pgm"
+        write_frame(bg.frame, path)
+        paths.append(path)
+        windows.append(BackgroundWindow(path.name, bg.window_start,
+                                        bg.window_end, bg.sampled_indices))
+    write_json(index_path, BackgroundIndex(windows))
     return bgs, paths
 
 
 def mask_stage(bgs, category: VideoCategory, out_vid: Path,
                cfg: PipelineConfig, mask_out: Path | None = None) -> Mask:
+    """Road-mask union of the backgrounds; rebuilt on every call, never
+    read back from mask.pgm."""
     params = cfg.mask_params(category.lighting)
     union = mask_union([adaptive_road_mask(bg.frame, params) for bg in bgs])
     write_frame(union.to_frame(), out_vid / "mask.pgm")
@@ -137,25 +145,6 @@ def mask_stage(bgs, category: VideoCategory, out_vid: Path,
         mask_out.mkdir(parents=True, exist_ok=True)
         write_frame(union.to_frame(), mask_out / f"{category.video_id}_mask.pgm")
     return union
-
-
-def events_to_obj(events: list[AnomalyEvent]) -> list[dict]:
-    return [
-        {
-            "video_id": e.video_id, "start": e.start, "end": e.end,
-            "bbox": [e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h],
-            "confidence": e.confidence,
-        }
-        for e in events
-    ]
-
-
-def events_from_obj(objs: list[dict]) -> list[AnomalyEvent]:
-    return [
-        AnomalyEvent(video_id=o["video_id"], start=o["start"], end=o["end"],
-                     bbox=BBox(*o["bbox"]), confidence=o["confidence"])
-        for o in objs
-    ]
 
 
 def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
@@ -171,7 +160,7 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
 
     events_path = out_vid / "events.json"
     if events_path.is_file():
-        return events_from_obj(json.loads(events_path.read_text()))
+        return read_json(events_path, list[AnomalyEvent])
 
     foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
     category = sort_stage(seq, foreground, out_vid, cfg)
@@ -197,8 +186,7 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
         video_id=seq.video_id,
         frame_area=seq.width * seq.height,
     )
-    events_path.write_text(json.dumps(events_to_obj(events), sort_keys=True,
-                                      indent=2) + "\n")
+    write_json(events_path, events)
     return events
 
 
@@ -228,8 +216,7 @@ def score_corpus(pred_path: Path, gt_path: Path, out_path: Path | None = None
     report = scoring.score_report(read_predictions(pred_path),
                                   read_ground_truth(gt_path))
     if out_path is not None:
-        out_path.write_text(json.dumps(report.to_obj(), sort_keys=True,
-                                       indent=2) + "\n")
+        write_json(out_path, report)
     return report
 
 
@@ -264,21 +251,19 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
     timings["pipeline"] = time.perf_counter() - t0
 
     gt_path = corpus_dir / "gt.csv"
-    report_obj = None
+    report = None
     if gt_path.is_file():
         t0 = time.perf_counter()
         report = score_corpus(out_dir / "predictions.csv", gt_path,
                               out_dir / "score.json")
         timings["score"] = time.perf_counter() - t0
-        report_obj = report.to_obj()
 
     manifest = {
         "config_hash": cfg.content_hash(),
         "seed": cfg.seed,
         "input_hash": input_hash,
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
-        "score": report_obj,
+        "score": encode(report),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True,
-                                                      indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest

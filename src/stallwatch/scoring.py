@@ -44,13 +44,6 @@ class ScoreReport:
     fn: int
     per_video: dict[str, dict]
 
-    def to_obj(self) -> dict:
-        return {
-            "f1": self.f1, "rmse": self.rmse, "nrmse": self.nrmse, "s4": self.s4,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "per_video": self.per_video,
-        }
-
 
 def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
                      window: float) -> MatchResult:

@@ -75,24 +75,7 @@ class VideoCategory:
     video_id: str
     lighting: LightingClass
     road_type: RoadType
-    background_window: float
-
-    def to_obj(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "lighting": self.lighting.value,
-            "road_type": self.road_type.value,
-            "background_window_s": self.background_window,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "VideoCategory":
-        return cls(
-            video_id=obj["video_id"],
-            lighting=LightingClass(obj["lighting"]),
-            road_type=RoadType(obj["road_type"]),
-            background_window=float(obj["background_window_s"]),
-        )
+    background_window_s: float
 
 
 def average_histogram(seq: FrameSequence, stride: int = 1) -> Histogram:
@@ -227,7 +210,7 @@ def background_window_for(lighting: LightingClass, road_type: RoadType) -> float
 def sort_video(
     seq: FrameSequence,
     detections: list[Detection],
-    stride: int = 30,
+    stride: int,
 ) -> VideoCategory:
     """Classify one video and derive its background window length."""
     lighting = classify_lighting(average_histogram(seq, stride))
@@ -236,5 +219,5 @@ def sort_video(
         video_id=seq.video_id,
         lighting=lighting,
         road_type=road_type,
-        background_window=background_window_for(lighting, road_type),
+        background_window_s=background_window_for(lighting, road_type),
     )

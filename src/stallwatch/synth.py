@@ -10,12 +10,12 @@ truth) is byte-identical for a given spec and seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .codec import read_json, write_json
 from .errors import InvalidSpec
 from .media import (
     BBox,
@@ -50,7 +50,7 @@ class ParkedVehicle:
     w: int
     h: int
     intensity: float
-    class_label: str = "car"
+    class_label: str = field(default="car", metadata={"key": "class"})
 
     @property
     def bbox(self) -> BBox:
@@ -75,7 +75,7 @@ class VehicleSpec:
     direction: int          # +1 or -1
     start: float
     stall: tuple[float, float] | None = None
-    class_label: str = "car"
+    class_label: str = field(default="car", metadata={"key": "class"})
 
     def moving_coord(self, t: float) -> float:
         """Position along the travel axis at time t (before visibility clip)."""
@@ -124,68 +124,9 @@ class SceneSpec:
     def frame_count(self) -> int:
         return int(round(self.duration * self.fps))
 
-    def to_obj(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "duration": self.duration,
-            "fps": self.fps,
-            "width": self.width,
-            "height": self.height,
-            "lighting": self.lighting.value,
-            "offroad_intensity": self.offroad_intensity,
-            "bands": [vars(b) for b in self.bands],
-            "vehicles": [
-                {
-                    "width": v.width, "height": v.height, "intensity": v.intensity,
-                    "speed": v.speed, "spawn": v.spawn, "axis": v.axis,
-                    "lane": v.lane, "direction": v.direction, "start": v.start,
-                    "stall": list(v.stall) if v.stall else None,
-                    "class": v.class_label,
-                }
-                for v in self.vehicles
-            ],
-            "offroad_parked": [
-                {"x": p.x, "y": p.y, "w": p.w, "h": p.h,
-                 "intensity": p.intensity, "class": p.class_label}
-                for p in self.offroad_parked
-            ],
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SceneSpec":
-        return cls(
-            video_id=obj["video_id"],
-            duration=float(obj["duration"]),
-            fps=float(obj["fps"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            lighting=LightingClass(obj["lighting"]),
-            offroad_intensity=float(obj["offroad_intensity"]),
-            bands=tuple(RoadBand(**b) for b in obj["bands"]),
-            vehicles=tuple(
-                VehicleSpec(
-                    width=v["width"], height=v["height"], intensity=v["intensity"],
-                    speed=v["speed"], spawn=v["spawn"], axis=v["axis"],
-                    lane=v["lane"], direction=v["direction"], start=v["start"],
-                    stall=tuple(v["stall"]) if v["stall"] else None,
-                    class_label=v["class"],
-                )
-                for v in obj["vehicles"]
-            ),
-            offroad_parked=tuple(
-                ParkedVehicle(x=p["x"], y=p["y"], w=p["w"], h=p["h"],
-                              intensity=p["intensity"], class_label=p["class"])
-                for p in obj["offroad_parked"]
-            ),
-            noise_sigma=float(obj["noise_sigma"]),
-            seed=int(obj["seed"]),
-        )
-
 
 def load_scene(path: str | Path) -> SceneSpec:
-    return SceneSpec.from_obj(json.loads(Path(path).read_text()))
+    return read_json(path, SceneSpec)
 
 
 def _validate(spec: SceneSpec) -> None:
@@ -282,7 +223,7 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
 
     write_sequence_meta(out, spec.video_id, spec.fps, n, spec.width, spec.height)
     write_detections(foreground, out / FOREGROUND_FILE)
-    (out / SCENE_FILE).write_text(json.dumps(spec.to_obj(), sort_keys=True, indent=2) + "\n")
+    write_json(out / SCENE_FILE, spec)
 
     return [
         GroundTruthEntry(video_id=spec.video_id, start=v.stall[0], end=v.stall[1])

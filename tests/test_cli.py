@@ -4,6 +4,7 @@ import pytest
 
 from stallwatch.cli import (
     EXIT_CONFIG,
+    EXIT_FAILURE,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
@@ -67,6 +68,22 @@ class TestStages:
         assert run(["mask", "--corpus", str(mini_corpus),
                     "--out", str(out)]) == EXIT_OK
         assert (out / "mini_day_stall" / "mask.pgm").is_file()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:len(text) // 2],
+        lambda text: text.replace('"lighting"', '"lightning"'),
+    ], ids=["truncated", "no-lighting"])
+    def test_corrupt_category_fails_naming_the_file(self, mini_corpus, tmp_path,
+                                                    capsys, corrupt):
+        out = tmp_path / "out"
+        assert run(["sort", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        cat = out / "mini_day_stall" / "category.json"
+        cat.write_text(corrupt(cat.read_text()))
+        assert run(["detect", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "category.json" in err
 
     def test_run_all_and_score(self, mini_corpus, tmp_path, capsys):
         out = tmp_path / "out"

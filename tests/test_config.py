@@ -1,5 +1,6 @@
 import pytest
 
+from stallwatch.codec import encode, write_json
 from stallwatch.config import DetectorConfig, PipelineConfig
 from stallwatch.errors import ConfigError
 from stallwatch.sorting import LightingClass
@@ -20,7 +21,7 @@ class TestDefaults:
 class TestRoundTrip:
     def test_obj_round_trip(self):
         cfg = PipelineConfig(seed=7, jobs=3)
-        assert PipelineConfig.from_obj(cfg.to_obj()) == cfg
+        assert PipelineConfig.from_obj(encode(cfg)) == cfg
 
     def test_partial_override(self):
         cfg = PipelineConfig.from_obj({"seed": 5, "decision": {"score_min": 0.7}})
@@ -35,7 +36,7 @@ class TestRoundTrip:
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(PipelineConfig(seed=11).to_json())
+        write_json(path, PipelineConfig(seed=11))
         assert PipelineConfig.from_json_file(path).seed == 11
 
     def test_bad_json_file(self, tmp_path):
@@ -57,6 +58,9 @@ class TestValidation:
         {"jobs": 0},
         {"detector": {"kind": "magic"}},
         {"detector": {"kind": "external"}},
+        {"histogram_strid": 5},
+        {"detector": {"timout": 5}},
+        {"k1k2": {"dusk": [1, 1]}},
     ])
     def test_rejected(self, obj):
         with pytest.raises(ConfigError):

@@ -1,8 +1,14 @@
 import json
 from collections import Counter
 
-from stallwatch import anomaly, media, pipeline, roadmask
+import pytest
+
+from stallwatch import anomaly, background, media, pipeline, roadmask
+from stallwatch.codec import read_json, write_json
 from stallwatch.config import PipelineConfig
+from stallwatch.media import AnomalyEvent, BBox
+from stallwatch.sorting import LightingClass, RoadType, VideoCategory
+from stallwatch.synth import ParkedVehicle, RoadBand, SceneSpec, VehicleSpec
 
 
 def counted(counts: Counter, name: str, fn):
@@ -21,6 +27,8 @@ class TestOnePass:
         mask = counted(counts, "mask", roadmask.adaptive_road_mask)
         monkeypatch.setattr(pipeline, "adaptive_road_mask", mask)
         monkeypatch.setattr(anomaly, "adaptive_road_mask", mask, raising=False)
+        monkeypatch.setattr(background, "median_frame",
+                            counted(counts, "median", background.median_frame))
 
         video_dir = mini_corpus / "videos" / "mini_day_stall"
         out_vid = tmp_path / "mini_day_stall"
@@ -33,4 +41,89 @@ class TestOnePass:
 
         # a finished video is answered from events.json without any parse
         assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
-        assert counts == {"parse": 1, "mask": 2}
+        assert counts == {"parse": 1, "mask": 2, "median": 2}
+
+        # without events.json the decision runs again: category.json and the
+        # backgrounds are reused, the foreground is parsed once more and the
+        # road mask is rebuilt, one per window
+        (out_vid / "events.json").unlink()
+        assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
+        assert counts == {"parse": 2, "mask": 4, "median": 2}
+
+
+GOLDEN_SCENE = SceneSpec(
+    video_id="s1", duration=2.0, fps=5.0, width=32, height=24,
+    lighting=LightingClass.NIGHT, offroad_intensity=45.0,
+    bands=(RoadBand(0, 8, 32, 8, 15.0, 2.5),),
+    vehicles=(
+        VehicleSpec(width=4, height=2, intensity=5.0, speed=30.0, spawn=0.0,
+                    axis="h", lane=10, direction=1, start=1.0, stall=(0.5, 1.5)),
+        VehicleSpec(width=2, height=4, intensity=5.0, speed=30.0, spawn=0.5,
+                    axis="v", lane=3, direction=-1, start=20.0,
+                    class_label="bus"),
+    ),
+    offroad_parked=(ParkedVehicle(2, 2, 4, 2, 38.0),),
+    seed=3,
+)
+
+# Bytes written by the hand-written per-record writers the codec replaced.
+GOLDEN = {
+    "category": (
+        VideoCategory("v1", LightingClass.SNOW, RoadType.FREEWAY, 300.0),
+        '{\n  "background_window_s": 300.0,\n  "lighting": "snow",\n'
+        '  "road_type": "freeway",\n  "video_id": "v1"\n}\n'),
+    "events": (
+        [AnomalyEvent("v1", 10.0, 19.9, BBox(58, 110, 16, 6), 1.0)],
+        '[\n  {\n    "bbox": [\n      58,\n      110,\n      16,\n      6\n    ],\n'
+        '    "confidence": 1.0,\n    "end": 19.9,\n    "start": 10.0,\n'
+        '    "video_id": "v1"\n  }\n]\n'),
+    "index": (
+        pipeline.BackgroundIndex([pipeline.BackgroundWindow(
+            "bg_0.pgm", 0.0, 30.0, [3, 17])]),
+        '{\n  "windows": [\n    {\n      "file": "bg_0.pgm",\n'
+        '      "sampled_indices": [\n        3,\n        17\n      ],\n'
+        '      "window_end_s": 30.0,\n      "window_start_s": 0.0\n    }\n  ]\n}\n'),
+    "scene": (
+        GOLDEN_SCENE,
+        '{\n  "bands": [\n    {\n      "h": 8,\n      "intensity": 15.0,\n'
+        '      "texture_sigma": 2.5,\n      "w": 32,\n      "x": 0,\n      "y": 8\n'
+        '    }\n  ],\n  "duration": 2.0,\n  "fps": 5.0,\n  "height": 24,\n'
+        '  "lighting": "night",\n  "noise_sigma": 1.5,\n'
+        '  "offroad_intensity": 45.0,\n  "offroad_parked": [\n    {\n'
+        '      "class": "car",\n      "h": 2,\n      "intensity": 38.0,\n'
+        '      "w": 4,\n      "x": 2,\n      "y": 2\n    }\n  ],\n  "seed": 3,\n'
+        '  "vehicles": [\n    {\n      "axis": "h",\n      "class": "car",\n'
+        '      "direction": 1,\n      "height": 2,\n      "intensity": 5.0,\n'
+        '      "lane": 10,\n      "spawn": 0.0,\n      "speed": 30.0,\n'
+        '      "stall": [\n        0.5,\n        1.5\n      ],\n'
+        '      "start": 1.0,\n      "width": 4\n    },\n    {\n'
+        '      "axis": "v",\n      "class": "bus",\n      "direction": -1,\n'
+        '      "height": 4,\n      "intensity": 5.0,\n      "lane": 3,\n'
+        '      "spawn": 0.5,\n      "speed": 30.0,\n      "stall": null,\n'
+        '      "start": 20.0,\n      "width": 2\n    }\n  ],\n'
+        '  "video_id": "s1",\n  "width": 32\n}\n'),
+    "config": (
+        PipelineConfig(),
+        '{\n  "background_fraction": 0.1,\n  "decision": {\n'
+        '    "area_min": 0.001,\n    "iou_merge": 0.5,\n    "iou_support": 0.3,\n'
+        '    "min_support_density": 0.3,\n    "min_support_seconds": 1.0,\n'
+        '    "min_windows": 2,\n    "score_min": 0.5\n  },\n  "detector": {\n'
+        '    "command": [],\n    "directory": null,\n    "kind": "oracle",\n'
+        '    "timeout": 30.0\n  },\n  "histogram_stride": 30,\n  "jobs": 1,\n'
+        '  "k1k2": {\n    "day": [\n      2.0,\n      0.6\n    ],\n'
+        '    "night": [\n      2.0,\n      0.6\n    ],\n    "snow": [\n'
+        '      2.0,\n      0.6\n    ]\n  },\n  "mask_block": 31,\n'
+        '  "mask_min_overlap": 0.2,\n  "seed": 0,\n  "vehicle_classes": [\n'
+        '    "car",\n    "truck",\n    "bus"\n  ]\n}\n'),
+}
+
+
+class TestFormats:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_bytes(self, name, tmp_path):
+        value, text = GOLDEN[name]
+        path = tmp_path / f"{name}.json"
+        write_json(path, value)
+        assert path.read_bytes() == text.encode()
+        cls = list[AnomalyEvent] if isinstance(value, list) else type(value)
+        assert read_json(path, cls) == value

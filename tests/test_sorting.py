@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stallwatch.codec import decode, encode
 from stallwatch.errors import EmptyInput, InsufficientData
 from stallwatch.media import BBox, Detection
 from stallwatch.sorting import (
@@ -169,14 +170,14 @@ class TestBackgroundWindow:
 class TestCategoryFile:
     def test_round_trip(self):
         cat = VideoCategory("v1", LightingClass.SNOW, RoadType.FREEWAY, 300.0)
-        assert VideoCategory.from_obj(cat.to_obj()) == cat
-        assert set(cat.to_obj()) == {"video_id", "lighting", "road_type",
-                                     "background_window_s"}
+        assert decode(VideoCategory, encode(cat)) == cat
+        assert set(encode(cat)) == {"video_id", "lighting", "road_type",
+                                    "background_window_s"}
 
     def test_file_with_mask_constants_still_loads(self):
         # category.json once also carried the road-mask constants k1/k2;
         # they now come from the config only and are ignored on load
         obj = {"video_id": "v1", "lighting": "day", "road_type": "freeway",
                "background_window_s": 30.0, "k1": 2.0, "k2": 0.6}
-        assert VideoCategory.from_obj(obj) == VideoCategory(
+        assert decode(VideoCategory, obj) == VideoCategory(
             "v1", LightingClass.DAY, RoadType.FREEWAY, 30.0)

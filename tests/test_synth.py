@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stallwatch.codec import decode, encode
 from stallwatch.errors import InvalidSpec
 from stallwatch.media import open_sequence, read_detections, read_ground_truth
 from stallwatch.sorting import LightingClass
@@ -142,7 +143,7 @@ class TestSceneSerialization:
     def test_round_trip(self):
         spec = make_scene("rt", LightingClass.NIGHT, True, (40.0, 280.0),
                           False, seed=5)
-        assert SceneSpec.from_obj(json.loads(json.dumps(spec.to_obj()))) == spec
+        assert decode(SceneSpec, json.loads(json.dumps(encode(spec)))) == spec
 
     def test_static_boxes_cover_stall_and_parked(self):
         spec = make_scene("sb", LightingClass.DAY, False, (100.0, 250.0),
