@@ -54,6 +54,13 @@ def median_frame(frames: list[Frame]) -> Frame:
 
     The lower-middle rule keeps every output pixel an 8-bit value that was
     actually observed at that location.
+
+    The order statistic is found by bit-plane selection, most significant
+    bit first: the k-th smallest of n values is the largest v with at most
+    k values below v, so each of the 8 passes tries setting one more bit
+    of the result and keeps it where no more than k values fall below the
+    candidate. This counts along the frame axis of a contiguous stack
+    instead of partitioning every pixel's strided column.
     """
     if not frames:
         raise EmptyInput("median of zero frames")
@@ -61,11 +68,18 @@ def median_frame(frames: list[Frame]) -> Frame:
     for f in frames[1:]:
         if f.pixels.shape != shape:
             raise DimensionMismatch(f"frame shapes differ: {shape} vs {f.pixels.shape}")
-    stack = np.stack([f.pixels for f in frames])
+    stack = np.stack([f.pixels.ravel() for f in frames])
     n = stack.shape[0]
     k = (n - 1) // 2
-    part = np.partition(stack, k, axis=0)
-    return Frame(part[k])
+    below = np.empty(stack.shape, dtype=np.uint8)
+    # holds counts up to n without overflow: uint8 for n <= 255
+    count = np.empty(stack.shape[1], dtype=np.min_scalar_type(n))
+    result = np.zeros(stack.shape[1], dtype=np.uint8)
+    for bit in range(7, -1, -1):
+        np.less(stack, result | (1 << bit), out=below.view(bool))
+        np.add.reduce(below, axis=0, dtype=count.dtype, out=count)
+        result |= (count <= k).view(np.uint8) << bit
+    return Frame(result.reshape(shape))
 
 
 def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[int, int]]:

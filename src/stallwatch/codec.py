@@ -11,10 +11,11 @@ values; an ``Enum`` becomes its value; tuples and lists become lists.
 looks enums up by value, accepts null for ``X | None`` and recurses into
 lists, tuples and dataclasses. A key missing from the object keeps the
 value of ``default``, else the dataclass default; a ``dict`` field merges
-over its default. Keys that are not fields are ignored, so files that
-carry keys an older version wrote keep loading; the run config, which is
-hand-written, rejects unknown keys itself before decoding. A value that
-does not fit its type raises `ParseError`.
+over its default, and a ``dict[str, V]`` field decodes each value as
+``V``. Keys that are not fields are ignored, so files that carry keys an
+older version wrote keep loading; the run config, which is hand-written,
+rejects unknown keys itself before decoding. A value that does not fit
+its type raises `ParseError`.
 
 `dumps` is the one on-disk format: sorted keys, indent 2, final newline.
 """
@@ -77,9 +78,11 @@ def decode(cls, obj, default=None):
         return items if origin is list else tuple(items)
     if is_dataclass(cls):
         return _decode_dataclass(cls, obj, default)
-    if cls is dict:
+    if cls is dict or origin is dict:
         if not isinstance(obj, dict):
             raise ParseError(f"expected an object, got {obj!r}")
+        if args:
+            obj = {k: decode(args[1], v) for k, v in obj.items()}
         return {**(default or {}), **obj}
     if isinstance(obj, (list, dict)):
         raise ParseError(f"expected {cls.__name__}, got {obj!r}")

@@ -39,7 +39,7 @@ class PipelineConfig:
     mask_min_overlap: float = DEFAULT_MIN_OVERLAP
     mask_block: int = DEFAULT_BLOCK
     # (k1, k2) per lighting class, keyed by the class value
-    k1k2: dict = field(default_factory=lambda: {
+    k1k2: dict[str, list[float]] = field(default_factory=lambda: {
         cls.value: list(DEFAULT_K1K2[cls]) for cls in LightingClass
     })
     decision: DecisionParams = field(default_factory=DecisionParams)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codec import write_json
+from .codec import read_json, write_json
 from .errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -205,18 +206,24 @@ def read_frame(path: str | Path) -> Frame:
 # Frame sequences
 # ---------------------------------------------------------------------------
 
-FRAME_NAME = "frame_{:06d}.pgm"
+FRAME_NAME = "frame_%06d.pgm"
 
 
-@dataclass
-class FrameSequence:
-    """Lazy, read-only view of a directory of numbered PGM frames."""
+@dataclass(frozen=True)
+class SequenceMeta:
+    """The contents of a frame directory's meta.json."""
 
     video_id: str
     fps: float
     frame_count: int
     width: int
     height: int
+
+
+@dataclass(frozen=True)
+class FrameSequence(SequenceMeta):
+    """Lazy, read-only view of a directory of numbered PGM frames."""
+
     directory: Path = field(repr=False)
 
     @property
@@ -227,7 +234,7 @@ class FrameSequence:
         return index / self.fps
 
     def frame_path(self, index: int) -> Path:
-        return self.directory / FRAME_NAME.format(index)
+        return self.directory / (FRAME_NAME % index)
 
     def frame(self, index: int) -> Frame:
         if not 0 <= index < self.frame_count:
@@ -245,37 +252,24 @@ def open_sequence(dir_path: str | Path) -> FrameSequence:
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
         raise MissingMetadata(f"no meta.json in {directory}")
-    try:
-        meta = json.loads(meta_path.read_text())
-        seq = FrameSequence(
-            video_id=str(meta["video_id"]),
-            fps=float(meta["fps"]),
-            frame_count=int(meta["frame_count"]),
-            width=int(meta["width"]),
-            height=int(meta["height"]),
-            directory=directory,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad meta.json in {directory}: {exc}") from exc
-    if seq.fps <= 0:
-        raise ParseError(f"fps must be positive, got {seq.fps}")
-    if seq.frame_count < 0:
-        raise ParseError(f"negative frame_count {seq.frame_count}")
-    for i in range(seq.frame_count):
-        if not seq.frame_path(i).is_file():
+    meta = read_json(meta_path, SequenceMeta)
+    if meta.fps <= 0:
+        raise ParseError(f"fps must be positive, got {meta.fps}")
+    if meta.frame_count < 0:
+        raise ParseError(f"negative frame_count {meta.frame_count}")
+    # one directory listing instead of a stat per frame
+    with os.scandir(directory) as entries:
+        files = {entry.name for entry in entries if entry.is_file()}
+    for i in range(meta.frame_count):
+        if FRAME_NAME % i not in files:
             raise SequenceGap(f"missing frame {i} in {directory}")
-    return seq
+    return FrameSequence(**vars(meta), directory=directory)
 
 
 def write_sequence_meta(directory: str | Path, video_id: str, fps: float,
                         frame_count: int, width: int, height: int) -> None:
-    write_json(Path(directory, "meta.json"), {
-        "video_id": video_id,
-        "fps": fps,
-        "frame_count": frame_count,
-        "width": width,
-        "height": height,
-    })
+    write_json(Path(directory, "meta.json"),
+               SequenceMeta(video_id, fps, frame_count, width, height))
 
 
 # ---------------------------------------------------------------------------

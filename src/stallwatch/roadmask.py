@@ -73,30 +73,41 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
     if block > min(h, w):
         raise InvalidParam(f"block {block} exceeds image side {min(h, w)}")
     r = block // 2
-    x = frame.pixels.astype(np.float64)
+    x = frame.pixels.astype(np.int64)
 
     def box_sum(img: np.ndarray) -> np.ndarray:
-        # summed-area table with a zero border row/column
-        sat = np.zeros((h + 1, w + 1))
-        sat[1:, 1:] = img.cumsum(0).cumsum(1)
-        ys, xs = np.arange(h), np.arange(w)
-        y0 = np.clip(ys - r, 0, h)[:, None]
-        y1 = np.clip(ys + r + 1, 0, h)[:, None]
-        x0 = np.clip(xs - r, 0, w)[None, :]
-        x1 = np.clip(xs + r + 1, 0, w)[None, :]
-        return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
+        # exact integer sums: row differences first, then column differences
+        rows = _window_sums(img.cumsum(0), r)
+        return _window_sums(rows.cumsum(1).T, r).T
 
-    counts = box_sum(np.ones((h, w)))
+    def extent(n: int) -> np.ndarray:
+        i = np.arange(n, dtype=np.float64)
+        return np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1
+
+    counts = np.outer(extent(h), extent(w))
     mean = box_sum(x) / counts
-    var = box_sum(x * x) / counts - mean * mean
-    return mean, np.sqrt(np.clip(var, 0.0, None))
+    var = box_sum(x * x) / counts
+    var -= mean * mean
+    return mean, np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
+
+
+def _window_sums(cum: np.ndarray, r: int) -> np.ndarray:
+    """Sums over the windows [i - r, i + r] along axis 0, clipped to the
+    array, from the inclusive running sums `cum` along that axis."""
+    n = len(cum)
+    out = np.empty_like(cum)
+    out[:n - r] = cum[r:]
+    out[n - r:] = cum[n - 1]
+    out[r + 1:] -= cum[:n - r - 1]
+    return out
 
 
 def adaptive_road_mask(background: Frame, params: MaskParams) -> Mask:
     mu, sigma = local_stats(background, params.block)
     t = background.pixels.astype(np.float64)
-    lower = (mu - params.k1 * sigma) / params.k2
-    upper = (mu + params.k1 * sigma) / (params.k1 + params.k2)
+    spread = params.k1 * sigma
+    lower = (mu - spread) / params.k2
+    upper = (mu + spread) / (params.k1 + params.k2)
     return Mask((lower <= t) & (t <= upper))
 
 

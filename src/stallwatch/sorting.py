@@ -163,35 +163,49 @@ def estimate_directions(
     displacement gate; moving displacement vectors are quantized into 8
     equal angle bins and bins holding at least ``support_fraction`` of all
     vectors count as a direction.
+
+    Every detection of a frame is matched against the detections of the
+    next frame that has any, all frame pairs at once: the candidate pairs
+    are laid out detection by detection (a ragged cartesian product), so
+    each detection's candidates form one segment, and its match is the
+    first candidate at the segment's minimum distance.
     """
-    by_frame: dict[int, list[tuple[float, float]]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame_index, []).append(det.centroid)
-    frames = sorted(by_frame)
-    if len(frames) < 2:
-        raise InsufficientData(f"detections span {len(frames)} frame(s), need >= 2")
+    frames = np.fromiter((d.frame_index for d in detections), np.int64,
+                         len(detections))
+    order = np.argsort(frames, kind="stable")
+    present, starts, sizes = np.unique(frames[order], return_index=True,
+                                       return_counts=True)
+    if len(present) < 2:
+        raise InsufficientData(f"detections span {len(present)} frame(s), need >= 2")
+    points = np.array([detections[i].centroid for i in order.tolist()],
+                      dtype=np.float64)
+
+    # detections of every frame but the last, each with its next frame's
+    # detections as candidates
+    group = np.repeat(np.arange(len(present) - 1), sizes[:-1])
+    n_cand = sizes[1:][group]
+    seg_start = np.cumsum(n_cand) - n_cand
+    total = int(n_cand.sum())
+    src = np.repeat(np.arange(len(group)), n_cand)
+    dst = np.repeat(starts[1:][group] - seg_start, n_cand) + np.arange(total)
+    deltas = points[dst] - points[src]
+    dists = np.hypot(deltas[:, 0], deltas[:, 1])
+    nearest = np.minimum.reduceat(dists, seg_start)
+    at_min = dists == np.repeat(nearest, n_cand)
+    match = np.minimum.reduceat(np.where(at_min, np.arange(total), total), seg_start)
 
     gate = gate_fraction * frame_width
-    bin_counts = np.zeros(8, dtype=np.int64)
-    total = 0
-    for prev, cur in zip(frames, frames[1:]):
-        targets = np.asarray(by_frame[cur], dtype=np.float64)
-        for cx, cy in by_frame[prev]:
-            deltas = targets - (cx, cy)
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            j = int(np.argmin(dists))
-            if dists[j] > gate:
-                continue
-            dx, dy = deltas[j]
-            mag = dists[j]
-            if mag < min_move_px:
-                continue
-            angle = math.atan2(dy, dx) % (2 * math.pi)
-            bin_counts[int(angle / (math.pi / 4)) % 8] += 1
-            total += 1
-    if total == 0:
+    moved = match[(nearest <= gate) & (nearest >= min_move_px)]
+    if len(moved) == 0:
         return 0
-    return int(np.count_nonzero(bin_counts / total >= support_fraction))
+    # math.atan2, not np.arctan2: numpy may run a SIMD arctan2 that differs
+    # from the C library's in the last bit, and a vector lying exactly on
+    # a bin edge (diagonal or axis-parallel motion) would change bins
+    angles = np.fromiter(map(math.atan2, deltas[moved, 1].tolist(),
+                             deltas[moved, 0].tolist()), np.float64, len(moved))
+    bins = (np.remainder(angles, 2 * math.pi) / (math.pi / 4)).astype(np.int64) % 8
+    bin_counts = np.bincount(bins, minlength=8)
+    return int(np.count_nonzero(bin_counts / len(moved) >= support_fraction))
 
 
 def classify_road_type(direction_count: int) -> RoadType:

@@ -13,6 +13,7 @@ from stallwatch.background import (
     window_bounds,
 )
 from stallwatch.errors import DimensionMismatch, EmptyInput
+from stallwatch.media import Frame
 
 from conftest import make_frame
 
@@ -82,6 +83,20 @@ class TestMedian:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             median_frame([make_frame([[1]]), make_frame([[1, 2]])])
+
+    def test_matches_sort_oracle(self, rng):
+        # every window size up to 300: odd and even n, and n > 255, where
+        # a per-pixel count no longer fits in a byte
+        for n in range(1, 301):
+            stack = rng.integers(0, 256, (n, 3, 5), dtype=np.uint8)
+            want = np.sort(stack, axis=0)[(n - 1) // 2]
+            assert median_frame([Frame(s) for s in stack]) == Frame(want), n
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
+    @pytest.mark.parametrize("value", [0, 255])
+    def test_constant_stack(self, n, value):
+        frames = [make_frame(np.full((2, 3), value))] * n
+        assert median_frame(frames) == make_frame(np.full((2, 3), value))
 
     def test_output_value_was_observed(self, rng):
         frames = [make_frame(rng.integers(0, 256, (4, 4))) for _ in range(6)]

@@ -79,3 +79,10 @@ class TestHash:
     def test_changes_with_content(self):
         assert PipelineConfig().content_hash() != \
                PipelineConfig(seed=1).content_hash()
+
+    def test_integer_k1k2_hashes_like_float(self):
+        # [2, 0.6] runs exactly like the default [2.0, 0.6]
+        cfg = PipelineConfig.from_obj({"k1k2": {"day": [2, 0.6]}})
+        assert cfg.k1k2["day"] == [2.0, 0.6]
+        assert all(isinstance(v, float) for v in cfg.k1k2["day"])
+        assert cfg.content_hash() == PipelineConfig().content_hash()

@@ -114,6 +114,36 @@ class TestSequence:
         with pytest.raises(SequenceGap):
             open_sequence(tmp_path)
 
+    def test_directory_named_like_a_frame_is_a_gap(self, tmp_path):
+        self._write(tmp_path, 4)
+        (tmp_path / "frame_000002.pgm").unlink()
+        (tmp_path / "frame_000002.pgm").mkdir()
+        with pytest.raises(SequenceGap):
+            open_sequence(tmp_path)
+
+    def test_stray_entries_ignored(self, tmp_path):
+        self._write(tmp_path, 3)
+        (tmp_path / "notes.txt").write_text("x")
+        (tmp_path / "frame_000099.pgm").write_bytes(b"")
+        (tmp_path / "sub").mkdir()
+        seq = open_sequence(tmp_path)
+        assert seq.frame_count == 3
+        assert seq.frame(2).pixels.shape == (2, 2)
+
+    @pytest.mark.parametrize("text", [
+        "{nope",
+        "[]",
+        '{"video_id": "v1", "fps": 30.0, "frame_count": 1, "width": 2}',
+        '{"video_id": "v1", "fps": "fast", "frame_count": 1, "width": 2, "height": 2}',
+        '{"video_id": "v1", "fps": 0, "frame_count": 1, "width": 2, "height": 2}',
+        '{"video_id": "v1", "fps": 30.0, "frame_count": -1, "width": 2, "height": 2}',
+    ])
+    def test_bad_meta(self, tmp_path, text):
+        self._write(tmp_path, 1)
+        (tmp_path / "meta.json").write_text(text)
+        with pytest.raises(ParseError):
+            open_sequence(tmp_path)
+
     def test_missing_meta(self, tmp_path):
         with pytest.raises(MissingMetadata):
             open_sequence(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from stallwatch import anomaly, background, media, pipeline, roadmask
 from stallwatch.codec import read_json, write_json
 from stallwatch.config import PipelineConfig
-from stallwatch.media import AnomalyEvent, BBox
+from stallwatch.media import AnomalyEvent, BBox, SequenceMeta
 from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 from stallwatch.synth import ParkedVehicle, RoadBand, SceneSpec, VehicleSpec
 
@@ -83,6 +83,10 @@ GOLDEN = {
         '{\n  "windows": [\n    {\n      "file": "bg_0.pgm",\n'
         '      "sampled_indices": [\n        3,\n        17\n      ],\n'
         '      "window_end_s": 30.0,\n      "window_start_s": 0.0\n    }\n  ]\n}\n'),
+    "meta": (
+        SequenceMeta("v1", 30.0, 4, 2, 2),
+        '{\n  "fps": 30.0,\n  "frame_count": 4,\n  "height": 2,\n'
+        '  "video_id": "v1",\n  "width": 2\n}\n'),
     "scene": (
         GOLDEN_SCENE,
         '{\n  "bands": [\n    {\n      "h": 8,\n      "intensity": 15.0,\n'

@@ -18,7 +18,45 @@ from stallwatch.roadmask import (
 from conftest import make_frame
 
 
+def fancy_index_local_stats(frame: Frame, block: int):
+    """The float64 summed-area table read with four fancy-index gathers per
+    box sum, as local_stats once computed it; kept as the exact oracle."""
+    h, w = frame.pixels.shape
+    r = block // 2
+    x = frame.pixels.astype(np.float64)
+
+    def box_sum(img):
+        sat = np.zeros((h + 1, w + 1))
+        sat[1:, 1:] = img.cumsum(0).cumsum(1)
+        ys, xs = np.arange(h), np.arange(w)
+        y0 = np.clip(ys - r, 0, h)[:, None]
+        y1 = np.clip(ys + r + 1, 0, h)[:, None]
+        x0 = np.clip(xs - r, 0, w)[None, :]
+        x1 = np.clip(xs + r + 1, 0, w)[None, :]
+        return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
+
+    counts = box_sum(np.ones((h, w)))
+    mean = box_sum(x) / counts
+    var = box_sum(x * x) / counts - mean * mean
+    return mean, np.sqrt(np.clip(var, 0.0, None))
+
+
 class TestLocalStats:
+    @pytest.mark.parametrize("shape,block", [
+        ((240, 320), 31), ((31, 44), 31), ((50, 31), 31), ((7, 7), 7),
+        ((12, 15), 5), ((5, 9), 3), ((1, 6), 1), ((9, 1), 1),
+    ])
+    def test_equals_fancy_index_oracle(self, rng, shape, block):
+        # bit for bit, so the road-mask thresholds see the same values
+        for pixels in (rng.integers(0, 256, shape, dtype=np.uint8),
+                       np.full(shape, 255, dtype=np.uint8)):
+            frame = Frame(pixels)
+            mean, std = local_stats(frame, block)
+            want_mean, want_std = fancy_index_local_stats(frame, block)
+            assert mean.dtype == std.dtype == np.float64
+            assert np.array_equal(mean, want_mean)
+            assert np.array_equal(std, want_std)
+
     def test_center_of_3x3_ramp(self):
         # values 0..8: mean 4, population std sqrt(60/9)
         frame = make_frame(np.arange(9).reshape(3, 3))

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stallwatch.codec import decode, encode
 from stallwatch.errors import EmptyInput, InsufficientData
 from stallwatch.media import BBox, Detection
 from stallwatch.sorting import (
+    GATE_FRACTION,
+    MIN_MOVE_PX,
     LightingClass,
     RoadType,
     Histogram,
@@ -142,6 +148,92 @@ class TestDirections:
     def test_single_frame_insufficient(self):
         with pytest.raises(InsufficientData):
             estimate_directions(track([(0, 10, 10)]), frame_width=320)
+
+
+def loop_directions(detections, frame_width, support_fraction=0.05):
+    """estimate_directions as a per-detection loop; kept as the oracle."""
+    by_frame = {}
+    for det in detections:
+        by_frame.setdefault(det.frame_index, []).append(det.centroid)
+    frames = sorted(by_frame)
+    if len(frames) < 2:
+        raise InsufficientData(f"detections span {len(frames)} frame(s), need >= 2")
+    gate = GATE_FRACTION * frame_width
+    bin_counts = np.zeros(8, dtype=np.int64)
+    total = 0
+    for prev, cur in zip(frames, frames[1:]):
+        targets = np.asarray(by_frame[cur], dtype=np.float64)
+        for cx, cy in by_frame[prev]:
+            deltas = targets - (cx, cy)
+            dists = np.hypot(deltas[:, 0], deltas[:, 1])
+            j = int(np.argmin(dists))
+            if dists[j] > gate:
+                continue
+            dx, dy = deltas[j]
+            mag = dists[j]
+            if mag < MIN_MOVE_PX:
+                continue
+            angle = math.atan2(dy, dx) % (2 * math.pi)
+            bin_counts[int(angle / (math.pi / 4)) % 8] += 1
+            total += 1
+    if total == 0:
+        return 0
+    return int(np.count_nonzero(bin_counts / total >= support_fraction))
+
+
+# Coordinates on a coarse grid, so that equal distances (ties), steps of
+# exactly MIN_MOVE_PX (2 px), steps of exactly the gate (32 px at width
+# 320, 2 px at width 20) and diagonal steps on a bin edge are common.
+detection_lists = st.lists(
+    st.builds(
+        lambda f, x, y, w, h: Detection(f, "car", 1.0, BBox(x, y, w, h)),
+        st.integers(0, 6),
+        st.sampled_from([0, 1, 2, 4, 32, 34, 64]),
+        st.sampled_from([0, 2, 4, 32]),
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from([2, 4])),
+    max_size=24)
+
+# support fractions that between them expose which bins are filled
+SUPPORTS = (1e-9, 0.05, 0.34, 0.5, 1.0)
+
+
+def assert_same_as_loop(dets, frame_width):
+    for support in SUPPORTS:
+        try:
+            want = loop_directions(dets, frame_width, support)
+        except InsufficientData:
+            with pytest.raises(InsufficientData):
+                estimate_directions(dets, frame_width, support_fraction=support)
+            continue
+        got = estimate_directions(dets, frame_width, support_fraction=support)
+        assert got == want, support
+
+
+class TestDirectionsOracle:
+    @given(detection_lists, st.sampled_from([320, 20]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_loop(self, dets, frame_width):
+        assert_same_as_loop(dets, frame_width)
+
+    def test_dense_frames_with_gaps(self, rng):
+        dets = [
+            Detection(int(f), "car", 1.0,
+                      BBox(int(rng.integers(0, 300)), int(rng.integers(0, 220)),
+                           int(rng.integers(2, 20)), int(rng.integers(2, 20))))
+            for f in rng.choice(400, 200, replace=False)
+            for _ in range(int(rng.integers(1, 9)))
+        ]
+        assert_same_as_loop(dets, 320)
+
+    def test_tie_takes_first_detection(self):
+        # two frame-1 boxes sit 2 px left and 2 px right of the first
+        # frame-0 box: the one listed first wins, so both vectors point
+        # left and one bin holds all of them
+        dets = track([(0, 20, 50), (0, 200, 150),
+                      (1, 18, 50), (1, 22, 50), (1, 197, 150)])
+        assert estimate_directions(dets, 320, support_fraction=1.0) == 1
+        assert loop_directions(dets, 320, 1.0) == 1
 
 
 class TestRoadType:
