@@ -26,7 +26,10 @@ DEFAULT_MIN_OVERLAP = 0.2
 
 @dataclass(frozen=True)
 class Mask:
-    """Binary road mask; bits is a (height, width) array of 0/1."""
+    """Binary road mask; bits is a (height, width) array of 0/1.
+
+    A bool array is kept as given; any other dtype is converted.
+    """
 
     bits: np.ndarray
 
@@ -34,7 +37,9 @@ class Mask:
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise DimensionMismatch(f"mask must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "bits", arr.astype(np.uint8) != 0)
+        if arr.dtype != np.bool_:
+            arr = arr.astype(np.uint8) != 0
+        object.__setattr__(self, "bits", arr)
 
     @property
     def width(self) -> int:

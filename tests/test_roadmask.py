@@ -130,6 +130,17 @@ class TestAdaptiveMask:
             MaskParams(k1=1.0, k2=1.0, block=4)
 
 
+class TestMaskBits:
+    def test_bool_array_kept(self):
+        bits = np.array([[True, False], [False, True]])
+        assert Mask(bits).bits is bits
+
+    def test_other_dtypes_truncate_to_uint8(self):
+        assert Mask(np.array([[0.5]])).bits.tolist() == [[False]]
+        assert Mask(np.array([[2.0, 0.0], [0.0, 1.5]])).bits.tolist() == \
+               [[True, False], [False, True]]
+
+
 class TestMaskUnion:
     def test_union_is_or(self):
         a = Mask(np.array([[1, 0], [0, 0]]))

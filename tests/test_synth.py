@@ -1,4 +1,6 @@
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from stallwatch.synth import (
     generate,
     load_scene,
     make_scene,
+    render_frame,
     static_boxes,
 )
 
@@ -173,3 +176,88 @@ class TestCorpusLayout:
         assert len(gt) == 6
         assert {e.video_id for e in gt} == \
                {name for name, *_ in CORPUS_PRESETS if "stall" in name}
+
+
+def short_specs() -> list[SceneSpec]:
+    """Day with a stall, night intersection, snow with a parked vehicle."""
+    short = dict(duration=20.0, fps=2.0)
+    return [
+        make_scene("day_stall", LightingClass.DAY, False, (5.0, 15.0),
+                   False, seed=11, **short),
+        make_scene("night_cross", LightingClass.NIGHT, True, None,
+                   False, seed=12, **short),
+        make_scene("snow_parked", LightingClass.SNOW, False, None,
+                   True, seed=13, **short),
+    ]
+
+
+def tree_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestConcurrentCorpus:
+    def test_same_bytes_as_serial_generate(self, tmp_path):
+        specs = short_specs()
+        corpus(tmp_path / "threaded", specs=specs)
+        serial = tmp_path / "serial"
+        for spec in specs:
+            generate(spec, serial / "videos" / spec.video_id)
+        threaded = tree_bytes(tmp_path / "threaded" / "videos")
+        assert threaded == tree_bytes(serial / "videos")
+        assert len(threaded) == sum(s.frame_count + 3 for s in specs)
+
+    def test_ground_truth_in_spec_order(self, tmp_path):
+        # the first video is the longest, so it finishes last
+        specs = short_specs()
+        specs[0] = replace(specs[0], duration=60.0)
+        specs[1] = make_scene("night_stall", LightingClass.NIGHT, False,
+                              (4.0, 16.0), False, seed=12, duration=20.0,
+                              fps=2.0)
+        corpus(tmp_path, specs=specs)
+        gt = read_ground_truth(tmp_path / "gt.csv")
+        assert [(e.video_id, e.start, e.end) for e in gt] == \
+               [("day_stall", 5.0, 15.0), ("night_stall", 4.0, 16.0)]
+
+    def test_no_thread_left_running(self, tmp_path):
+        before = threading.active_count()
+        corpus(tmp_path, specs=short_specs())
+        assert threading.active_count() == before
+
+    def test_invalid_spec_writes_no_video(self, tmp_path):
+        specs = short_specs()
+        specs[2] = replace(specs[2], offroad_intensity=100.0)
+        with pytest.raises(InvalidSpec):
+            corpus(tmp_path, specs=specs)
+        assert list((tmp_path / "videos").glob("*")) == []
+        assert not (tmp_path / "gt.csv").exists()
+
+    def test_worker_error_keeps_its_type(self, tmp_path):
+        specs = short_specs()
+        (tmp_path / "videos").mkdir()
+        (tmp_path / "videos" / "night_cross").write_text("not a directory")
+        before = threading.active_count()
+        with pytest.raises(FileExistsError):
+            corpus(tmp_path, specs=specs)
+        assert threading.active_count() == before
+        assert not (tmp_path / "gt.csv").exists()
+
+
+class TestRenderFrame:
+    def test_drawn_boxes_match_box_at(self):
+        spec = make_scene("rf", LightingClass.DAY, True, (5.0, 15.0), True,
+                          seed=4, duration=20.0, fps=2.0)
+        spec = replace(spec, vehicles=tuple(
+            replace(v, class_label=("car", "truck")[k % 2])
+            for k, v in enumerate(spec.vehicles)))
+        base = np.zeros((spec.height, spec.width), dtype=np.float32)
+        rng = np.random.default_rng(0)
+        seen = 0
+        for i in range(spec.frame_count):
+            t = i / spec.fps
+            _, drawn = render_frame(spec, base, t, rng)
+            expected = [(v.box_at(t, spec.width, spec.height), v.class_label)
+                        for v in spec.vehicles]
+            assert drawn == [(b, c) for b, c in expected if b is not None]
+            seen += len(drawn)
+        assert seen > spec.frame_count
