@@ -3,7 +3,8 @@ Anomaly confirmation: the decision tree over one video's detections.
 
 A vehicle that survives the background median is a candidate; candidates off
 the road mask are discarded as parked. The rest are confirmed by how often
-foreground detections overlap them: the first and last overlapping frames
+foreground detections overlap them, one vectorised IoU of each candidate
+against the foreground columns: the first and last overlapping frames
 give the event's start and end. Nothing here reads files or runs the
 detector; `pipeline.process_video` computes the inputs once per video.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .media import AnomalyEvent, BBox, Detection
+import numpy as np
+
+from .media import AnomalyEvent, BBox, Detection, Detections
 from .roadmask import Mask, bbox_on_road
 
 
@@ -98,13 +101,21 @@ def merge_candidates(cands: list[Candidate], iou_merge: float) -> list[Candidate
     return merged
 
 
-def support_profile(cand: Candidate, foreground: list[Detection],
+def support_profile(cand: Candidate, foreground: Detections,
                     iou_support: float) -> SupportProfile:
-    frames = sorted({
-        d.frame_index for d in foreground
-        if iou(cand.bbox, d.bbox) >= iou_support
-    })
-    return SupportProfile(candidate=cand, supporting_frames=tuple(frames))
+    """`iou` of the candidate box against every foreground row at once;
+    rows that do not overlap it have IoU 0.0."""
+    box = cand.bbox
+    x, y, w, h = foreground.boxes.T
+    ix = np.minimum(box.x2, x + w) - np.maximum(box.x, x)
+    iy = np.minimum(box.y2, y + h) - np.maximum(box.y, y)
+    inter = ix * iy
+    overlap = np.zeros(len(foreground))
+    # exact like `iou`: every term is an integer below 2**53 (media.MAX_COORD)
+    np.divide(inter, box.area + w * h - inter, out=overlap,
+              where=(ix > 0) & (iy > 0))
+    frames = np.unique(foreground.frame[overlap >= iou_support])
+    return SupportProfile(candidate=cand, supporting_frames=tuple(frames.tolist()))
 
 
 def decide(
@@ -164,7 +175,7 @@ def coalesce_events(events: list[AnomalyEvent], iou_merge: float) -> list[Anomal
 def detect_anomalies(
     road: Mask,
     per_window: list[tuple[float, list[Detection]]],
-    foreground: list[Detection],
+    foreground: Detections,
     params: DecisionParams,
     min_overlap: float,
     fps: float,
@@ -175,7 +186,7 @@ def detect_anomalies(
 
     `road` is the union of the per-window road masks, `per_window` holds
     (window start in seconds, background detections) for every background
-    window, and `foreground` is the video's foreground detections.
+    window, and `foreground` is the video's foreground detection columns.
     """
     cands = extract_candidates(per_window, road, params, frame_area=frame_area,
                                min_overlap=min_overlap)

@@ -58,10 +58,16 @@ def encode(value):
     return value
 
 
+@functools.cache
+def _dispatch(cls) -> tuple[object, tuple, bool]:
+    """(origin, arguments, is a dataclass) of a type hint."""
+    return typing.get_origin(cls), typing.get_args(cls), is_dataclass(cls)
+
+
 def decode(cls, obj, default=None):
     """Parsed JSON `obj` as a value of type `cls`; keys missing from `obj`
     keep the value they have in `default`."""
-    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    origin, args, dataclass_type = _dispatch(cls)
     if origin in (typing.Union, types.UnionType):
         if obj is None and type(None) in args:
             return None
@@ -76,7 +82,7 @@ def decode(cls, obj, default=None):
             return tuple(decode(a, v) for a, v in zip(args, obj))
         items = [decode(args[0], v) for v in obj]
         return items if origin is list else tuple(items)
-    if is_dataclass(cls):
+    if dataclass_type:
         return _decode_dataclass(cls, obj, default)
     if cls is dict or origin is dict:
         if not isinstance(obj, dict):

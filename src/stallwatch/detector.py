@@ -97,7 +97,7 @@ class PrecomputedDetector(DetectorHandle):
         det_path = base / (frame_path.stem + ".det.jsonl")
         if not det_path.is_file():
             raise MissingDetections(f"no detection file {det_path}")
-        return read_detections(det_path)
+        return read_detections(det_path).rows()
 
 
 class ExternalProcessDetector(DetectorHandle):

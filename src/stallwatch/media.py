@@ -5,6 +5,11 @@ All image data is 8-bit grayscale. Frames live on disk as binary PGM (P5,
 maxval 255), detections as JSON-Lines, ground truth and predictions as CSV.
 Every reader validates its input and raises a typed error from
 :mod:`stallwatch.errors` instead of crashing on malformed bytes.
+
+A detection file is read into `Detections`, one numpy column per field,
+because the pipeline consumes a video's foreground detections as arrays
+(direction estimation, foreground support); `Detections.rows` gives the
+per-row `Detection` values where one is wanted.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +34,11 @@ from .errors import (
     SequenceGap,
     UnsupportedFormat,
 )
+
+
+# Every box coordinate and side is below this. Areas and unions of such
+# boxes stay below 2**53, so box arithmetic is exact in int64 and float64.
+MAX_COORD = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,9 @@ class BBox:
             raise InvalidBBox(f"box sides must be positive, got w={self.w} h={self.h}")
         if self.x < 0 or self.y < 0:
             raise InvalidBBox(f"box origin must be non-negative, got ({self.x}, {self.y})")
+        if max(self.x, self.y, self.w, self.h) >= MAX_COORD:
+            raise InvalidBBox(f"box values must be below {MAX_COORD}, got "
+                              f"({self.x}, {self.y}, {self.w}, {self.h})")
 
     @property
     def area(self) -> int:
@@ -74,9 +89,28 @@ class Detection:
         if self.frame_index < 0:
             raise ParseError(f"negative frame index {self.frame_index}")
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        return (self.bbox.x + self.bbox.w / 2.0, self.bbox.y + self.bbox.h / 2.0)
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """The rows of one detection file as columns; row i is
+    (frame[i], boxes[i], score[i], labels[i]). The arrays are read-only."""
+
+    frame: np.ndarray        # int64, (n,)
+    boxes: np.ndarray        # int64, (n, 4): x, y, w, h
+    score: np.ndarray        # float64, (n,)
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        for column in (self.frame, self.boxes, self.score):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def rows(self) -> list[Detection]:
+        return [Detection(f, label, s, BBox(*box)) for f, box, s, label in zip(
+            self.frame.tolist(), self.boxes.tolist(), self.score.tolist(),
+            self.labels)]
 
 
 @dataclass(frozen=True)
@@ -276,44 +310,113 @@ def write_sequence_meta(directory: str | Path, video_id: str, fps: float,
 # Detections (JSON-Lines)
 # ---------------------------------------------------------------------------
 
+# frame indices are stored as int64
+MAX_FRAME = np.iinfo(np.int64).max
+
+
 def _detection_from_obj(obj: dict, where: str) -> Detection:
+    """The one definition of a valid detection row; errors name `where`.
+
+    bool is not a number here, and box values must be finite; float box
+    values truncate toward zero.
+    """
     try:
         frame_index = obj["frame"]
         class_label = obj["class"]
         score = obj["score"]
-        bx, by, bw, bh = obj["bbox"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: malformed detection record: {exc}") from exc
-    if not isinstance(frame_index, int) or isinstance(frame_index, bool):
-        raise ParseError(f"{where}: frame index must be an integer")
-    if not isinstance(score, (int, float)) or not (0.0 <= float(score) <= 1.0):
+        box = obj["bbox"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{where}: malformed detection record: {exc!r}") from exc
+    if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME:
+        raise ParseError(f"{where}: frame index {frame_index!r} must be an "
+                         f"integer in [0, {MAX_FRAME}]")
+    if type(class_label) is not str:
+        raise ParseError(f"{where}: class {class_label!r} must be a string")
+    if type(score) not in (int, float) or not 0 <= score <= 1:
         raise ParseError(f"{where}: score {score!r} outside [0, 1]")
-    if bw <= 0 or bh <= 0:
-        raise InvalidBBox(f"{where}: non-positive box sides ({bw}, {bh})")
-    return Detection(
-        frame_index=frame_index,
-        class_label=str(class_label),
-        score=float(score),
-        bbox=BBox(int(bx), int(by), int(bw), int(bh)),
-    )
+    if type(box) is not list or len(box) != 4 \
+            or not all(type(v) in (int, float) for v in box):
+        raise ParseError(f"{where}: bbox {box!r} must be a list of four numbers")
+    # also false for nan and infinities
+    if not all(abs(v) < MAX_COORD for v in box):
+        raise InvalidBBox(f"{where}: box values {box!r} must be finite and "
+                          f"below {MAX_COORD}")
+    try:
+        bbox = BBox(*map(int, box))
+    except InvalidBBox as exc:
+        raise InvalidBBox(f"{where}: {exc}") from None
+    return Detection(frame_index, class_label, float(score), bbox)
 
 
-def read_detections(path: str | Path) -> list[Detection]:
-    out: list[Detection] = []
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _detection_from_line(line: str, where: str) -> Detection:
+    """One stripped, non-blank line holding exactly one JSON object."""
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+    if end != len(line):
+        raise ParseError(f"{where}: invalid JSON: extra data at column {end + 1}")
+    if type(obj) is not dict:
+        raise ParseError(f"{where}: expected a JSON object")
+    return _detection_from_obj(obj, where)
+
+
+_FIELDS = itemgetter("frame", "class", "score", "bbox")
+
+
+def _columns(lines: list[str]) -> Detections | None:
+    """Every line's row as columns, or None when some row is not valid;
+    a line that is not JSON, a missing key or a number too large to convert
+    raises `JSONDecodeError`, `KeyError` or `OverflowError` instead.
+
+    At least as strict as `_detection_from_line`, field by field: element
+    types are checked exactly before any conversion (numpy would turn the
+    string "3" into the number 3), then the ranges as arrays.
+    """
+    if not lines:
+        return Detections(np.zeros(0, np.int64), np.zeros((0, 4), np.int64),
+                          np.zeros(0, np.float64), ())
+    objs, ends = zip(*map(_raw_decode, lines))
+    if ends != tuple(map(len, lines)) or set(map(type, objs)) != {dict}:
+        return None
+    frames, labels, scores, bboxes = zip(*map(_FIELDS, objs))
+    if (set(map(type, frames)) != {int} or set(map(type, labels)) != {str}
+            or not set(map(type, scores)) <= {int, float}
+            or set(map(type, bboxes)) != {list} or set(map(len, bboxes)) != {4}):
+        return None
+    values = list(chain.from_iterable(bboxes))
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    frame = np.array(frames, dtype=np.int64)
+    score = np.array(scores, dtype=np.float64)
+    boxes = np.trunc(np.array(values, dtype=np.float64).reshape(-1, 4))
+    # nan fails every comparison
+    if not ((frame >= 0).all() and ((score >= 0) & (score <= 1)).all()
+            and ((boxes >= (0, 0, 1, 1)) & (boxes < MAX_COORD)).all()):
+        return None
+    return Detections(frame, boxes.astype(np.int64), score, labels)
+
+
+def read_detections(path: str | Path) -> Detections:
+    """A JSON-Lines detection file as columns: one JSON object per line,
+    blank lines skipped. The first invalid row raises `ParseError` or
+    `InvalidBBox` naming `path:line`."""
+    # text mode has already turned every line end into "\n"
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{where}: expected a JSON object")
-            out.append(_detection_from_obj(obj, where))
-    return out
+        lines = list(map(str.strip, fh.read().split("\n")))
+    try:
+        columns = _columns(list(filter(None, lines)))
+    except (json.JSONDecodeError, KeyError, OverflowError):
+        columns = None
+    if columns is not None:
+        return columns
+    for lineno, line in enumerate(lines, start=1):
+        if line:
+            _detection_from_line(line, f"{path}:{lineno}")
+    raise AssertionError(f"{path}: the column checks rejected a valid row")
 
 
 def detection_to_obj(det: Detection) -> dict:

@@ -42,6 +42,7 @@ from .errors import MissingMetadata, StallwatchError
 from .media import (
     AnomalyEvent,
     Detection,
+    Detections,
     FrameSequence,
     open_sequence,
     read_detections,
@@ -95,7 +96,7 @@ class BackgroundIndex:
 
 # --- per-video stages ------------------------------------------------------
 
-def sort_stage(seq: FrameSequence, foreground: list[Detection], out_vid: Path,
+def sort_stage(seq: FrameSequence, foreground: Detections, out_vid: Path,
                cfg: PipelineConfig) -> VideoCategory:
     cat_path = out_vid / "category.json"
     if cat_path.is_file():
@@ -151,9 +152,9 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                   mask_out: Path | None = None) -> list[AnomalyEvent]:
     """Run (or resume) the full per-video pipeline; returns accepted events.
 
-    One pass: each value (foreground detections, backgrounds, road mask,
-    per-window detections) is computed once and handed to the next step.
-    A detector failure skips that window with a warning.
+    One pass: each value (foreground detection columns, backgrounds, road
+    mask, per-window detections) is computed once and handed to the next
+    step. A detector failure skips that window with a warning.
     """
     seq = open_sequence(video_dir)
     out_vid.mkdir(parents=True, exist_ok=True)

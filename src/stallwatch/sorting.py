@@ -1,6 +1,7 @@
 """
 Video sorting: lighting/weather class from the average pixel histogram,
-road type from the number of distinct traffic flow directions.
+road type from the number of distinct traffic flow directions in the
+foreground detection columns.
 
 The class drives the per-video pipeline parameters (background window
 length here, the road-mask constants k1/k2 via `PipelineConfig.mask_params`).
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import EmptyInput, InsufficientData
-from .media import Detection, FrameSequence
+from .media import Detections, FrameSequence
 
 # Peak detection defaults; the histogram signatures (night near 0-50,
 # day around 100-150, snow around 200-250) need only coarse peaks.
@@ -151,15 +152,16 @@ def classify_lighting(
 
 
 def estimate_directions(
-    detections: list[Detection],
+    detections: Detections,
     frame_width: int,
     gate_fraction: float = GATE_FRACTION,
     min_move_px: float = MIN_MOVE_PX,
     support_fraction: float = SUPPORT_FRACTION,
 ) -> int:
-    """Count distinct traffic-flow directions from per-frame detections.
+    """Count distinct traffic-flow directions from a video's detection
+    columns (frame indices and boxes).
 
-    Centroids are associated frame-to-frame by nearest neighbour within a
+    Box centroids are associated frame-to-frame by nearest neighbour within a
     displacement gate; moving displacement vectors are quantized into 8
     equal angle bins and bins holding at least ``support_fraction`` of all
     vectors count as a direction.
@@ -170,15 +172,13 @@ def estimate_directions(
     each detection's candidates form one segment, and its match is the
     first candidate at the segment's minimum distance.
     """
-    frames = np.fromiter((d.frame_index for d in detections), np.int64,
-                         len(detections))
-    order = np.argsort(frames, kind="stable")
-    present, starts, sizes = np.unique(frames[order], return_index=True,
-                                       return_counts=True)
+    order = np.argsort(detections.frame, kind="stable")
+    present, starts, sizes = np.unique(detections.frame[order],
+                                       return_index=True, return_counts=True)
     if len(present) < 2:
         raise InsufficientData(f"detections span {len(present)} frame(s), need >= 2")
-    points = np.array([detections[i].centroid for i in order.tolist()],
-                      dtype=np.float64)
+    x, y, w, h = detections.boxes[order].T
+    points = np.column_stack((x + w / 2.0, y + h / 2.0))  # box centroids
 
     # detections of every frame but the last, each with its next frame's
     # detections as candidates
@@ -223,7 +223,7 @@ def background_window_for(lighting: LightingClass, road_type: RoadType) -> float
 
 def sort_video(
     seq: FrameSequence,
-    detections: list[Detection],
+    detections: Detections,
     stride: int,
 ) -> VideoCategory:
     """Classify one video and derive its background window length."""

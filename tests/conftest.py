@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stallwatch.media import Frame
+from stallwatch.media import Detection, Detections, Frame
 
 
 @pytest.fixture
@@ -11,6 +11,16 @@ def rng():
 
 def make_frame(values) -> Frame:
     return Frame(np.asarray(values, dtype=np.uint8))
+
+
+def columns(dets: list[Detection]) -> Detections:
+    """Detection rows as the columns `read_detections` returns."""
+    return Detections(
+        np.array([d.frame_index for d in dets], dtype=np.int64),
+        np.array([[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets],
+                 dtype=np.int64).reshape(-1, 4),
+        np.array([d.score for d in dets], dtype=np.float64),
+        tuple(d.class_label for d in dets))
 
 
 @pytest.fixture(scope="session")

@@ -144,7 +144,7 @@ def _fuzz_round_trips(tmp_path, rng) -> int:
             for _ in range(rng.integers(0, 8))
         ]
         write_detections(dets, tmp_path / "d.jsonl")
-        failures += read_detections(tmp_path / "d.jsonl") != dets
+        failures += read_detections(tmp_path / "d.jsonl").rows() != dets
 
         starts = np.sort(rng.uniform(0, 250, size=rng.integers(0, 5)))
         gts = [GroundTruthEntry(f"v{j}", float(s), float(s) + 10.0)

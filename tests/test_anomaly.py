@@ -15,8 +15,10 @@ from stallwatch.anomaly import (
     merge_candidates,
     support_profile,
 )
-from stallwatch.media import AnomalyEvent, BBox, Detection
+from stallwatch.media import MAX_COORD, AnomalyEvent, BBox, Detection
 from stallwatch.roadmask import Mask
+
+from conftest import columns
 
 
 def det(x, y, w=16, h=6, score=1.0, frame=0, label="car"):
@@ -109,14 +111,58 @@ class TestSupport:
         cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
         fg = [det(10, 10, frame=5), det(10, 10, frame=7),
               det(200, 10, frame=6)]
-        profile = support_profile(cand, fg, iou_support=0.3)
+        profile = support_profile(cand, columns(fg), iou_support=0.3)
         assert profile.supporting_frames == (5, 7)
 
     def test_duplicates_deduplicated(self):
         cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
         fg = [det(10, 10, frame=5), det(11, 10, frame=5)]
-        profile = support_profile(cand, fg, iou_support=0.3)
+        profile = support_profile(cand, columns(fg), iou_support=0.3)
         assert profile.supporting_frames == (5,)
+
+
+def loop_support_profile(cand, foreground, iou_support):
+    """support_profile as an `iou` loop over `Detection` rows; kept as the
+    oracle."""
+    frames = sorted({
+        d.frame_index for d in foreground
+        if iou(cand.bbox, d.bbox) >= iou_support
+    })
+    return SupportProfile(candidate=cand, supporting_frames=tuple(frames))
+
+
+# Small coordinates make equal, touching and exactly-at-threshold boxes
+# common; values near MAX_COORD check that the arithmetic stays exact.
+COORDS = st.one_of(st.integers(0, 12), st.sampled_from(
+    [MAX_COORD // 2, MAX_COORD // 2 + 1, MAX_COORD - 3]))
+SIDES = st.one_of(st.integers(1, 12), st.sampled_from(
+    [MAX_COORD // 2 - 1, MAX_COORD // 2, MAX_COORD - 2]))
+grid_boxes = st.builds(BBox, COORDS, COORDS, SIDES, SIDES)
+
+
+class TestSupportOracle:
+    @given(box=grid_boxes,
+           rows=st.lists(st.tuples(st.integers(0, 30), grid_boxes), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_loop(self, box, rows):
+        cand = Candidate(box, 1.0, 0.0)
+        fg = [det(b.x, b.y, b.w, b.h, frame=f) for f, b in rows]
+        for iou_support in (0.0, 0.3, 1.0):
+            assert support_profile(cand, columns(fg), iou_support) == \
+                loop_support_profile(cand, fg, iou_support), iou_support
+
+    def test_disjoint_rows_support_at_zero(self):
+        cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
+        fg = [det(200, 100, frame=3), det(26, 10, frame=1)]  # far; touching
+        assert support_profile(cand, columns(fg), 0.0).supporting_frames == (1, 3)
+        assert support_profile(cand, columns(fg), 1e-12).supporting_frames == ()
+
+    def test_threshold_is_inclusive(self):
+        # intersection 3, union 10: IoU exactly 0.3
+        cand = Candidate(BBox(0, 0, 5, 1), 1.0, 0.0)
+        fg = [det(2, 0, w=8, h=1, frame=4)]
+        assert iou(cand.bbox, fg[0].bbox) == 0.3
+        assert support_profile(cand, columns(fg), 0.3).supporting_frames == (4,)
 
 
 def make_profile(cand, frames):
@@ -191,7 +237,7 @@ class TestDecide:
         road = np.zeros((240, 320), dtype=bool)
         road[100:130, :] = True
         per_window = [(0.0, [det(10, y, score=0.9)]), (30.0, [det(10, y)])]
-        foreground = [det(10, y, frame=f) for f in range(100, 200)]
+        foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
         return detect_anomalies(Mask(road), per_window, foreground,
                                 DecisionParams(), min_overlap=0.2, fps=self.fps,
                                 video_id="v1", frame_area=320 * 240)

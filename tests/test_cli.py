@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -84,6 +85,20 @@ class TestStages:
                     "--out", str(out)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert "ParseError" in err and "category.json" in err
+
+    @pytest.mark.parametrize("bbox", ['[1, 2, "3", 4]', "[NaN, 2, 3, 4]",
+                                      "[1e400, 2, 3, 4]"])
+    def test_bad_foreground_row_fails_naming_the_line(self, mini_corpus, tmp_path,
+                                                      capsys, bbox):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus, corpus)
+        fg = corpus / "videos" / "mini_day_stall" / "foreground.jsonl"
+        lines = fg.read_text().splitlines()
+        lines[2] = f'{{"frame": 3, "class": "car", "score": 1.0, "bbox": {bbox}}}'
+        fg.write_text("\n".join(lines) + "\n")
+        assert run(["sort", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert "foreground.jsonl:3: " in capsys.readouterr().err
 
     def test_run_all_and_score(self, mini_corpus, tmp_path, capsys):
         out = tmp_path / "out"

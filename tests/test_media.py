@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from stallwatch.errors import (
     UnsupportedFormat,
 )
 from stallwatch.media import (
+    MAX_COORD,
     BBox,
     Detection,
     Frame,
@@ -24,6 +27,7 @@ from stallwatch.media import (
     write_detections,
     write_frame,
     write_sequence_meta,
+    _detection_from_obj,
 )
 
 from conftest import make_frame
@@ -170,7 +174,7 @@ class TestDetections:
         path = tmp_path / "d.jsonl"
         path.write_text('{"frame":0,"class":"car","score":0.9,"bbox":[10,10,20,20]}\n')
         dets = read_detections(path)
-        assert dets == [Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]
+        assert dets.rows() == [Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]
 
     def test_score_out_of_range(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -187,7 +191,7 @@ class TestDetections:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")
-        assert read_detections(path) == []
+        assert read_detections(path).rows() == []
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -206,7 +210,7 @@ class TestDetections:
         dets = [Detection(f, c, s, BBox(x, y, w, h)) for f, c, s, x, y, w, h in rows]
         path = tmp_path_factory.mktemp("rt") / "d.jsonl"
         write_detections(dets, path)
-        assert read_detections(path) == dets
+        assert read_detections(path).rows() == dets
 
     def test_fuzzed_lines_total(self, tmp_path, rng):
         for _ in range(100):
@@ -217,6 +221,204 @@ class TestDetections:
                 read_detections(path)
             except StallwatchError:
                 pass
+
+
+ROW = '{"frame":0,"class":"car","score":0.5,"bbox":[1,1,2,2]}'
+
+
+def row_text(frame="0", label='"car"', score="0.5", bbox="[1, 1, 2, 2]"):
+    return f'{{"frame": {frame}, "class": {label}, "score": {score}, "bbox": {bbox}}}'
+
+
+class TestDetectionRows:
+    """Every malformed row raises a typed error naming its file and line."""
+
+    @pytest.mark.parametrize("line, error", [
+        (row_text(bbox='[1, 2, "3", 4]'), ParseError),
+        (row_text(bbox="[[1], 2, 3, 4]"), ParseError),
+        (row_text(bbox='["a", 2, 3, 4]'), ParseError),
+        (row_text(bbox="[true, 2, 3, 4]"), ParseError),
+        (row_text(bbox="[1, 2, 3]"), ParseError),
+        (row_text(bbox='"abcd"'), ParseError),
+        (row_text(bbox="[NaN, 2, 3, 4]"), InvalidBBox),
+        (row_text(bbox="[1e400, 2, 3, 4]"), InvalidBBox),
+        (row_text(bbox=f"[1, 2, {10**400}, 4]"), InvalidBBox),
+        (row_text(bbox=f"[{MAX_COORD}, 2, 3, 4]"), InvalidBBox),
+        (row_text(bbox="[1, 2, 0.5, 4]"), InvalidBBox),
+        (row_text(bbox="[-1, 2, 3, 4]"), InvalidBBox),
+        (row_text(frame="-1"), ParseError),
+        (row_text(frame="1.0"), ParseError),
+        (row_text(frame="true"), ParseError),
+        (row_text(frame=str(2**63)), ParseError),
+        (row_text(label='["car"]'), ParseError),
+        (row_text(label="null"), ParseError),
+        (row_text(score="true"), ParseError),
+        (row_text(score='"0.5"'), ParseError),
+        (row_text(score="NaN"), ParseError),
+        (row_text(score=str(10**400)), ParseError),
+        ('{"frame": 0, "class": "car", "score": 0.5}', ParseError),
+        ("[]", ParseError),
+        (ROW + " {}", ParseError),
+        (ROW + "x", ParseError),
+    ])
+    def test_bad_row_named(self, tmp_path, line, error):
+        path = tmp_path / "d.jsonl"
+        path.write_text(ROW + "\n\n" + line + "\n" + ROW + "\n")
+        with pytest.raises(error, match=f"^{path}:3: "):
+            read_detections(path)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # line 2 fails the field checks, line 3 is not JSON at all
+        path = tmp_path / "d.jsonl"
+        path.write_text(ROW + "\n" + row_text(score="2") + "\nnot json\n")
+        with pytest.raises(ParseError, match=f"^{path}:2: score"):
+            read_detections(path)
+
+    def test_float_box_truncates_toward_zero(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(row_text(bbox="[-0.5, 2.9, 3.99, 1.0]") + "\n")
+        assert read_detections(path).rows() == [
+            Detection(0, "car", 0.5, BBox(0, 2, 3, 1))]
+
+    def test_integer_score_is_float(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(row_text(score="1") + "\r\n" + row_text(score="0"))
+        dets = read_detections(path)
+        assert dets.score.dtype == np.float64
+        assert [d.score for d in dets.rows()] == [1.0, 0.0]
+
+    def test_columns(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(row_text(frame="7", label='"bus"', score="0.25",
+                                 bbox="[1, 2, 3, 4]") + "\n" + ROW + "\n")
+        dets = read_detections(path)
+        assert len(dets) == 2
+        assert dets.frame.tolist() == [7, 0]
+        assert dets.boxes.tolist() == [[1, 2, 3, 4], [1, 1, 2, 2]]
+        assert dets.score.tolist() == [0.25, 0.5]
+        assert dets.labels == ("bus", "car")
+        assert (dets.frame.dtype, dets.boxes.dtype) == (np.int64, np.int64)
+        with pytest.raises(ValueError):
+            dets.boxes[0, 0] = 9
+
+    def test_empty_file_columns(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n  \n")
+        dets = read_detections(path)
+        assert len(dets) == 0 and dets.boxes.shape == (0, 4)
+
+    def test_validator_shared_with_detector_replies(self):
+        obj = {"frame": 0, "class": "car", "score": True, "bbox": [1, 1, 2, 2]}
+        with pytest.raises(ParseError, match="^response\\[0\\]: score"):
+            _detection_from_obj(obj, "response[0]")
+
+
+def loop_read_detections(path) -> list[Detection]:
+    """read_detections as a per-line loop building one `Detection` per row,
+    with `json.loads`; kept as the oracle. Row validity is
+    `_detection_from_obj`, shared with the column parser."""
+    out: list[Detection] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"{where}: expected a JSON object")
+            out.append(_detection_from_obj(obj, where))
+    return out
+
+
+def parse_outcome(read, path):
+    """The rows `read` returns, or its error type and the line it names."""
+    try:
+        dets = read(path)
+    except StallwatchError as exc:
+        where, _, _ = str(exc).partition(": ")
+        assert where.startswith(f"{path}:"), str(exc)
+        return type(exc), int(where.rpartition(":")[2])
+    return dets if isinstance(dets, list) else dets.rows()
+
+
+# JSON text for each field: mostly valid, with every kind of invalid value
+FRAMES = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(
+    ["-1", "1.0", "true", "null", '"3"', str(2**63 - 1), str(2**63), "[0]"]))
+LABELS = st.one_of(
+    st.sampled_from(['"car"', '"bus"', '"a\u2028b"', '"a\\u2028b"']),
+    st.sampled_from(['["car"]', "3", "null", "true"]))
+SCORES = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(
+    ["0", "1", "1.5", "-0.1", "true", '"0.5"', "NaN", "Infinity", str(10**400)]))
+COORDS = st.one_of(
+    st.integers(0, 500).map(str),
+    st.floats(-0.99, 600).map(repr),
+    st.sampled_from(["0", "0.5", "-1", '"3"', "[1]", "true", "null", "NaN",
+                     "-Infinity", "1e400", str(10**400), str(MAX_COORD),
+                     str(MAX_COORD - 1), f"{MAX_COORD - 0.5!r}"]))
+BOXES = st.one_of(
+    st.lists(COORDS, min_size=4, max_size=4).map(lambda v: f"[{', '.join(v)}]"),
+    st.lists(COORDS, max_size=5).map(lambda v: f"[{', '.join(v)}]"),
+    st.sampled_from(['"abcd"', '{"a": 1, "b": 2, "c": 3, "d": 4}', "null"]))
+
+
+@st.composite
+def detection_lines(draw):
+    fields = {"frame": draw(FRAMES), "class": draw(LABELS),
+              "score": draw(SCORES), "bbox": draw(BOXES)}
+    keys = draw(st.permutations(list(fields)))
+    if draw(st.integers(0, 9)) == 0:
+        keys = keys[1:]
+    line = "{" + ", ".join(f'"{k}": {fields[k]}' for k in keys) + "}"
+    tail = draw(st.sampled_from(["", "", "", " ", "\t", "\u2028", " {}", "x",
+                                 ",", "\u00a0"]))
+    return draw(st.sampled_from(["", " ", "\u2028"])) + line + tail
+
+
+def valid_lines():
+    origin = st.one_of(st.integers(0, 40), st.floats(-0.99, 40))
+    side = st.one_of(st.integers(1, 40), st.floats(1, 40))
+    return st.builds(
+        row_text, st.integers(0, 50).map(str),
+        st.sampled_from(['"car"', '"a\u2028b"']),
+        st.one_of(st.floats(0, 1), st.integers(0, 1)).map(repr),
+        st.tuples(origin, origin, side, side).map(
+            lambda v: "[" + ", ".join(map(repr, v)) + "]"))
+
+
+class TestDetectionsOracle:
+    @given(lines=st.lists(st.one_of(
+               valid_lines(), valid_lines(), detection_lines(),
+               st.sampled_from(["", "  ", "not json", "[]", "1", "{}", "{"])),
+               max_size=12),
+           ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12,
+                         max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_loop(self, tmp_path_factory, lines, ends):
+        path = tmp_path_factory.mktemp("dl") / "d.jsonl"
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+        assert parse_outcome(read_detections, path) == \
+            parse_outcome(loop_read_detections, path)
+
+    @given(rows=st.lists(st.tuples(
+               st.integers(0, 2**63 - 1), st.sampled_from(["car", "a\u2028b", ""]),
+               st.floats(0, 1), st.integers(0, MAX_COORD - 1),
+               st.integers(0, MAX_COORD - 1), st.integers(1, MAX_COORD - 1),
+               st.integers(1, MAX_COORD - 1)), max_size=10),
+           ensure_ascii=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_files_equal_loop(self, tmp_path_factory, rows, ensure_ascii):
+        path = tmp_path_factory.mktemp("dv") / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"frame": f, "class": c, "score": s, "bbox": box},
+                       ensure_ascii=ensure_ascii) + "\n"
+            for f, c, s, *box in rows), encoding="utf-8")
+        dets = loop_read_detections(path)
+        assert read_detections(path).rows() == dets
+        assert len(dets) == len(rows)
 
 
 class TestGroundTruth:
