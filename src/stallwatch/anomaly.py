@@ -124,10 +124,10 @@ def decide(
     params: DecisionParams,
     fps: float,
     video_id: str,
-    n_windows: int | None = None,
+    n_windows: int,
 ) -> AnomalyEvent | None:
     """Confirmation: enough overlapping frames, dense enough, persistent
-    across windows. Returns None on rejection."""
+    across windows (of the video's `n_windows`). Returns None on rejection."""
     frames = profile.supporting_frames
     if len(frames) < params.min_support_frames(fps):
         return None
@@ -136,10 +136,7 @@ def decide(
     if density < params.min_support_density:
         return None
     # a short video cannot contain more windows than it has
-    need_windows = params.min_windows
-    if n_windows is not None:
-        need_windows = min(need_windows, n_windows)
-    if cand.windows_seen < need_windows:
+    if cand.windows_seen < min(params.min_windows, n_windows):
         return None
     start = first / fps
     end = last / fps

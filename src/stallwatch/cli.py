@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--jobs", type=int, help="parallel videos")
-    parser.add_argument("--mask-out", type=Path,
-                        help="also write road masks to this directory")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit")
     sub = parser.add_subparsers(dest="subcommand")
@@ -86,7 +84,7 @@ def _stage_videos(args, cfg: PipelineConfig, upto: str) -> None:
         bgs, _ = pipeline.background_stage(seq, category, out_vid, cfg)
         if upto == "background":
             continue
-        pipeline.mask_stage(bgs, category, out_vid, cfg, args.mask_out)
+        pipeline.mask_stage(bgs, category, out_vid, cfg)
 
 
 def run(argv: list[str]) -> int:
@@ -127,7 +125,7 @@ def run(argv: list[str]) -> int:
             _stage_videos(args, cfg, stage)
         elif stage == "detect":
             _require(args.corpus, "corpus directory")
-            pipeline.run_corpus(args.corpus, args.out, cfg, args.mask_out)
+            pipeline.run_corpus(args.corpus, args.out, cfg)
         elif stage == "score":
             _require(args.pred, "predictions file")
             _require(args.gt, "ground-truth file")
@@ -135,7 +133,7 @@ def run(argv: list[str]) -> int:
             sys.stdout.write(dumps(report))
         elif stage == "run-all":
             _require(args.corpus, "corpus directory")
-            manifest = pipeline.run_all(args.corpus, args.out, cfg, args.mask_out)
+            manifest = pipeline.run_all(args.corpus, args.out, cfg)
             sys.stdout.write(dumps(manifest))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FAILURE

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .anomaly import DecisionParams
 from .codec import decode, encode, read_json
-from .errors import ConfigError, ParseError
+from .detector import TIMEOUT_S, VEHICLE_CLASSES
+from .errors import ConfigError, InvalidParam, ParseError
 from .roadmask import DEFAULT_BLOCK, DEFAULT_MIN_OVERLAP, MaskParams
 from .sorting import DEFAULT_K1K2, LightingClass
 
@@ -22,7 +23,7 @@ class DetectorConfig:
     kind: str = "oracle"                 # oracle | precomputed | external
     command: tuple[str, ...] = ()        # external: argv of the child process
     directory: str | None = None         # precomputed: detection file dir
-    timeout: float = 30.0
+    timeout: float = TIMEOUT_S
 
     def validate(self) -> None:
         if self.kind not in ("oracle", "precomputed", "external"):
@@ -43,7 +44,7 @@ class PipelineConfig:
         cls.value: list(DEFAULT_K1K2[cls]) for cls in LightingClass
     })
     decision: DecisionParams = field(default_factory=DecisionParams)
-    vehicle_classes: tuple[str, ...] = ("car", "truck", "bus")
+    vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     jobs: int = 1
 
@@ -54,14 +55,13 @@ class PipelineConfig:
             raise ConfigError("histogram_stride must be >= 1")
         if not 0.0 < self.mask_min_overlap <= 1.0:
             raise ConfigError(f"mask_min_overlap {self.mask_min_overlap} outside (0, 1]")
-        if self.mask_block < 3 or self.mask_block % 2 == 0:
-            raise ConfigError(f"mask_block must be odd and >= 3, got {self.mask_block}")
         for cls in LightingClass:
             if cls.value not in self.k1k2:
                 raise ConfigError(f"k1k2 missing class {cls.value!r}")
-            k1, k2 = self.k1k2[cls.value]
-            if k1 <= 0 or k2 <= 0:
-                raise ConfigError(f"k1/k2 must be positive for {cls.value}")
+            try:  # MaskParams checks k1, k2 and mask_block
+                self.mask_params(cls)
+            except InvalidParam as exc:
+                raise ConfigError(f"{cls.value} road mask: {exc}") from exc
         d = self.decision
         for name in ("score_min", "iou_support", "iou_merge", "min_support_density"):
             v = getattr(d, name)

@@ -34,15 +34,16 @@ from .errors import DetectorTimeout, MissingDetections, ProtocolError
 from .media import Frame, read_detections, _detection_from_obj, Detection
 from .synth import SceneSpec, static_boxes
 
-DEFAULT_VEHICLE_CLASSES = frozenset({"car", "truck", "bus"})
-DEFAULT_TIMEOUT_S = 30.0
+# also the config's defaults (`vehicle_classes`, `detector.timeout`)
+VEHICLE_CLASSES = ("car", "truck", "bus")
+TIMEOUT_S = 30.0
 ORACLE_MATCH_TOLERANCE = 6.0
 
 
 class DetectorHandle:
     """Base class; subclasses implement `_detect_raw`."""
 
-    vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
+    vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def detect(self, path: str | Path, frame: Frame) -> list[Detection]:
         dets = self._detect_raw(path, frame)
@@ -71,14 +72,13 @@ class OracleDetector(DetectorHandle):
     """
 
     scene: SceneSpec
-    tolerance: float = ORACLE_MATCH_TOLERANCE
-    vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
+    vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         out = []
         for box, intensity, label in static_boxes(self.scene):
             patch = frame.pixels[box.y : box.y2, box.x : box.x2].astype(np.float64)
-            if np.abs(patch - intensity).mean() <= self.tolerance:
+            if np.abs(patch - intensity).mean() <= ORACLE_MATCH_TOLERANCE:
                 out.append(Detection(frame_index=0, class_label=label,
                                      score=1.0, bbox=box))
         return out
@@ -89,7 +89,7 @@ class PrecomputedDetector(DetectorHandle):
     """Reads `<frame_stem>.det.jsonl` from `directory` (or beside the frame)."""
 
     directory: Path | None = None
-    vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES
+    vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         frame_path = Path(path)
@@ -103,8 +103,8 @@ class PrecomputedDetector(DetectorHandle):
 class ExternalProcessDetector(DetectorHandle):
     """Child process behind the one-line-request / one-line-response protocol."""
 
-    def __init__(self, command: list[str], timeout: float = DEFAULT_TIMEOUT_S,
-                 vehicle_classes: frozenset[str] = DEFAULT_VEHICLE_CLASSES):
+    def __init__(self, command: list[str], timeout: float = TIMEOUT_S,
+                 vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES):
         self.timeout = timeout
         self.vehicle_classes = vehicle_classes
         self._proc = subprocess.Popen(

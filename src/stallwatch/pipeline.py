@@ -4,8 +4,10 @@ Corpus orchestration: sort -> background -> mask -> detect -> score.
 Each stage persists its artifacts under the output directory. category.json,
 backgrounds/ and events.json are reused when an earlier invocation left
 them, so rerunning a later stage gives the same result as one chained run.
-mask.pgm is an output only: it is rebuilt from the backgrounds with the
-current config's k1/k2 and block whenever events.json is missing.
+A video whose events.json exists is answered from it before any of its
+inputs is opened. mask.pgm is an output only: it is rebuilt from the
+backgrounds with the current config's k1/k2 and block whenever events.json
+is missing.
 
 Output layout, per corpus:
 
@@ -67,7 +69,7 @@ def corpus_video_dirs(corpus_dir: Path) -> list[Path]:
 
 def make_detector(cfg: PipelineConfig, video_dir: Path,
                   bg_dir: Path) -> DetectorHandle:
-    classes = frozenset(cfg.vehicle_classes)
+    classes = cfg.vehicle_classes
     det = cfg.detector
     if det.kind == "oracle":
         scene = synth.load_scene(video_dir / synth.SCENE_FILE)
@@ -136,37 +138,34 @@ def background_stage(seq: FrameSequence, category: VideoCategory,
 
 
 def mask_stage(bgs, category: VideoCategory, out_vid: Path,
-               cfg: PipelineConfig, mask_out: Path | None = None) -> Mask:
-    """Road-mask union of the backgrounds; rebuilt on every call, never
-    read back from mask.pgm."""
+               cfg: PipelineConfig) -> Mask:
+    """Road-mask union of the backgrounds, written to mask.pgm; rebuilt on
+    every call, never read back."""
     params = cfg.mask_params(category.lighting)
     union = mask_union([adaptive_road_mask(bg.frame, params) for bg in bgs])
     write_frame(union.to_frame(), out_vid / "mask.pgm")
-    if mask_out is not None:
-        mask_out.mkdir(parents=True, exist_ok=True)
-        write_frame(union.to_frame(), mask_out / f"{category.video_id}_mask.pgm")
     return union
 
 
-def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
-                  mask_out: Path | None = None) -> list[AnomalyEvent]:
+def process_video(video_dir: Path, out_vid: Path,
+                  cfg: PipelineConfig) -> list[AnomalyEvent]:
     """Run (or resume) the full per-video pipeline; returns accepted events.
 
-    One pass: each value (foreground detection columns, backgrounds, road
-    mask, per-window detections) is computed once and handed to the next
-    step. A detector failure skips that window with a warning.
+    An existing events.json is the answer, read before the video's frames
+    or detections are looked at. Otherwise one pass: each value
+    (foreground detection columns, backgrounds, road mask, per-window
+    detections) is computed once and handed to the next step. A detector
+    failure skips that window with a warning.
     """
-    seq = open_sequence(video_dir)
-    out_vid.mkdir(parents=True, exist_ok=True)
-
     events_path = out_vid / "events.json"
     if events_path.is_file():
         return read_json(events_path, list[AnomalyEvent])
 
+    seq = open_sequence(video_dir)
     foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
     category = sort_stage(seq, foreground, out_vid, cfg)
     bgs, bg_paths = background_stage(seq, category, out_vid, cfg)
-    road = mask_stage(bgs, category, out_vid, cfg, mask_out)
+    road = mask_stage(bgs, category, out_vid, cfg)
 
     per_window: list[tuple[float, list[Detection]]] = []
     with make_detector(cfg, video_dir, out_vid / "backgrounds") as handle:
@@ -191,22 +190,17 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     return events
 
 
-def _process_video_job(args):
-    video_dir, out_vid, cfg, mask_out = args
-    return str(video_dir), process_video(video_dir, out_vid, cfg, mask_out)
-
-
-def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
-               mask_out: Path | None = None) -> list[AnomalyEvent]:
+def run_corpus(corpus_dir: Path, out_dir: Path,
+               cfg: PipelineConfig) -> list[AnomalyEvent]:
     """Per-video pipelines over the whole corpus; writes predictions.csv."""
     dirs = corpus_video_dirs(corpus_dir)
-    jobs = [(d, out_dir / d.name, cfg, mask_out) for d in dirs]
+    args = (dirs, [out_dir / d.name for d in dirs], [cfg] * len(dirs))
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(pool.map(_process_video_job, jobs))
-        events = [ev for d in dirs for ev in results[str(d)]]
+            per_video = list(pool.map(process_video, *args))
     else:
-        events = [ev for job in jobs for ev in _process_video_job(job)[1]]
+        per_video = list(map(process_video, *args))
+    events = [ev for video_events in per_video for ev in video_events]
     events.sort(key=lambda e: (e.video_id, e.start, e.end))
     write_predictions(events, out_dir / "predictions.csv")
     return events
@@ -237,8 +231,7 @@ def _hash_inputs(corpus_dir: Path) -> str:
     return h.hexdigest()
 
 
-def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
-            mask_out: Path | None = None) -> dict:
+def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
     """Chained run over a corpus plus a reproducibility manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -248,7 +241,7 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
     timings["hash_inputs"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_corpus(corpus_dir, out_dir, cfg, mask_out)
+    run_corpus(corpus_dir, out_dir, cfg)
     timings["pipeline"] = time.perf_counter() - t0
 
     gt_path = corpus_dir / "gt.csv"

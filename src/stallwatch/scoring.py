@@ -67,9 +67,10 @@ def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
     return result
 
 
-def _match_videos(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
-                  window: float) -> dict[str, MatchResult]:
-    """Per-video matches, keyed by video id in sorted order."""
+def _match_videos(preds: list[AnomalyEvent], gts: list[GroundTruthEntry]
+                  ) -> dict[str, MatchResult]:
+    """Per-video matches within MATCH_WINDOW_S, keyed by video id in
+    sorted order."""
     by_video_p: dict[str, list[AnomalyEvent]] = defaultdict(list)
     by_video_g: dict[str, list[GroundTruthEntry]] = defaultdict(list)
     for p in preds:
@@ -82,7 +83,7 @@ def _match_videos(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
         seen.add(key)
         by_video_g[g.video_id].append(g)
 
-    return {vid: _match_one_video(by_video_p[vid], by_video_g[vid], window)
+    return {vid: _match_one_video(by_video_p[vid], by_video_g[vid], MATCH_WINDOW_S)
             for vid in sorted(set(by_video_p) | set(by_video_g))}
 
 
@@ -93,11 +94,10 @@ def _total(per_video: dict[str, MatchResult]) -> MatchResult:
     return total
 
 
-def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
-          window: float = MATCH_WINDOW_S) -> MatchResult:
+def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry]) -> MatchResult:
     """Greedy closest-first matching of prediction and ground-truth starts,
-    per video, within the matching window."""
-    return _total(_match_videos(preds, gts, window))
+    per video, within MATCH_WINDOW_S."""
+    return _total(_match_videos(preds, gts))
 
 
 def f1(m: MatchResult) -> float:
@@ -121,9 +121,9 @@ def s4(f1_val: float, rmse_val: float) -> tuple[float, float]:
     return nrmse, f1_val * (1.0 - nrmse)
 
 
-def score_report(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
-                 window: float = MATCH_WINDOW_S) -> ScoreReport:
-    by_video = _match_videos(preds, gts, window)
+def score_report(preds: list[AnomalyEvent],
+                 gts: list[GroundTruthEntry]) -> ScoreReport:
+    by_video = _match_videos(preds, gts)
     total = _total(by_video)
     f1_val = f1(total)
     rmse_val = rmse(total)

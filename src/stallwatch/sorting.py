@@ -9,22 +9,22 @@ length here, the road-mask constants k1/k2 via `PipelineConfig.mask_params`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import EmptyInput, InsufficientData
 from .media import Detections, FrameSequence
 
-# Peak detection defaults; the histogram signatures (night near 0-50,
+# Peak detection constants; the histogram signatures (night near 0-50,
 # day around 100-150, snow around 200-250) need only coarse peaks.
 SMOOTH_RADIUS = 5
 MIN_PROMINENCE = 0.005
 
-# Direction estimation defaults.
+# Direction estimation constants.
 GATE_FRACTION = 0.1      # association gate as a fraction of frame width
 MIN_MOVE_PX = 2.0        # displacements below this are treated as stationary
 SUPPORT_FRACTION = 0.05  # a direction bin must hold this share of vectors
@@ -44,14 +44,11 @@ class RoadType(str, Enum):
     INTERSECTION = "intersection"
 
 
-# Road-mask constants per lighting class. Calibrated by grid search on the
-# synthetic textured road scene (see roadmask.calibrate_mask_params and
-# tests/test_acceptance.py); overridable via the pipeline config.
-DEFAULT_K1K2 = {
-    LightingClass.DAY: (2.0, 0.6),
-    LightingClass.NIGHT: (2.0, 0.6),
-    LightingClass.SNOW: (2.0, 0.6),
-}
+# Road-mask constants, the same for every lighting class. Calibrated by
+# grid search on the synthetic textured road scene (see
+# roadmask.calibrate_mask_params and tests/test_acceptance.py); overridable
+# per class via the pipeline config.
+DEFAULT_K1K2 = {cls: (2.0, 0.6) for cls in LightingClass}
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class VideoCategory:
     background_window_s: float
 
 
-def average_histogram(seq: FrameSequence, stride: int = 1) -> Histogram:
+def average_histogram(seq: FrameSequence, stride: int) -> Histogram:
     """Mean per-frame pixel-frequency distribution over every stride-th frame."""
     if seq.frame_count == 0:
         raise EmptyInput(f"{seq.video_id}: no frames")
@@ -97,47 +94,61 @@ def average_histogram(seq: FrameSequence, stride: int = 1) -> Histogram:
 
 def _smooth(bins: np.ndarray, radius: int) -> np.ndarray:
     """Moving average with window 2*radius+1, truncated at the ends."""
-    if radius == 0:
-        return bins.copy()
     kernel = np.ones(2 * radius + 1)
     sums = np.convolve(bins, kernel, mode="same")
     counts = np.convolve(np.ones_like(bins), kernel, mode="same")
     return sums / counts
 
 
-def find_histogram_peaks(
-    hist: Histogram,
-    smooth_radius: int = SMOOTH_RADIUS,
-    min_prominence: float = MIN_PROMINENCE,
-) -> list[tuple[int, float]]:
-    """Local maxima of the smoothed histogram with prominence >= min_prominence.
+def _prominent_peaks(x: list[float], min_prominence: float) -> list[int]:
+    """Indices of the local maxima of `x` with prominence >= min_prominence,
+    as `scipy.signal.find_peaks(x, prominence=min_prominence)` finds them.
 
-    Prominence is the height above the higher of the two flanking minima.
+    The first and last samples are never maxima; a flat top counts once,
+    at its middle index (the left one of an even-width top). Prominence is
+    the height above the higher of the two flanking minima, each the lowest
+    value before the first one above the peak or the end of `x`.
+    """
+    peaks = []
+    i = 1
+    while i < len(x) - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < len(x) - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+
+    def flank_min(side: list[float], top: float) -> float:
+        return min(itertools.takewhile(lambda v: v <= top, side))
+
+    return [p for p in peaks
+            if x[p] - max(flank_min(x[p::-1], x[p]), flank_min(x[p:], x[p]))
+            >= min_prominence]
+
+
+def find_histogram_peaks(hist: Histogram) -> list[tuple[int, float]]:
+    """Local maxima of the smoothed histogram with prominence >= MIN_PROMINENCE.
+
     Returns (bin_index, smoothed_mass) pairs sorted by bin index.
     """
-    if smooth_radius < 0:
-        raise ValueError("smooth_radius must be >= 0")
-    if not 0.0 < min_prominence < 1.0:
-        raise ValueError("min_prominence must be in (0, 1)")
-    smoothed = _smooth(hist.bins, smooth_radius)
+    smoothed = _smooth(hist.bins, SMOOTH_RADIUS).tolist()
     # pad so that maxima at bin 0 / 255 are still detected
-    padded = np.concatenate(([-1.0], smoothed, [-1.0]))
-    idx, _ = _scipy_find_peaks(padded, prominence=min_prominence)
-    return [(int(i) - 1, float(smoothed[i - 1])) for i in sorted(idx)]
+    padded = [-1.0, *smoothed, -1.0]
+    return [(i - 1, smoothed[i - 1])
+            for i in _prominent_peaks(padded, MIN_PROMINENCE)]
 
 
-def classify_lighting(
-    hist: Histogram,
-    smooth_radius: int = SMOOTH_RADIUS,
-    min_prominence: float = MIN_PROMINENCE,
-) -> LightingClass:
+def classify_lighting(hist: Histogram) -> LightingClass:
     """Histogram-signature classifier.
 
     Night: the dominant peak sits in [0, 50]. Snow: at least two peaks whose
     mass-weighted mean bin lands in [200, 250]. Anything else is day, the
     default class.
     """
-    peaks = find_histogram_peaks(hist, smooth_radius, min_prominence)
+    peaks = find_histogram_peaks(hist)
     if not peaks:
         return LightingClass.DAY
     dominant_bin = max(peaks, key=lambda p: p[1])[0]
@@ -154,8 +165,6 @@ def classify_lighting(
 def estimate_directions(
     detections: Detections,
     frame_width: int,
-    gate_fraction: float = GATE_FRACTION,
-    min_move_px: float = MIN_MOVE_PX,
     support_fraction: float = SUPPORT_FRACTION,
 ) -> int:
     """Count distinct traffic-flow directions from a video's detection
@@ -194,8 +203,8 @@ def estimate_directions(
     at_min = dists == np.repeat(nearest, n_cand)
     match = np.minimum.reduceat(np.where(at_min, np.arange(total), total), seg_start)
 
-    gate = gate_fraction * frame_width
-    moved = match[(nearest <= gate) & (nearest >= min_move_px)]
+    gate = GATE_FRACTION * frame_width
+    moved = match[(nearest <= gate) & (nearest >= MIN_MOVE_PX)]
     if len(moved) == 0:
         return 0
     # math.atan2, not np.arctan2: numpy may run a SIMD arctan2 that differs

@@ -372,7 +372,7 @@ CORPUS_PRESETS: list[tuple[str, LightingClass, bool, tuple[float, float] | None,
 ]
 
 
-def corpus_specs(seed: int = 0) -> list[SceneSpec]:
+def corpus_specs(seed: int) -> list[SceneSpec]:
     return [
         make_scene(name, lighting, intersection, stall, parked,
                    seed=seed * 1000 + i)

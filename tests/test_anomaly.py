@@ -179,7 +179,7 @@ class TestDecide:
         cand = self._cand()
         frames = range(1000, 2500)
         ev = decide(cand, make_profile(cand, frames), DecisionParams(),
-                    self.fps, "v1")
+                    self.fps, "v1", n_windows=10)
         assert ev is not None
         assert ev.start == pytest.approx(100.0)
         assert ev.end == pytest.approx(249.9)
@@ -187,14 +187,14 @@ class TestDecide:
     def test_too_few_frames(self):
         cand = self._cand()
         ev = decide(cand, make_profile(cand, range(1000, 1009)),
-                    DecisionParams(), self.fps, "v1")
+                    DecisionParams(), self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_sparse_support_rejected(self):
         cand = self._cand()
         frames = range(0, 1000, 5)  # density 0.2 < 0.3
         ev = decide(cand, make_profile(cand, frames), DecisionParams(),
-                    self.fps, "v1")
+                    self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_single_window_sighting_rejected(self):

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stallwatch
 from stallwatch.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -117,3 +122,18 @@ class TestStages:
                     "--gt", str(mini_corpus / "gt.csv")]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["f1"] == 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: a fresh interpreter importing the CLI
+    and building its config has no scipy module loaded."""
+    code = ("import sys, stallwatch.cli\n"
+            "from stallwatch.config import PipelineConfig\n"
+            "PipelineConfig().validate()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(stallwatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

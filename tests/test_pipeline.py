@@ -29,6 +29,8 @@ class TestOnePass:
         monkeypatch.setattr(anomaly, "adaptive_road_mask", mask, raising=False)
         monkeypatch.setattr(background, "median_frame",
                             counted(counts, "median", background.median_frame))
+        monkeypatch.setattr(pipeline, "open_sequence",
+                            counted(counts, "open", media.open_sequence))
 
         video_dir = mini_corpus / "videos" / "mini_day_stall"
         out_vid = tmp_path / "mini_day_stall"
@@ -36,19 +38,21 @@ class TestOnePass:
         index = json.loads((out_vid / "backgrounds" / "index.json").read_text())
 
         assert len(events) == 1
+        assert counts["open"] == 1
         assert counts["parse"] == 1
         assert counts["mask"] == len(index["windows"]) == 2
 
-        # a finished video is answered from events.json without any parse
+        # a finished video is answered from events.json without opening
+        # the frame sequence or parsing anything
         assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
-        assert counts == {"parse": 1, "mask": 2, "median": 2}
+        assert counts == {"open": 1, "parse": 1, "mask": 2, "median": 2}
 
         # without events.json the decision runs again: category.json and the
         # backgrounds are reused, the foreground is parsed once more and the
         # road mask is rebuilt, one per window
         (out_vid / "events.json").unlink()
         assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
-        assert counts == {"parse": 2, "mask": 4, "median": 2}
+        assert counts == {"open": 2, "parse": 2, "mask": 4, "median": 2}
 
 
 GOLDEN_SCENE = SceneSpec(
