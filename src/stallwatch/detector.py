@@ -16,7 +16,10 @@ image's file and its pixels; each kind uses the one it needs:
                       "bbox": [x, y, w, h]}, ...]}``. On startup the bridge
                       sends ``{"ping": 1}`` and expects ``{"ready": true}``.
 
-Detections are filtered to the configured vehicle classes.
+Detections are filtered to the configured vehicle classes. A kept box that
+reaches past the image's edges raises `DetectionOutOfFrame`, naming the box
+and the image; the pipeline then skips that window, like any detector
+failure.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DetectorTimeout, MissingDetections, ProtocolError
+from .errors import (
+    DetectionOutOfFrame,
+    DetectorTimeout,
+    MissingDetections,
+    ProtocolError,
+)
 from .media import Frame, read_detections, _detection_from_obj, Detection
 from .synth import SceneSpec, static_boxes
 
@@ -46,8 +54,15 @@ class DetectorHandle:
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def detect(self, path: str | Path, frame: Frame) -> list[Detection]:
-        dets = self._detect_raw(path, frame)
-        return [d for d in dets if d.class_label in self.vehicle_classes]
+        dets = [d for d in self._detect_raw(path, frame)
+                if d.class_label in self.vehicle_classes]
+        for d in dets:
+            box = d.bbox
+            if box.x2 > frame.width or box.y2 > frame.height:
+                raise DetectionOutOfFrame(
+                    f"{path}: box [{box.x}, {box.y}, {box.w}, {box.h}] lies "
+                    f"outside the {frame.width}x{frame.height} image")
+        return dets
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         raise NotImplementedError

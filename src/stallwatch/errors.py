@@ -67,6 +67,10 @@ class MissingDetections(StallwatchError):
     pass
 
 
+class DetectionOutOfFrame(StallwatchError):
+    pass
+
+
 # --- scoring ---
 
 class DuplicateGroundTruth(StallwatchError):

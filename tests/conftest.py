@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,20 @@ def columns(dets: list[Detection]) -> Detections:
 
 
 @pytest.fixture(scope="session")
-def acceptance_corpus(tmp_path_factory):
-    """The 12-video synthetic corpus, generated once per session."""
+def timed_acceptance_corpus(tmp_path_factory):
+    """The 12-video synthetic corpus, generated once per session, and the
+    seconds its rendering took."""
     from stallwatch.synth import corpus
 
     root = tmp_path_factory.mktemp("corpus")
+    t0 = time.perf_counter()
     corpus(root, seed=0)
-    return root
+    return root, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def acceptance_corpus(timed_acceptance_corpus):
+    return timed_acceptance_corpus[0]
 
 
 @pytest.fixture(scope="session")

@@ -62,8 +62,10 @@ def test_criterion_1_metric_reconstruction(report_line):
                        f"(expected 0.5686 +/- 1e-3)")
 
 
-def test_criterion_2_synthetic_end_to_end(full_run, report_line):
+def test_criterion_2_synthetic_end_to_end(full_run, timed_acceptance_corpus,
+                                          report_line):
     out, manifest, elapsed = full_run
+    render_s = timed_acceptance_corpus[1]
     score = manifest["score"]
     parked_vids = [name for name, *_ in CORPUS_PRESETS if "parked" in name]
     parked_preds = sum(
@@ -75,7 +77,8 @@ def test_criterion_2_synthetic_end_to_end(full_run, report_line):
     report_line(2, ok, f"12-video corpus: f1={score['f1']}, "
                        f"rmse={score['rmse']:.2f}s (limit 30), "
                        f"{parked_preds} predictions on parked-distractor videos, "
-                       f"runtime {elapsed:.1f}s (limit 120)")
+                       f"runtime {elapsed:.1f}s (limit 120); "
+                       f"corpus render {render_s:.1f}s (reported only)")
 
 
 def test_criterion_3_median_oracle(report_line):

@@ -9,7 +9,12 @@ from stallwatch.detector import (
     OracleDetector,
     PrecomputedDetector,
 )
-from stallwatch.errors import DetectorTimeout, MissingDetections, ProtocolError
+from stallwatch.errors import (
+    DetectionOutOfFrame,
+    DetectorTimeout,
+    MissingDetections,
+    ProtocolError,
+)
 from stallwatch.media import BBox, Detection, Frame, write_detections
 from stallwatch.sorting import LightingClass
 from stallwatch.synth import RoadBand, SceneSpec, VehicleSpec
@@ -80,6 +85,22 @@ class TestPrecomputed:
         write_detections(dets, tmp_path / "bg_0.det.jsonl")
         out = PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
         assert [d.class_label for d in out] == ["car"]
+
+    @pytest.mark.parametrize("box", [BBox(90, 10, 20, 6), BBox(10, 55, 6, 20)])
+    def test_box_outside_frame_names_box_and_image(self, tmp_path, box):
+        # the first box touches the bottom-right corner: inside
+        dets = [Detection(0, "car", 0.9, BBox(84, 54, 16, 6)),
+                Detection(0, "car", 0.9, box)]
+        write_detections(dets, tmp_path / "bg_0.det.jsonl")
+        want = (rf"bg_0\.pgm: box \[{box.x}, {box.y}, {box.w}, {box.h}\] "
+                r"lies outside the 100x60 image")
+        with pytest.raises(DetectionOutOfFrame, match=want):
+            PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
+
+    def test_out_of_frame_box_of_other_class_dropped(self, tmp_path):
+        dets = [Detection(0, "person", 0.9, BBox(90, 10, 20, 6))]
+        write_detections(dets, tmp_path / "bg_0.det.jsonl")
+        assert PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK) == []
 
 
 def child_script(tmp_path, body: str) -> list[str]:

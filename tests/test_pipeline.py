@@ -3,10 +3,16 @@ from collections import Counter
 
 import pytest
 
-from stallwatch import anomaly, background, media, pipeline, roadmask
+from stallwatch import anomaly, background, media, pipeline, roadmask, synth
 from stallwatch.codec import read_json, write_json
 from stallwatch.config import PipelineConfig
-from stallwatch.media import AnomalyEvent, BBox, SequenceMeta
+from stallwatch.media import (
+    AnomalyEvent,
+    BBox,
+    Detection,
+    SequenceMeta,
+    write_detections,
+)
 from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 from stallwatch.synth import ParkedVehicle, RoadBand, SceneSpec, VehicleSpec
 
@@ -53,6 +59,41 @@ class TestOnePass:
         (out_vid / "events.json").unlink()
         assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
         assert counts == {"open": 2, "parse": 2, "mask": 4, "median": 2}
+
+
+class TestOutOfFrameDetection:
+    def test_window_skipped_and_corpus_finished(self, mini_corpus, tmp_path, caplog):
+        """A detector box past the background's edge costs its window only:
+        the run writes predictions.csv, the same as with that window's
+        detector output empty, and the warning names the box and image.
+        (The stall is then seen in one window of two, short of
+        `min_windows`; seen in both, it is predicted.)"""
+        video = mini_corpus / "videos" / "mini_day_stall"
+        (stall, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
+        stall_det = Detection(0, "car", 1.0, stall)
+        outside = Detection(0, "car", 0.9, BBox(310, 100, 20, 6))
+
+        def run(name, first_window):
+            dets = tmp_path / name / "dets"
+            dets.mkdir(parents=True)
+            write_detections(first_window, dets / "bg_0.det.jsonl")
+            write_detections([stall_det], dets / "bg_30000.det.jsonl")
+            cfg = PipelineConfig.from_obj(
+                {"detector": {"kind": "precomputed", "directory": str(dets)}})
+            out = tmp_path / name / "out"
+            pipeline.run_all(mini_corpus, out, cfg)
+            index = out / "mini_day_stall" / "backgrounds" / "index.json"
+            assert [w["file"] for w in json.loads(index.read_text())["windows"]] == \
+                   ["bg_0.pgm", "bg_30000.pgm"]
+            return (out / "predictions.csv").read_bytes()
+
+        with caplog.at_level("WARNING", logger="stallwatch.pipeline"):
+            got = run("bad", [stall_det, outside])
+        assert "box [310, 100, 20, 6] lies outside the 320x240 image" in caplog.text
+        assert "bg_0.pgm" in caplog.text
+        assert got == run("skipped", [])
+        assert got.count(b"\n") == 1
+        assert run("clean", [stall_det]).count(b"\n") == 2
 
 
 GOLDEN_SCENE = SceneSpec(

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import threading
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from stallwatch.media import open_sequence, read_detections, read_ground_truth
 from stallwatch.sorting import LightingClass
 from stallwatch.synth import (
     CORPUS_PRESETS,
+    NOISE_QUANTILES,
     PALETTES,
     RoadBand,
     SceneSpec,
@@ -93,6 +96,16 @@ class TestSceneValidation:
             axis="x", lane=24, direction=1, start=1.0),))
         with pytest.raises(InvalidSpec):
             generate(spec, "/tmp/unused")
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", math.nan), ("noise_sigma", -0.5), ("noise_sigma", math.inf),
+        ("duration", math.nan), ("duration", math.inf),
+        ("fps", math.nan), ("fps", math.inf),
+    ])
+    def test_non_finite_or_negative_value(self, tmp_path, field, value):
+        with pytest.raises(InvalidSpec, match=field):
+            generate(small_scene(**{field: value}), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerate:
@@ -261,3 +274,38 @@ class TestRenderFrame:
             assert drawn == [(b, c) for b, c in expected if b is not None]
             seen += len(drawn)
         assert seen > spec.frame_count
+
+
+# sha256 over the names and bytes of every file `generate` writes for a
+# 2-frame scene: a change to the corpus bytes must be a deliberate edit here.
+GOLDEN_SCENE_SHA256 = "754672edafa471e94fad8d834dab8a161ec1de42dc515713d79efbfb25c13d3f"
+
+
+class TestNoiseDraw:
+    def test_quantile_table(self):
+        t = NOISE_QUANTILES
+        assert t.shape == (256,) and t.dtype == np.float32
+        assert np.all(np.diff(t) > 0)
+        assert np.array_equal(t, -t[::-1])
+        assert abs(float(t.std()) - 1.0) <= 0.005
+
+    def test_flat_scene_residual(self):
+        spec = small_scene(width=320, height=240, bands=(), vehicles=(),
+                           noise_sigma=1.5)
+        base = np.full((240, 320), 100.0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        frames = np.stack([render_frame(spec, base, i / spec.fps, rng)[0].pixels
+                           for i in range(4)])
+        residual = frames.astype(np.float64) - np.rint(base)
+        assert abs(residual.mean()) < 0.02
+        assert abs(residual.std() / spec.noise_sigma - 1.0) <= 0.03
+
+    def test_golden_bytes(self, tmp_path):
+        spec = small_scene(duration=0.4)
+        generate(spec, tmp_path)
+        files = tree_bytes(tmp_path)
+        assert spec.frame_count == 2 and len(files) == 5
+        h = hashlib.sha256()
+        for name, data in files.items():
+            h.update(name.encode() + b"\0" + data)
+        assert h.hexdigest() == GOLDEN_SCENE_SHA256
