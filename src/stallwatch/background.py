@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .sorting import VideoCategory
 # a trailing partial window shorter than this share of the nominal window
 # is merged into the previous one instead of producing a tiny median
 MIN_PARTIAL_FRACTION = 0.10
+
+# bytes of the frame stack that one block of `median_frame`'s passes reads
+MEDIAN_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,23 @@ def sample_indices(window_frames: range, fraction: float, seed: int) -> list[int
     return sorted(window_frames[int(i)] for i in picks)
 
 
-def median_frame(frames: list[Frame]) -> Frame:
+class FrameStack(Sequence[Frame]):
+    """Frames of one shape held as the rows of one (n, height, width) uint8
+    array, `pixels`; `median_frame` reads them without stacking a copy."""
+
+    __slots__ = ("pixels",)
+
+    def __init__(self, pixels: np.ndarray):
+        self.pixels = pixels
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, index: int) -> Frame:
+        return Frame(self.pixels[index])
+
+
+def median_frame(frames: Sequence[Frame]) -> Frame:
     """Per-pixel median; even counts take the lower-middle order statistic.
 
     The lower-middle rule keeps every output pixel an 8-bit value that was
@@ -60,26 +80,47 @@ def median_frame(frames: list[Frame]) -> Frame:
     k values below v, so each of the 8 passes tries setting one more bit
     of the result and keeps it where no more than k values fall below the
     candidate. This counts along the frame axis of a contiguous stack
-    instead of partitioning every pixel's strided column.
+    instead of partitioning every pixel's strided column. The passes run
+    over blocks of MEDIAN_BLOCK_BYTES // n pixels, so that a block of the
+    stack and the scratch of its passes stay in cache.
+
+    A `FrameStack` is read in place; frames in any other sequence are
+    first stacked into one.
     """
-    if not frames:
+    if not len(frames):
         raise EmptyInput("median of zero frames")
-    shape = frames[0].pixels.shape
-    for f in frames[1:]:
-        if f.pixels.shape != shape:
-            raise DimensionMismatch(f"frame shapes differ: {shape} vs {f.pixels.shape}")
-    stack = np.stack([f.pixels.ravel() for f in frames])
-    n = stack.shape[0]
+    if isinstance(frames, FrameStack):
+        stack = frames.pixels
+    else:
+        shape = frames[0].pixels.shape
+        for f in frames[1:]:
+            if f.pixels.shape != shape:
+                raise DimensionMismatch(
+                    f"frame shapes differ: {shape} vs {f.pixels.shape}")
+        stack = np.stack([f.pixels for f in frames])
+    n = len(stack)
+    flat = stack.reshape(n, -1)
+    size = flat.shape[1]
+    cols = min(size, max(1, MEDIAN_BLOCK_BYTES // n))
     k = (n - 1) // 2
-    below = np.empty(stack.shape, dtype=np.uint8)
+    below = np.empty((n, cols), dtype=bool)
     # holds counts up to n without overflow: uint8 for n <= 255
-    count = np.empty(stack.shape[1], dtype=np.min_scalar_type(n))
-    result = np.zeros(stack.shape[1], dtype=np.uint8)
-    for bit in range(7, -1, -1):
-        np.less(stack, result | (1 << bit), out=below.view(bool))
-        np.add.reduce(below, axis=0, dtype=count.dtype, out=count)
-        result |= (count <= k).view(np.uint8) << bit
-    return Frame(result.reshape(shape))
+    count = np.empty(cols, dtype=np.min_scalar_type(n))
+    candidate = np.empty(cols, dtype=np.uint8)
+    result = np.zeros(size, dtype=np.uint8)
+    for lo in range(0, size, cols):
+        values, res = flat[:, lo:lo + cols], result[lo:lo + cols]
+        m = len(res)
+        blw, cnt, cand = below[:, :m], count[:m], candidate[:m]
+        for bit in range(7, -1, -1):
+            np.bitwise_or(res, 1 << bit, out=cand)
+            np.less(values, cand, out=blw)
+            np.add.reduce(blw.view(np.uint8), axis=0, dtype=cnt.dtype, out=cnt)
+            # the bit is kept where at most k values fall below the candidate
+            np.less_equal(cnt, k, out=cand.view(bool))
+            cand <<= bit
+            res |= cand
+    return Frame(result.reshape(stack.shape[1:]))
 
 
 def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[int, int]]:
@@ -107,16 +148,19 @@ def background_stream(
     """One background image per window of ``category.background_window_s`` seconds."""
     if seq.duration < 1.0:
         raise VideoTooShort(f"{seq.video_id}: duration {seq.duration:.3f}s < 1s")
+    windows = window_bounds(seq.frame_count, seq.fps, category.background_window_s)
+    samples = [sample_indices(range(start, end), fraction,
+                              derive_seed(seed, seq.video_id, start))
+               for start, end in windows]
+    # every window's sampled frames are read into the first rows of one block
+    block = np.empty((max(map(len, samples)), seq.height, seq.width), dtype=np.uint8)
     out: list[BackgroundFrame] = []
-    for start, end in window_bounds(seq.frame_count, seq.fps,
-                                    category.background_window_s):
-        indices = sample_indices(
-            range(start, end), fraction, derive_seed(seed, seq.video_id, start)
-        )
-        bg = median_frame([seq.frame(i) for i in indices])
+    for (start, end), indices in zip(windows, samples):
+        for row, i in zip(block, indices):
+            seq.frame(i, out=row)
         out.append(
             BackgroundFrame(
-                frame=bg,
+                frame=median_frame(FrameStack(block[:len(indices)])),
                 window_start=seq.timestamp(start),
                 window_end=seq.timestamp(end),
                 sampled_indices=indices,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -186,54 +187,78 @@ def write_frame(frame: Frame, path: str | Path) -> None:
     Path(path).write_bytes(header + frame.pixels.tobytes())
 
 
-def _pgm_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, honoring '#' comments.
+# "P5", then width, height and maxval, each after whitespace and '#'
+# comments (a comment runs up to the end of its line), then the one
+# whitespace byte that ends the header. A token is whatever runs up to the
+# next whitespace or '#'; `_pgm_header` checks that it is digits. Every
+# part can match empty, so the match never backtracks.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*([^\s#]*)" * 3 + rb"(\s?)")
 
-    Returns the tokens and the offset of the first raster byte.
-    """
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise ParseError("truncated PGM header")
-        try:
-            tokens.append(int(data[start:i]))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric PGM header token {data[start:i]!r}") from exc
-    # exactly one whitespace byte separates the header from the raster
-    if i >= n:
-        raise ParseError("PGM header not followed by raster data")
-    if not data[i : i + 1].isspace():
-        raise ParseError("PGM maxval not followed by whitespace")
-    return tokens, i + 1
+# A header that ends within this many bytes is parsed from one short read;
+# a longer one (long comments) from the whole file.
+_PGM_HEAD_BYTES = 256
 
 
-def read_frame(path: str | Path) -> Frame:
-    data = Path(path).read_bytes()
-    if data[:2] != b"P5":
+def _pgm_header(data: bytes, complete: bool) -> tuple[int, int, int, int] | None:
+    """Width, height, maxval and raster offset of the PGM file starting
+    with `data`. `complete` says that `data` is the whole file; if it is
+    not, and the header may run past its end, returns None."""
+    m = _PGM_HEADER.match(data)
+    if m is None:
         raise ParseError(f"bad magic {data[:2]!r}, expected P5")
-    (width, height, maxval), offset = _pgm_header_tokens(data[2:], 3)
-    offset += 2
-    if maxval != 255:
-        raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"bad dimensions {width}x{height}")
-    expected = width * height
-    raster = data[offset : offset + expected]
-    if len(raster) < expected:
-        raise ParseError(f"truncated raster: {len(raster)} of {expected} bytes")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return Frame(pixels.copy())
+    if not m.group(4) and not complete:
+        return None
+    values = []
+    for token in m.group(1, 2, 3):
+        if not token:
+            raise ParseError("truncated PGM header")
+        if not token.isdigit():
+            raise ParseError(f"non-numeric PGM header token {token!r}")
+        try:
+            values.append(int(token))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"PGM header token of {len(token)} digits") from exc
+    if not m.group(4):
+        if m.end() == len(data):
+            raise ParseError("PGM header not followed by raster data")
+        raise ParseError("PGM maxval not followed by whitespace")
+    return values[0], values[1], values[2], m.end()
+
+
+def read_frame(path: str | Path, out: np.ndarray | None = None) -> Frame:
+    """The PGM file at `path`. Its raster is read into `out`, a C-contiguous
+    uint8 array of the frame's (height, width), when that is given, and the
+    frame shares `out`'s memory; otherwise into a new array that is
+    read-only."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read(_PGM_HEAD_BYTES)
+        header = _pgm_header(data, len(data) < _PGM_HEAD_BYTES)
+        if header is None:
+            data += fh.read()
+            header = _pgm_header(data, True)
+        width, height, maxval, offset = header
+        if maxval != 255:
+            raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
+        if width <= 0 or height <= 0:
+            raise ParseError(f"bad dimensions {width}x{height}")
+        expected = width * height
+        # before allocating: a header can claim any size
+        available = os.fstat(fh.fileno()).st_size - offset
+        if available < expected:
+            raise ParseError(f"truncated raster: {available} of {expected} bytes")
+        if out is None:
+            pixels = np.empty((height, width), dtype=np.uint8)
+        elif out.shape != (height, width):
+            raise DimensionMismatch(f"frame is {width}x{height}, "
+                                    f"buffer is {out.shape[::-1]}")
+        else:
+            pixels = out
+        fh.seek(offset)
+        if fh.readinto(pixels) != expected:
+            raise ParseError(f"{path}: raster changed while it was read")
+    if out is None:
+        pixels.flags.writeable = False
+    return Frame(pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +295,11 @@ class FrameSequence(SequenceMeta):
     def frame_path(self, index: int) -> Path:
         return self.directory / (FRAME_NAME % index)
 
-    def frame(self, index: int) -> Frame:
+    def frame(self, index: int, out: np.ndarray | None = None) -> Frame:
+        """Frame `index`, read as `read_frame` reads it, into `out` if given."""
         if not 0 <= index < self.frame_count:
             raise IndexError(f"frame {index} outside [0, {self.frame_count})")
-        f = read_frame(self.frame_path(index))
+        f = read_frame(self.frame_path(index), out)
         if f.width != self.width or f.height != self.height:
             raise DimensionMismatch(
                 f"frame {index} is {f.width}x{f.height}, meta says {self.width}x{self.height}"

@@ -85,41 +85,59 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidParam(f"block {block} exceeds image side {min(h, w)}")
     r = block // 2
     x = frame.pixels.astype(np.int64)
+    squares = x * x
+    scratch = np.empty_like(x)
 
     def box_sum(img: np.ndarray) -> np.ndarray:
-        # exact integer sums: row differences first, then column differences
-        rows = _window_sums(img.cumsum(0), r)
-        return _window_sums(rows.cumsum(1).T, r).T
+        # exact integer sums, written over img: windows down the columns
+        # first, then along the rows
+        for axis in (0, 1):
+            _window_sums(np.cumsum(img, axis=axis, out=scratch), r, axis, out=img)
+        return img
 
     def extent(n: int) -> np.ndarray:
         i = np.arange(n, dtype=np.float64)
         return np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1
 
     counts = np.outer(extent(h), extent(w))
-    mean = box_sum(x) / counts
-    var = box_sum(x * x) / counts
-    var -= mean * mean
+    mean = np.divide(box_sum(x), counts)
+    var = np.divide(box_sum(squares), counts)
+    var -= np.multiply(mean, mean, out=counts)
     return mean, np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
 
 
-def _window_sums(cum: np.ndarray, r: int) -> np.ndarray:
-    """Sums over the windows [i - r, i + r] along axis 0, clipped to the
-    array, from the inclusive running sums `cum` along that axis."""
-    n = len(cum)
-    out = np.empty_like(cum)
-    out[:n - r] = cum[r:]
-    out[n - r:] = cum[n - 1]
-    out[r + 1:] -= cum[:n - r - 1]
+def _window_sums(cum: np.ndarray, r: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Sums over the windows [i - r, i + r] along `axis` (0 or 1) of a
+    C-contiguous 2-D array, clipped to the array, from the inclusive running
+    sums `cum` along that axis; written into `out`, which must not be `cum`."""
+    n = cum.shape[axis]
+    if axis == 0:
+        out[:n - r] = cum[r:]
+        out[n - r:] = cum[n - 1]
+        out[r + 1:] -= cum[:n - r - 1]
+        return out
+    out[:, :n - r] = cum[:, r:]
+    out[:, n - r:] = cum[:, n - 1:n]
+    # out[:, r + 1:] -= cum[:, :n - r - 1], done as one pass over the
+    # flattened rows (about 4x faster than over the strided 2-D views);
+    # that pass also subtracts the end of the row above from the first
+    # r + 1 columns of every row but the first, which the last line adds back
+    out.reshape(-1)[r + 1:] -= cum.reshape(-1)[:-(r + 1)]
+    out[1:, :r + 1] += cum[:-1, n - r - 1:]
     return out
 
 
 def adaptive_road_mask(background: Frame, params: MaskParams) -> Mask:
     mu, sigma = local_stats(background, params.block)
     t = background.pixels.astype(np.float64)
-    spread = params.k1 * sigma
-    lower = (mu - spread) / params.k2
-    upper = (mu + spread) / (params.k1 + params.k2)
-    return Mask((lower <= t) & (t <= upper))
+    spread = np.multiply(sigma, params.k1, out=sigma)
+    lower = np.subtract(mu, spread)
+    lower /= params.k2
+    upper = np.add(mu, spread, out=mu)
+    upper /= params.k1 + params.k2
+    bits = np.less_equal(lower, t)
+    bits &= t <= upper
+    return Mask(bits)
 
 
 def mask_union(masks: list[Mask]) -> Mask:

@@ -84,8 +84,10 @@ def average_histogram(seq: FrameSequence, stride: int) -> Histogram:
         raise ValueError(f"stride must be >= 1, got {stride}")
     total = np.zeros(256, dtype=np.float64)
     n = 0
+    # every frame is read into this one buffer
+    buf = np.empty((seq.height, seq.width), dtype=np.uint8)
     for i in range(0, seq.frame_count, stride):
-        pixels = seq.frame(i).pixels
+        pixels = seq.frame(i, out=buf).pixels
         total += np.bincount(pixels.ravel(), minlength=256) / pixels.size
         n += 1
     avg = total / n

@@ -1,3 +1,4 @@
+import shutil
 import time
 
 import numpy as np
@@ -28,13 +29,16 @@ def columns(dets: list[Detection]) -> Detections:
 @pytest.fixture(scope="session")
 def timed_acceptance_corpus(tmp_path_factory):
     """The 12-video synthetic corpus, generated once per session, and the
-    seconds its rendering took."""
+    seconds its rendering took. Removed at the end of the session: it is
+    about 2.8 GB, and pytest keeps the base temp directories of the last
+    three sessions."""
     from stallwatch.synth import corpus
 
     root = tmp_path_factory.mktemp("corpus")
     t0 = time.perf_counter()
     corpus(root, seed=0)
-    return root, time.perf_counter() - t0
+    yield root, time.perf_counter() - t0
+    shutil.rmtree(root)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ oracles and property sweeps.
 
 import itertools
 import json
+import shutil
 import time
 
 import numpy as np
@@ -47,12 +48,22 @@ def report_line(capsys):
 
 @pytest.fixture(scope="module")
 def full_run(acceptance_corpus, tmp_path_factory):
-    """One default-config pipeline run over the whole corpus, timed."""
+    """One default-config pipeline run over the whole corpus, timed; its
+    output directory is removed when the module's tests are done."""
     out = tmp_path_factory.mktemp("run_a")
     t0 = time.perf_counter()
     manifest = run_all(acceptance_corpus, out, PipelineConfig())
     elapsed = time.perf_counter() - t0
-    return out, manifest, elapsed
+    yield out, manifest, elapsed
+    shutil.rmtree(out)
+
+
+@pytest.fixture
+def rerun_out(tmp_path_factory):
+    """An empty output directory for a second run, removed after the test."""
+    out = tmp_path_factory.mktemp("run_b")
+    yield out
+    shutil.rmtree(out)
 
 
 def test_criterion_1_metric_reconstruction(report_line):
@@ -199,7 +210,7 @@ def _gate_monotonicity_failures(rng, n=300) -> int:
 
 
 def test_criterion_6_property_suites(acceptance_corpus, full_run, tmp_path,
-                                     report_line, tmp_path_factory):
+                                     report_line, rerun_out):
     rng = np.random.default_rng(1234)
     iou_fail = _iou_property_failures(rng)
     gate_fail = _gate_monotonicity_failures(rng)
@@ -207,10 +218,9 @@ def test_criterion_6_property_suites(acceptance_corpus, full_run, tmp_path,
 
     # determinism: a second identical seeded run is byte-identical
     out_a, _, _ = full_run
-    out_b = tmp_path_factory.mktemp("run_b")
-    run_all(acceptance_corpus, out_b, PipelineConfig())
+    run_all(acceptance_corpus, rerun_out, PipelineConfig())
     identical = (out_a / "predictions.csv").read_bytes() == \
-                (out_b / "predictions.csv").read_bytes()
+                (rerun_out / "predictions.csv").read_bytes()
 
     ok = iou_fail == 0 and gate_fail == 0 and rt_fail == 0 and identical
     report_line(6, ok, f"iou properties 10^4 pairs ({iou_fail} failures), "

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stallwatch.background import (
+    MEDIAN_BLOCK_BYTES,
     MIN_PARTIAL_FRACTION,
+    FrameStack,
+    background_stream,
     derive_seed,
     median_frame,
     sample_indices,
     window_bounds,
 )
 from stallwatch.errors import DimensionMismatch, EmptyInput
-from stallwatch.media import Frame
+from stallwatch.media import Frame, open_sequence, write_frame, write_sequence_meta
+from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 
 from conftest import make_frame
 
@@ -98,6 +102,29 @@ class TestMedian:
         frames = [make_frame(np.full((2, 3), value))] * n
         assert median_frame(frames) == make_frame(np.full((2, 3), value))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 61, 255, 256, 300])
+    def test_blocks_match_sort_oracle(self, rng, n):
+        # two full pixel blocks and a partial third one
+        cols = MEDIAN_BLOCK_BYTES // n
+        shape = (2, cols + 3)
+        assert (shape[0] * shape[1]) % cols != 0
+        stack = rng.integers(0, 256, (n, *shape), dtype=np.uint8)
+        want = np.sort(stack, axis=0)[(n - 1) // 2]
+        assert median_frame(FrameStack(stack)) == Frame(want)
+
+    @pytest.mark.parametrize("n", [1, 4, 33])
+    def test_list_and_stack_agree(self, rng, n):
+        stack = rng.integers(0, 256, (n, 9, 13), dtype=np.uint8)
+        from_list = median_frame([Frame(s) for s in stack])
+        assert from_list == median_frame(FrameStack(stack))
+        assert not np.shares_memory(from_list.pixels, stack)
+
+    def test_stack_is_a_sequence_of_frames(self, rng):
+        stack = FrameStack(rng.integers(0, 256, (3, 2, 4), dtype=np.uint8))
+        assert len(stack) == 3
+        assert stack[2] == Frame(stack.pixels[2])
+        assert [f.pixels.shape for f in stack] == [(2, 4)] * 3
+
     def test_output_value_was_observed(self, rng):
         frames = [make_frame(rng.integers(0, 256, (4, 4))) for _ in range(6)]
         med = median_frame(frames).pixels
@@ -143,3 +170,33 @@ class TestWindows:
         for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
             assert a1 == b0
         assert all(s < e for s, e in bounds)
+
+
+class TestStream:
+    def _sequence(self, directory, values, fps):
+        """A sequence whose frame i is filled with values[i]."""
+        write_sequence_meta(directory, "v", fps, len(values), 4, 3)
+        for i, v in enumerate(values):
+            write_frame(Frame(np.full((3, 4), v, dtype=np.uint8)),
+                        directory / f"frame_{i:06d}.pgm")
+        return open_sequence(directory)
+
+    def test_shorter_window_uses_only_its_own_rows(self, tmp_path):
+        # 1 s windows at 10 fps: ten frames of 255, then a five-frame tail
+        # whose own median is 0; five stale rows of 255 would make it 10
+        values = [255] * 10 + [0, 0, 0, 10, 10]
+        seq = self._sequence(tmp_path, values, fps=10.0)
+        cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 1.0)
+        bgs = background_stream(seq, cat, fraction=1.0, seed=0)
+        assert [len(bg.sampled_indices) for bg in bgs] == [10, 5]
+        assert bgs[0].frame == Frame(np.full((3, 4), 255, dtype=np.uint8))
+        assert bgs[1].frame == Frame(np.zeros((3, 4), dtype=np.uint8))
+
+    def test_each_window_equals_median_of_its_frames(self, tmp_path, rng):
+        values = rng.integers(0, 256, 47).tolist()
+        seq = self._sequence(tmp_path, values, fps=10.0)
+        cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 2.0)
+        bgs = background_stream(seq, cat, fraction=0.5, seed=3)
+        assert len(bgs) == 3
+        for bg in bgs:
+            assert bg.frame == median_frame([seq.frame(i) for i in bg.sampled_indices])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stallwatch.errors import (
+    DimensionMismatch,
     InvalidBBox,
     InvalidInterval,
     MissingMetadata,
@@ -31,6 +33,103 @@ from stallwatch.media import (
 )
 
 from conftest import make_frame
+
+
+def _pgm_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
+    """Read `count` whitespace-separated integer tokens, honoring '#' comments.
+
+    Returns the tokens and the offset of the first raster byte. The header
+    parser `read_frame` once used, byte by byte; kept as the oracle of the
+    one it uses now, which differs only in taking ASCII digits alone where
+    this one takes whatever int() does.
+    """
+    tokens: list[int] = []
+    i = 0
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] != ord("\n"):
+                i += 1
+            continue
+        start = i
+        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
+            i += 1
+        if i == start:
+            raise ParseError("truncated PGM header")
+        try:
+            tokens.append(int(data[start:i]))
+        except ValueError as exc:
+            raise ParseError(f"non-numeric PGM header token {data[start:i]!r}") from exc
+    # exactly one whitespace byte separates the header from the raster
+    if i >= n:
+        raise ParseError("PGM header not followed by raster data")
+    if not data[i : i + 1].isspace():
+        raise ParseError("PGM maxval not followed by whitespace")
+    return tokens, i + 1
+
+
+def oracle_read_frame(path) -> Frame:
+    """`read_frame` as it was with `_pgm_header_tokens`."""
+    data = path.read_bytes()
+    if data[:2] != b"P5":
+        raise ParseError(f"bad magic {data[:2]!r}, expected P5")
+    (width, height, maxval), offset = _pgm_header_tokens(data[2:], 3)
+    offset += 2
+    if maxval != 255:
+        raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
+    if width <= 0 or height <= 0:
+        raise ParseError(f"bad dimensions {width}x{height}")
+    expected = width * height
+    raster = data[offset : offset + expected]
+    if len(raster) < expected:
+        raise ParseError(f"truncated raster: {len(raster)} of {expected} bytes")
+    return Frame(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
+
+
+def frame_outcome(read, path):
+    """The pixels read, or the class of the error raised."""
+    try:
+        pixels = read(path).pixels
+    except StallwatchError as exc:
+        return ("raised", type(exc))
+    return ("read", pixels.shape, pixels.tobytes())
+
+
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def pgm_headers(draw):
+    """A P5 file with three header tokens, mostly sides of 1 to 7 and
+    maxval 255, one in five drawn from digits, '+', '_' and letters,
+    between separators of the six whitespace bytes and '#' comments (half
+    of them longer than one read of the header), then mostly one whitespace
+    byte and 64 raster bytes. Returns the bytes and whether every token is
+    digits."""
+
+    def one_in_five(common, rare):
+        return draw(common if draw(st.integers(0, 4)) else rare)
+
+    long_text = st.integers(250, 400).map(lambda n: b"c" * n)
+    comment = st.one_of(st.binary(max_size=20), long_text).map(
+        lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+
+    def separator() -> bytes:
+        return b"".join(one_in_five(st.sampled_from(WHITESPACE), comment)
+                        for _ in range(draw(st.integers(1, 3))))
+
+    odd = st.text("0123456789+_aZ", min_size=1, max_size=4).map(str.encode)
+    side = st.sampled_from([b"1", b"2", b"5", b"007"])
+    maxval = st.sampled_from([b"255", b"0255"])
+    tokens = [one_in_five(s, odd) for s in (side, side, maxval)]
+    first = separator() if draw(st.booleans()) else b""
+    data = (b"P5" + first + tokens[0] + separator() + tokens[1]
+            + separator() + tokens[2]
+            + one_in_five(st.sampled_from(WHITESPACE), st.sampled_from([b"#", b""]))
+            + bytes(one_in_five(st.just(64), st.sampled_from([0, 3]))))
+    return data, all(t.isdigit() for t in tokens)
 
 
 class TestPGM:
@@ -91,6 +190,61 @@ class TestPGM:
             read_frame(path)
         except StallwatchError:
             pass
+
+    @pytest.mark.parametrize("header,token", [
+        (b"P5\n+32 1\n255\n", b"+32"),
+        (b"P5\n3_2 1\n255\n", b"3_2"),
+        (b"P5\n32 1\n+255\n", b"+255"),
+        (b"P5\n32 \xd9\xa1\n255\n", b"\xd9\xa1"),
+    ])
+    def test_header_token_must_be_ascii_digits(self, tmp_path, header, token):
+        # int() reads the first two as 32, the third as 255
+        path = tmp_path / "f.pgm"
+        path.write_bytes(header + bytes(32))
+        with pytest.raises(ParseError, match=re.escape(repr(token))):
+            read_frame(path)
+
+    def test_header_past_first_read(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n#" + b"x" * 1000 + b"\n2 1\n255\n" + bytes([9, 10]))
+        assert read_frame(path) == make_frame([[9, 10]])
+
+    @given(header=pgm_headers())
+    @settings(max_examples=300, deadline=None)
+    def test_header_against_token_oracle(self, tmp_path_factory, header):
+        data, digits = header
+        path = tmp_path_factory.mktemp("hdr") / "f.pgm"
+        path.write_bytes(data)
+        got = frame_outcome(read_frame, path)
+        if digits:
+            assert got == frame_outcome(oracle_read_frame, path)
+        else:
+            assert got == ("raised", ParseError)
+
+    def test_read_into_buffer_shares_its_memory(self, tmp_path):
+        frame = make_frame([[0, 255, 3], [128, 7, 9]])
+        path = tmp_path / "f.pgm"
+        write_frame(frame, path)
+        out = np.full((2, 3), 77, dtype=np.uint8)
+        back = read_frame(path, out)
+        assert back == frame
+        assert np.array_equal(out, frame.pixels)
+        assert np.shares_memory(back.pixels, out)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4), (6,), (1, 2, 3)])
+    def test_buffer_of_wrong_shape(self, tmp_path, shape):
+        path = tmp_path / "f.pgm"
+        write_frame(make_frame(np.zeros((2, 3))), path)
+        with pytest.raises(DimensionMismatch):
+            read_frame(path, np.zeros(shape, dtype=np.uint8))
+
+    def test_read_without_buffer_is_read_only(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        write_frame(make_frame([[1, 2]]), path)
+        pixels = read_frame(path).pixels
+        assert not pixels.flags.writeable
+        with pytest.raises(ValueError):
+            pixels[0, 0] = 5
 
 
 class TestSequence:
