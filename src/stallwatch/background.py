@@ -25,6 +25,9 @@ MIN_PARTIAL_FRACTION = 0.10
 # bytes of the frame stack that one block of `median_frame`'s passes reads
 MEDIAN_BLOCK_BYTES = 256 * 1024
 
+# most bool rows whose per-column sum fits in uint8
+COUNT_CHUNK = 255
+
 
 @dataclass(frozen=True)
 class BackgroundFrame:
@@ -106,16 +109,27 @@ def median_frame(frames: Sequence[Frame]) -> Frame:
     below = np.empty((n, cols), dtype=bool)
     # holds counts up to n without overflow: uint8 for n <= 255
     count = np.empty(cols, dtype=np.min_scalar_type(n))
+    # Rows are summed in uint8 chunks of at most COUNT_CHUNK rows and, for
+    # n > COUNT_CHUNK, the chunk sums added into `count`: a uint16 reduce
+    # over uint8 rows goes through numpy's buffered cast at twice the time.
+    chunk = count if n <= COUNT_CHUNK else np.empty(cols, dtype=np.uint8)
     candidate = np.empty(cols, dtype=np.uint8)
     result = np.zeros(size, dtype=np.uint8)
     for lo in range(0, size, cols):
         values, res = flat[:, lo:lo + cols], result[lo:lo + cols]
         m = len(res)
-        blw, cnt, cand = below[:, :m], count[:m], candidate[:m]
+        blw, cnt, chk, cand = below[:, :m], count[:m], chunk[:m], candidate[:m]
+        rows = blw.view(np.uint8)
         for bit in range(7, -1, -1):
             np.bitwise_or(res, 1 << bit, out=cand)
             np.less(values, cand, out=blw)
-            np.add.reduce(blw.view(np.uint8), axis=0, dtype=cnt.dtype, out=cnt)
+            np.add.reduce(rows[:COUNT_CHUNK], axis=0, dtype=np.uint8, out=chk)
+            if n > COUNT_CHUNK:
+                np.copyto(cnt, chk)
+                for r in range(COUNT_CHUNK, n, COUNT_CHUNK):
+                    np.add.reduce(rows[r:r + COUNT_CHUNK], axis=0,
+                                  dtype=np.uint8, out=chk)
+                    cnt += chk
             # the bit is kept where at most k values fall below the candidate
             np.less_equal(cnt, k, out=cand.view(bool))
             cand <<= bit

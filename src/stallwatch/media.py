@@ -6,6 +6,15 @@ maxval 255), detections as JSON-Lines, ground truth and predictions as CSV.
 Every reader validates its input and raises a typed error from
 :mod:`stallwatch.errors` instead of crashing on malformed bytes.
 
+A video's frames are stored FRAMES_PER_FILE to a file: segment k,
+`frames_%06d.pgm` formatted with k, is a multi-image PGM holding frames
+FRAMES_PER_FILE * k onwards, each image with the header `write_frame`
+writes, so every frame sits at a fixed byte offset of its segment.
+Creating a file costs about as much as rendering a 320x240 frame, so one
+file per frame doubled the cost of writing a video. Segments stay small
+(1.2 MB at 320x240) because a whole-file read of a corpus file, such as
+hashing it, then holds one segment in memory rather than a whole video.
+
 A detection file is read into `Detections`, one numpy column per field,
 because the pipeline consumes a video's foreground detections as arrays
 (direction estimation, foreground support); `Detections.rows` gives the
@@ -22,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from .errors import (
     DimensionMismatch,
     InvalidBBox,
     InvalidInterval,
+    InvalidParam,
     MissingMetadata,
     ParseError,
     SequenceGap,
@@ -182,9 +193,18 @@ class Frame:
 # PGM frames
 # ---------------------------------------------------------------------------
 
-def write_frame(frame: Frame, path: str | Path) -> None:
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.pixels.tobytes())
+def _header(width: int, height: int) -> bytes:
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
+
+
+def write_frame(frame: Frame, dest: str | Path | BinaryIO) -> None:
+    """`frame` as one PGM image: the whole file at path `dest`, or appended
+    to `dest` when that is a file open for binary writing."""
+    data = _header(frame.width, frame.height) + frame.pixels.tobytes()
+    if isinstance(dest, (str, os.PathLike)):
+        Path(dest).write_bytes(data)
+    else:
+        dest.write(data)
 
 
 # "P5", then width, height and maxval, each after whitespace and '#'
@@ -225,25 +245,41 @@ def _pgm_header(data: bytes, complete: bool) -> tuple[int, int, int, int] | None
     return values[0], values[1], values[2], m.end()
 
 
-def read_frame(path: str | Path, out: np.ndarray | None = None) -> Frame:
-    """The PGM file at `path`. Its raster is read into `out`, a C-contiguous
-    uint8 array of the frame's (height, width), when that is given, and the
-    frame shares `out`'s memory; otherwise into a new array that is
-    read-only."""
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.read(_PGM_HEAD_BYTES)
+def _check_buffer(out: np.ndarray) -> None:
+    if out.dtype != np.uint8:
+        raise InvalidParam(f"frame buffer must be uint8, got {out.dtype}")
+    if not out.flags.c_contiguous:
+        raise InvalidParam("frame buffer must be C-contiguous, got strides "
+                           f"{out.strides} for shape {out.shape}")
+    if not out.flags.writeable:
+        raise InvalidParam("frame buffer is read-only")
+
+
+def read_frame(path: str | Path, out: np.ndarray | None = None,
+               offset: int = 0) -> Frame:
+    """The PGM image that starts at byte `offset` of the file at `path`.
+    Its raster is read into `out`, a writable, C-contiguous uint8 array of
+    the frame's (height, width), when that is given, and the frame shares
+    `out`'s memory; otherwise into a new array that is read-only."""
+    if out is not None:
+        _check_buffer(out)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.pread(fd, _PGM_HEAD_BYTES, offset)
         header = _pgm_header(data, len(data) < _PGM_HEAD_BYTES)
+        size = os.fstat(fd).st_size
         if header is None:
-            data += fh.read()
+            data = os.pread(fd, size - offset, offset)
             header = _pgm_header(data, True)
-        width, height, maxval, offset = header
+        width, height, maxval, header_bytes = header
         if maxval != 255:
             raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
         if width <= 0 or height <= 0:
             raise ParseError(f"bad dimensions {width}x{height}")
         expected = width * height
+        raster = offset + header_bytes
         # before allocating: a header can claim any size
-        available = os.fstat(fh.fileno()).st_size - offset
+        available = size - raster
         if available < expected:
             raise ParseError(f"truncated raster: {available} of {expected} bytes")
         if out is None:
@@ -253,9 +289,10 @@ def read_frame(path: str | Path, out: np.ndarray | None = None) -> Frame:
                                     f"buffer is {out.shape[::-1]}")
         else:
             pixels = out
-        fh.seek(offset)
-        if fh.readinto(pixels) != expected:
+        if os.preadv(fd, [pixels], raster) != expected:
             raise ParseError(f"{path}: raster changed while it was read")
+    finally:
+        os.close(fd)
     if out is None:
         pixels.flags.writeable = False
     return Frame(pixels)
@@ -265,7 +302,9 @@ def read_frame(path: str | Path, out: np.ndarray | None = None) -> Frame:
 # Frame sequences
 # ---------------------------------------------------------------------------
 
-FRAME_NAME = "frame_%06d.pgm"
+# Frames per segment file. A 16-frame segment of 320x240 frames is 1.2 MB.
+FRAMES_PER_FILE = 16
+SEGMENT_NAME = "frames_%06d.pgm"
 
 
 @dataclass(frozen=True)
@@ -281,9 +320,14 @@ class SequenceMeta:
 
 @dataclass(frozen=True)
 class FrameSequence(SequenceMeta):
-    """Lazy, read-only view of a directory of numbered PGM frames."""
+    """Lazy, read-only view of a directory of PGM segment files."""
 
     directory: Path = field(repr=False)
+
+    @property
+    def record_bytes(self) -> int:
+        """Bytes of one frame's image in a segment, header included."""
+        return len(_header(self.width, self.height)) + self.width * self.height
 
     @property
     def duration(self) -> float:
@@ -292,14 +336,13 @@ class FrameSequence(SequenceMeta):
     def timestamp(self, index: int) -> float:
         return index / self.fps
 
-    def frame_path(self, index: int) -> Path:
-        return self.directory / (FRAME_NAME % index)
-
     def frame(self, index: int, out: np.ndarray | None = None) -> Frame:
         """Frame `index`, read as `read_frame` reads it, into `out` if given."""
         if not 0 <= index < self.frame_count:
             raise IndexError(f"frame {index} outside [0, {self.frame_count})")
-        f = read_frame(self.frame_path(index), out)
+        segment, slot = divmod(index, FRAMES_PER_FILE)
+        f = read_frame(self.directory / (SEGMENT_NAME % segment), out,
+                       slot * self.record_bytes)
         if f.width != self.width or f.height != self.height:
             raise DimensionMismatch(
                 f"frame {index} is {f.width}x{f.height}, meta says {self.width}x{self.height}"
@@ -308,6 +351,9 @@ class FrameSequence(SequenceMeta):
 
 
 def open_sequence(dir_path: str | Path) -> FrameSequence:
+    """The frame directory at `dir_path`. Raises `SequenceGap` when a
+    segment that meta.json's frame count needs is absent or too short to
+    hold its frames; other entries are ignored."""
     directory = Path(dir_path)
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
@@ -317,13 +363,19 @@ def open_sequence(dir_path: str | Path) -> FrameSequence:
         raise ParseError(f"fps must be positive, got {meta.fps}")
     if meta.frame_count < 0:
         raise ParseError(f"negative frame_count {meta.frame_count}")
-    # one directory listing instead of a stat per frame
+    # one directory listing instead of a lookup per segment
     with os.scandir(directory) as entries:
-        files = {entry.name for entry in entries if entry.is_file()}
-    for i in range(meta.frame_count):
-        if FRAME_NAME % i not in files:
-            raise SequenceGap(f"missing frame {i} in {directory}")
-    return FrameSequence(**vars(meta), directory=directory)
+        files = {entry.name: entry for entry in entries if entry.is_file()}
+    seq = FrameSequence(**vars(meta), directory=directory)
+    record = seq.record_bytes
+    for first in range(0, seq.frame_count, FRAMES_PER_FILE):
+        name = SEGMENT_NAME % (first // FRAMES_PER_FILE)
+        frames = min(FRAMES_PER_FILE, seq.frame_count - first)
+        held = files[name].stat().st_size // record if name in files else 0
+        if held < frames:
+            raise SequenceGap(f"{directory / name}: missing frame {first + held}"
+                              f" (holds {held} of its {frames} frames)")
+    return seq
 
 
 def write_sequence_meta(directory: str | Path, video_id: str, fps: float,

@@ -34,7 +34,8 @@ import numpy as np
 from .codec import read_json, write_json
 from .errors import InvalidSpec
 from .media import (
-    FRAME_NAME,
+    FRAMES_PER_FILE,
+    SEGMENT_NAME,
     BBox,
     Detection,
     Frame,
@@ -231,8 +232,10 @@ def render_frame(spec: SceneSpec, base: np.ndarray, t: float,
 def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     """Render a scene to a frame directory; returns its ground-truth stalls.
 
-    Writes meta.json, frame_NNNNNN.pgm, foreground.jsonl (oracle detections
-    for every visible vehicle on every frame, score 1.0) and scene.json.
+    Writes meta.json, the frames in segment files frames_NNNNNN.pgm of
+    FRAMES_PER_FILE frames each (see `stallwatch.media`), foreground.jsonl
+    (oracle detections for every visible vehicle on every frame, score 1.0)
+    and scene.json.
     """
     _validate(spec)
     out = Path(out_dir)
@@ -242,18 +245,14 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
 
     foreground: list[Detection] = []
     n = spec.frame_count
-    for i in range(n):
-        frame, drawn = render_frame(spec, base, i / spec.fps, rng)
-        write_frame(frame, out / (FRAME_NAME % i))
-        for box, label in drawn:
-            foreground.append(
-                Detection(frame_index=i, class_label=label, score=1.0, bbox=box)
-            )
-        for p in spec.offroad_parked:
-            foreground.append(
-                Detection(frame_index=i, class_label=p.class_label,
-                          score=1.0, bbox=p.bbox)
-            )
+    for first in range(0, n, FRAMES_PER_FILE):
+        with open(out / (SEGMENT_NAME % (first // FRAMES_PER_FILE)), "wb") as segment:
+            for i in range(first, min(first + FRAMES_PER_FILE, n)):
+                frame, drawn = render_frame(spec, base, i / spec.fps, rng)
+                write_frame(frame, segment)
+                foreground += [Detection(i, label, 1.0, box) for box, label in drawn]
+                foreground += [Detection(i, p.class_label, 1.0, p.bbox)
+                               for p in spec.offroad_parked]
 
     write_sequence_meta(out, spec.video_id, spec.fps, n, spec.width, spec.height)
     write_detections(foreground, out / FOREGROUND_FILE)

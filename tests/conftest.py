@@ -4,7 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from stallwatch.media import Detection, Detections, Frame
+from stallwatch.media import (
+    FRAMES_PER_FILE,
+    SEGMENT_NAME,
+    Detection,
+    Detections,
+    Frame,
+    write_frame,
+)
 
 
 @pytest.fixture
@@ -14,6 +21,15 @@ def rng():
 
 def make_frame(values) -> Frame:
     return Frame(np.asarray(values, dtype=np.uint8))
+
+
+def write_segments(directory, frames: list[Frame]) -> None:
+    """`frames` as the segment files of a frame directory."""
+    for first in range(0, len(frames), FRAMES_PER_FILE):
+        name = SEGMENT_NAME % (first // FRAMES_PER_FILE)
+        with open(directory / name, "wb") as segment:
+            for frame in frames[first:first + FRAMES_PER_FILE]:
+                write_frame(frame, segment)
 
 
 def columns(dets: list[Detection]) -> Detections:

@@ -16,10 +16,10 @@ from stallwatch.background import (
     window_bounds,
 )
 from stallwatch.errors import DimensionMismatch, EmptyInput
-from stallwatch.media import Frame, open_sequence, write_frame, write_sequence_meta
+from stallwatch.media import Frame, open_sequence, write_sequence_meta
 from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 
-from conftest import make_frame
+from conftest import make_frame, write_segments
 
 
 class TestSeed:
@@ -176,9 +176,8 @@ class TestStream:
     def _sequence(self, directory, values, fps):
         """A sequence whose frame i is filled with values[i]."""
         write_sequence_meta(directory, "v", fps, len(values), 4, 3)
-        for i, v in enumerate(values):
-            write_frame(Frame(np.full((3, 4), v, dtype=np.uint8)),
-                        directory / f"frame_{i:06d}.pgm")
+        write_segments(directory, [Frame(np.full((3, 4), v, dtype=np.uint8))
+                                   for v in values])
         return open_sequence(directory)
 
     def test_shorter_window_uses_only_its_own_rows(self, tmp_path):

@@ -95,12 +95,20 @@ class TestStages:
                                       "[1e400, 2, 3, 4]"])
     def test_bad_foreground_row_fails_naming_the_line(self, mini_corpus, tmp_path,
                                                       capsys, bbox):
+        # the small files are copied and the frame segments hard-linked; the
+        # edited foreground.jsonl is a new file, never a link into the fixture
         corpus = tmp_path / "corpus"
-        shutil.copytree(mini_corpus, corpus)
-        fg = corpus / "videos" / "mini_day_stall" / "foreground.jsonl"
-        lines = fg.read_text().splitlines()
+        src = mini_corpus / "videos" / "mini_day_stall"
+        video = corpus / "videos" / "mini_day_stall"
+        video.mkdir(parents=True)
+        shutil.copy(mini_corpus / "gt.csv", corpus)
+        for name in ("meta.json", "scene.json"):
+            shutil.copy(src / name, video)
+        for segment in src.glob("frames_*.pgm"):
+            os.link(segment, video / segment.name)
+        lines = (src / "foreground.jsonl").read_text().splitlines()
         lines[2] = f'{{"frame": 3, "class": "car", "score": 1.0, "bbox": {bbox}}}'
-        fg.write_text("\n".join(lines) + "\n")
+        (video / "foreground.jsonl").write_text("\n".join(lines) + "\n")
         assert run(["sort", "--corpus", str(corpus),
                     "--out", str(tmp_path / "out")]) == EXIT_FAILURE
         assert "foreground.jsonl:3: " in capsys.readouterr().err

@@ -10,6 +10,7 @@ from stallwatch.errors import (
     DimensionMismatch,
     InvalidBBox,
     InvalidInterval,
+    InvalidParam,
     MissingMetadata,
     ParseError,
     SequenceGap,
@@ -32,7 +33,7 @@ from stallwatch.media import (
     _detection_from_obj,
 )
 
-from conftest import make_frame
+from conftest import make_frame, write_segments
 
 
 def _pgm_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
@@ -238,6 +239,35 @@ class TestPGM:
         with pytest.raises(DimensionMismatch):
             read_frame(path, np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("make_out,names", [
+        (lambda: np.zeros((2, 3), dtype=np.uint16), "uint16"),
+        (lambda: np.zeros((2, 6), dtype=np.uint8)[:, ::2], "C-contiguous"),
+        (lambda: np.zeros((2, 3), dtype=np.uint8).T.copy().T, "C-contiguous"),
+        (lambda: np.zeros((2, 3), dtype=np.uint8).view(np.int8), "int8"),
+        (lambda: np.frombuffer(bytes(6), dtype=np.uint8).reshape(2, 3), "read-only"),
+    ], ids=["uint16", "strided", "fortran", "int8", "read-only"])
+    def test_unusable_buffer_rejected(self, tmp_path, make_out, names):
+        path = tmp_path / "f.pgm"
+        write_frame(make_frame([[1, 2, 3], [4, 5, 6]]), path)
+        out = make_out()
+        before = out.copy()
+        with pytest.raises(InvalidParam, match=names):
+            read_frame(path, out)
+        assert np.array_equal(out, before)
+
+    def test_read_at_offset(self, tmp_path):
+        frames = [make_frame(np.full((2, 3), v)) for v in (5, 6, 7)]
+        path = tmp_path / "s.pgm"
+        with open(path, "wb") as fh:
+            for frame in frames:
+                write_frame(frame, fh)
+        record = len(b"P5\n3 2\n255\n") + 6
+        assert path.stat().st_size == 3 * record
+        out = np.zeros((2, 3), dtype=np.uint8)
+        assert read_frame(path, out, record) == frames[1]
+        assert np.array_equal(out, frames[1].pixels)
+        assert read_frame(path, offset=2 * record) == frames[2]
+
     def test_read_without_buffer_is_read_only(self, tmp_path):
         path = tmp_path / "f.pgm"
         write_frame(make_frame([[1, 2]]), path)
@@ -249,11 +279,11 @@ class TestPGM:
 
 class TestSequence:
     def _write(self, directory, count, fps=30.0, w=2, h=2):
+        """A sequence whose frame i is filled with i % 256."""
         directory.mkdir(exist_ok=True)
         write_sequence_meta(directory, "v1", fps, count, w, h)
-        for i in range(count):
-            write_frame(make_frame(np.zeros((h, w), dtype=np.uint8)),
-                        directory / f"frame_{i:06d}.pgm")
+        write_segments(directory, [make_frame(np.full((h, w), i % 256))
+                                   for i in range(count)])
 
     def test_timestamps(self, tmp_path):
         self._write(tmp_path, 3)
@@ -266,27 +296,46 @@ class TestSequence:
         ts = [seq.timestamp(i) for i in range(10)]
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
+    def test_frames_at_their_offsets(self, tmp_path):
+        self._write(tmp_path, 40)
+        seq = open_sequence(tmp_path)
+        for i in range(40):
+            assert seq.frame(i) == make_frame(np.full((2, 2), i))
+
     def test_gap_detected(self, tmp_path):
-        self._write(tmp_path, 4)
-        (tmp_path / "frame_000002.pgm").unlink()
-        with pytest.raises(SequenceGap):
+        self._write(tmp_path, 40)
+        (tmp_path / "frames_000001.pgm").unlink()
+        with pytest.raises(SequenceGap, match=r"frames_000001\.pgm: missing frame 16 "):
+            open_sequence(tmp_path)
+
+    @pytest.mark.parametrize("keep,first_missing", [
+        (0, 32), (1, 32), (3 * 15, 35), (8 * 15 - 1, 39)])
+    def test_truncated_segment_is_a_gap(self, tmp_path, keep, first_missing):
+        # the last segment holds 8 frames of 15 bytes
+        self._write(tmp_path, 40)
+        segment = tmp_path / "frames_000002.pgm"
+        segment.write_bytes(segment.read_bytes()[:keep])
+        with pytest.raises(SequenceGap, match=rf"frames_000002\.pgm: missing frame "
+                                              rf"{first_missing} "):
             open_sequence(tmp_path)
 
     def test_directory_named_like_a_frame_is_a_gap(self, tmp_path):
-        self._write(tmp_path, 4)
-        (tmp_path / "frame_000002.pgm").unlink()
-        (tmp_path / "frame_000002.pgm").mkdir()
-        with pytest.raises(SequenceGap):
+        self._write(tmp_path, 40)
+        (tmp_path / "frames_000001.pgm").unlink()
+        (tmp_path / "frames_000001.pgm").mkdir()
+        with pytest.raises(SequenceGap, match=r"frames_000001\.pgm"):
             open_sequence(tmp_path)
 
     def test_stray_entries_ignored(self, tmp_path):
         self._write(tmp_path, 3)
         (tmp_path / "notes.txt").write_text("x")
-        (tmp_path / "frame_000099.pgm").write_bytes(b"")
+        (tmp_path / "frames_000099.pgm").write_bytes(b"")
+        (tmp_path / "frame_000000.pgm").write_bytes(b"")
         (tmp_path / "sub").mkdir()
+        (tmp_path / "frames_000001.pgm").mkdir()
         seq = open_sequence(tmp_path)
         assert seq.frame_count == 3
-        assert seq.frame(2).pixels.shape == (2, 2)
+        assert seq.frame(2) == make_frame(np.full((2, 2), 2))
 
     @pytest.mark.parametrize("text", [
         "{nope",
@@ -313,12 +362,10 @@ class TestSequence:
 
     def test_dimension_mismatch_at_access(self, tmp_path):
         self._write(tmp_path, 2)
-        write_frame(make_frame(np.zeros((3, 3), dtype=np.uint8)),
-                    tmp_path / "frame_000001.pgm")
+        write_segments(tmp_path, [make_frame(np.zeros((2, 2))),
+                                  make_frame(np.zeros((3, 3)))])
         seq = open_sequence(tmp_path)
         seq.frame(0)
-        from stallwatch.errors import DimensionMismatch
-
         with pytest.raises(DimensionMismatch):
             seq.frame(1)
 

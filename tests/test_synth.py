@@ -9,7 +9,13 @@ import pytest
 
 from stallwatch.codec import decode, encode
 from stallwatch.errors import InvalidSpec
-from stallwatch.media import open_sequence, read_detections, read_ground_truth
+from stallwatch.media import (
+    FRAMES_PER_FILE,
+    SEGMENT_NAME,
+    open_sequence,
+    read_detections,
+    read_ground_truth,
+)
 from stallwatch.sorting import LightingClass
 from stallwatch.synth import (
     CORPUS_PRESETS,
@@ -18,6 +24,7 @@ from stallwatch.synth import (
     RoadBand,
     SceneSpec,
     VehicleSpec,
+    _base_canvas,
     corpus,
     generate,
     load_scene,
@@ -130,8 +137,27 @@ class TestGenerate:
         a, b = tmp_path / "a", tmp_path / "b"
         generate(small_scene(seed=1), a)
         generate(small_scene(seed=2), b)
-        assert (a / "frame_000000.pgm").read_bytes() != \
-               (b / "frame_000000.pgm").read_bytes()
+        assert (a / "frames_000000.pgm").read_bytes() != \
+               (b / "frames_000000.pgm").read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33])
+    def test_segment_round_trip(self, tmp_path, count):
+        spec = small_scene(duration=count / 5.0 or 0.05)
+        assert spec.frame_count == count
+        generate(spec, tmp_path)
+        rng = np.random.default_rng(spec.seed)
+        base = _base_canvas(spec, rng)
+        frames = [render_frame(spec, base, i / spec.fps, rng)[0] for i in range(count)]
+        seq = open_sequence(tmp_path)
+        assert seq.frame_count == count
+        assert [seq.frame(i) for i in range(count)] == frames
+        # segment k is the single-image files of its frames, concatenated
+        segments = sorted(p.name for p in tmp_path.glob("*.pgm"))
+        assert segments == [SEGMENT_NAME % k for k in range(-(-count // FRAMES_PER_FILE))]
+        for k, name in enumerate(segments):
+            own = frames[k * FRAMES_PER_FILE:(k + 1) * FRAMES_PER_FILE]
+            assert (tmp_path / name).read_bytes() == b"".join(
+                b"P5\n80 60\n255\n" + frame.pixels.tobytes() for frame in own)
 
     def test_ground_truth_matches_stalls(self, tmp_path):
         spec = small_scene(vehicles=(VehicleSpec(
@@ -218,7 +244,8 @@ class TestConcurrentCorpus:
             generate(spec, serial / "videos" / spec.video_id)
         threaded = tree_bytes(tmp_path / "threaded" / "videos")
         assert threaded == tree_bytes(serial / "videos")
-        assert len(threaded) == sum(s.frame_count + 3 for s in specs)
+        assert len(threaded) == sum(-(-s.frame_count // FRAMES_PER_FILE) + 3
+                                    for s in specs)
 
     def test_ground_truth_in_spec_order(self, tmp_path):
         # the first video is the longest, so it finishes last
@@ -278,7 +305,7 @@ class TestRenderFrame:
 
 # sha256 over the names and bytes of every file `generate` writes for a
 # 2-frame scene: a change to the corpus bytes must be a deliberate edit here.
-GOLDEN_SCENE_SHA256 = "754672edafa471e94fad8d834dab8a161ec1de42dc515713d79efbfb25c13d3f"
+GOLDEN_SCENE_SHA256 = "3592a110e2923728e1964438eab88edb65e5e9e895497784c31054a07328c767"
 
 
 class TestNoiseDraw:
@@ -304,7 +331,7 @@ class TestNoiseDraw:
         spec = small_scene(duration=0.4)
         generate(spec, tmp_path)
         files = tree_bytes(tmp_path)
-        assert spec.frame_count == 2 and len(files) == 5
+        assert spec.frame_count == 2 and len(files) == 4
         h = hashlib.sha256()
         for name, data in files.items():
             h.update(name.encode() + b"\0" + data)
