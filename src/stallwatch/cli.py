@@ -18,7 +18,6 @@ from . import pipeline, synth
 from .codec import dumps
 from .config import PipelineConfig
 from .errors import ConfigError, StallwatchError
-from .media import open_sequence, read_detections
 
 SUBCOMMANDS = ("synth", "sort", "background", "mask", "detect", "score", "run-all")
 
@@ -71,29 +70,11 @@ def _require(path: Path, what: str) -> None:
         raise SystemExit(EXIT_MISSING_INPUT)
 
 
-def _stage_videos(args, cfg: PipelineConfig, upto: str) -> None:
-    """Run the pipeline per video, stopping after the requested stage."""
-    _require(args.corpus, "corpus directory")
-    for video_dir in pipeline.corpus_video_dirs(args.corpus):
-        out_vid = args.out / video_dir.name
-        seq = open_sequence(video_dir)
-        foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
-        category = pipeline.sort_stage(seq, foreground, out_vid, cfg)
-        if upto == "sort":
-            continue
-        bgs, _ = pipeline.background_stage(seq, category, out_vid, cfg)
-        if upto == "background":
-            continue
-        pipeline.mask_stage(bgs, category, out_vid, cfg)
-
-
 def run(argv: list[str]) -> int:
     if argv and argv[0] in ("-h", "--help"):
         build_parser().print_help()
         return EXIT_OK
-    known_flags_only = all(a.startswith("-") for a in argv)
-    if argv and not known_flags_only and argv[0] not in SUBCOMMANDS \
-            and not argv[0].startswith("-"):
+    if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
         print(f"unknown subcommand {argv[0]!r}; choose from "
               f"{', '.join(SUBCOMMANDS)}", file=sys.stderr)
         return EXIT_USAGE
@@ -119,20 +100,24 @@ def run(argv: list[str]) -> int:
 
     stage = args.subcommand
     try:
+        if "corpus" in vars(args):
+            _require(args.corpus, "corpus directory")
         if stage == "synth":
             synth.corpus(args.out, seed=cfg.seed)
-        elif stage in ("sort", "background", "mask"):
-            _stage_videos(args, cfg, stage)
         elif stage == "detect":
-            _require(args.corpus, "corpus directory")
             pipeline.run_corpus(args.corpus, args.out, cfg)
+        elif stage in pipeline.STAGES:
+            for video_dir in pipeline.corpus_video_dirs(args.corpus):
+                for done, _ in pipeline.stages(video_dir, args.out / video_dir.name,
+                                               cfg):
+                    if done == stage:
+                        break
         elif stage == "score":
             _require(args.pred, "predictions file")
             _require(args.gt, "ground-truth file")
             report = pipeline.score_corpus(args.pred, args.gt, args.out)
             sys.stdout.write(dumps(report))
         elif stage == "run-all":
-            _require(args.corpus, "corpus directory")
             manifest = pipeline.run_all(args.corpus, args.out, cfg)
             sys.stdout.write(dumps(manifest))
     except SystemExit as exc:

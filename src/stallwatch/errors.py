@@ -89,3 +89,9 @@ class InvalidSpec(StallwatchError):
 
 class ConfigError(StallwatchError):
     pass
+
+
+def prefixed(exc: StallwatchError, where: str) -> StallwatchError:
+    """An error of `exc`'s type, with `exc`'s traceback, whose message is
+    `exc`'s prefixed by `where`. Raise it `from None`."""
+    return type(exc)(f"{where}: {exc}").with_traceback(exc.__traceback__)

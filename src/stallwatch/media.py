@@ -44,7 +44,9 @@ from .errors import (
     MissingMetadata,
     ParseError,
     SequenceGap,
+    StallwatchError,
     UnsupportedFormat,
+    prefixed,
 )
 
 
@@ -260,7 +262,8 @@ def read_frame(path: str | Path, out: np.ndarray | None = None,
     """The PGM image that starts at byte `offset` of the file at `path`.
     Its raster is read into `out`, a writable, C-contiguous uint8 array of
     the frame's (height, width), when that is given, and the frame shares
-    `out`'s memory; otherwise into a new array that is read-only."""
+    `out`'s memory; otherwise into a new array that is read-only. An error
+    about the image names `path` and `offset`."""
     if out is not None:
         _check_buffer(out)
     fd = os.open(path, os.O_RDONLY)
@@ -290,7 +293,9 @@ def read_frame(path: str | Path, out: np.ndarray | None = None,
         else:
             pixels = out
         if os.preadv(fd, [pixels], raster) != expected:
-            raise ParseError(f"{path}: raster changed while it was read")
+            raise ParseError("raster changed while it was read")
+    except StallwatchError as exc:
+        raise prefixed(exc, f"{path} at byte {offset}") from None
     finally:
         os.close(fd)
     if out is None:
@@ -337,12 +342,16 @@ class FrameSequence(SequenceMeta):
         return index / self.fps
 
     def frame(self, index: int, out: np.ndarray | None = None) -> Frame:
-        """Frame `index`, read as `read_frame` reads it, into `out` if given."""
+        """Frame `index`, read as `read_frame` reads it, into `out` if given.
+        A read error names the frame index."""
         if not 0 <= index < self.frame_count:
             raise IndexError(f"frame {index} outside [0, {self.frame_count})")
         segment, slot = divmod(index, FRAMES_PER_FILE)
-        f = read_frame(self.directory / (SEGMENT_NAME % segment), out,
-                       slot * self.record_bytes)
+        try:
+            f = read_frame(self.directory / (SEGMENT_NAME % segment), out,
+                           slot * self.record_bytes)
+        except StallwatchError as exc:
+            raise prefixed(exc, f"frame {index}") from None
         if f.width != self.width or f.height != self.height:
             raise DimensionMismatch(
                 f"frame {index} is {f.width}x{f.height}, meta says {self.width}x{self.height}"
@@ -520,24 +529,30 @@ GT_HEADER = ["video_id", "start_seconds", "end_seconds"]
 PRED_HEADER = GT_HEADER + ["confidence"]
 
 
-def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    out: list[GroundTruthEntry] = []
+def _csv_rows(path: str | Path, header: list[str]):
+    """(first field, the other fields as floats) of each non-blank row of
+    a CSV file that starts with `header`; errors name `path:line`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != GT_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(GT_HEADER)}")
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ParseError(f"{path}: expected header {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
             try:
-                start, end = float(row[1]), float(row[2])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-            out.append(GroundTruthEntry(video_id=row[0], start=start, end=end))
-    return out
+            yield row[0], values
+
+
+def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
+    return [GroundTruthEntry(video_id, start, end)
+            for video_id, (start, end) in _csv_rows(path, GT_HEADER)]
 
 
 def write_ground_truth(entries: list[GroundTruthEntry], path: str | Path) -> None:
@@ -550,24 +565,8 @@ def write_ground_truth(entries: list[GroundTruthEntry], path: str | Path) -> Non
 
 def read_predictions(path: str | Path) -> list[AnomalyEvent]:
     """Predictions CSV; boxes are not carried, a 1x1 placeholder is used."""
-    out: list[AnomalyEvent] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PRED_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(PRED_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                start, end, conf = float(row[1]), float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-            out.append(AnomalyEvent(video_id=row[0], start=start, end=end,
-                                    bbox=BBox(0, 0, 1, 1), confidence=conf))
-    return out
+    return [AnomalyEvent(video_id, start, end, BBox(0, 0, 1, 1), conf)
+            for video_id, (start, end, conf) in _csv_rows(path, PRED_HEADER)]
 
 
 def write_predictions(events: list[AnomalyEvent], path: str | Path) -> None:

@@ -1,13 +1,18 @@
 """
-Corpus orchestration: sort -> background -> mask -> detect -> score.
+Corpus orchestration: one per-video stage chain, then predictions and score.
 
-Each stage persists its artifacts under the output directory. category.json,
-backgrounds/ and events.json are reused when an earlier invocation left
-them, so rerunning a later stage gives the same result as one chained run.
-A video whose events.json exists is answered from it before any of its
-inputs is opened. mask.pgm is an output only: it is rebuilt from the
-backgrounds with the current config's k1/k2 and block whenever events.json
-is missing.
+`stages` runs one video's chain and yields a value per name of STAGES:
+sort (category.json), background (each window's background with its
+file), mask (mask.pgm), detect (detector output per window) and decide
+(events.json). `process_video` runs all of it; the CLI's sort, background
+and mask commands stop after their stage. The chain's inputs, the frame
+sequence and the foreground detection columns, are opened on first use,
+so a stage that reuses its artifact reads nothing upstream of it.
+
+category.json, backgrounds/ and events.json are reused when an earlier
+invocation left them, so rerunning a later stage gives the same result as
+one chained run; a video with events.json is answered before its chain
+starts. mask.pgm is rebuilt whenever the chain reaches it.
 
 Output layout, per corpus:
 
@@ -28,7 +33,9 @@ import concurrent.futures
 import hashlib
 import logging
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import anomaly, background, scoring, sorting, synth
@@ -40,12 +47,10 @@ from .detector import (
     OracleDetector,
     PrecomputedDetector,
 )
-from .errors import MissingMetadata, StallwatchError
+from .errors import MissingMetadata, StallwatchError, prefixed
 from .media import (
     AnomalyEvent,
     Detection,
-    Detections,
-    FrameSequence,
     open_sequence,
     read_detections,
     read_frame,
@@ -54,7 +59,7 @@ from .media import (
     write_frame,
     write_predictions,
 )
-from .roadmask import Mask, adaptive_road_mask, mask_union
+from .roadmask import adaptive_road_mask, mask_union
 from .sorting import VideoCategory
 
 logger = logging.getLogger(__name__)
@@ -96,98 +101,101 @@ class BackgroundIndex:
     windows: list[BackgroundWindow]
 
 
-# --- per-video stages ------------------------------------------------------
+# --- the per-video stage chain ----------------------------------------------
 
-def sort_stage(seq: FrameSequence, foreground: Detections, out_vid: Path,
-               cfg: PipelineConfig) -> VideoCategory:
+STAGES = ("sort", "background", "mask", "detect", "decide")
+
+
+def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
+    """One value per name of STAGES, in order, each computed when the
+    chain is advanced to it. The inputs are opened on first use."""
+    seq = cache(lambda: open_sequence(video_dir))
+    foreground = cache(lambda: read_detections(video_dir / synth.FOREGROUND_FILE))
+
     cat_path = out_vid / "category.json"
     if cat_path.is_file():
-        return read_json(cat_path, VideoCategory)
-    category = sorting.sort_video(seq, foreground, stride=cfg.histogram_stride)
-    out_vid.mkdir(parents=True, exist_ok=True)
-    write_json(cat_path, category)
-    return category
+        category = read_json(cat_path, VideoCategory)
+    else:
+        category = sorting.sort_video(seq(), foreground(),
+                                      stride=cfg.histogram_stride)
+        out_vid.mkdir(parents=True, exist_ok=True)
+        write_json(cat_path, category)
+    yield category
 
-
-def background_stage(seq: FrameSequence, category: VideoCategory,
-                     out_vid: Path, cfg: PipelineConfig
-                     ) -> tuple[list[background.BackgroundFrame], list[Path]]:
+    # (path, background) per window
     bg_dir = out_vid / "backgrounds"
     index_path = bg_dir / "index.json"
     if index_path.is_file():
-        windows = read_json(index_path, BackgroundIndex).windows
-        paths = [bg_dir / w.file for w in windows]
-        bgs = [background.BackgroundFrame(read_frame(path), w.window_start_s,
-                                          w.window_end_s, w.sampled_indices)
-               for w, path in zip(windows, paths)]
-        return bgs, paths
+        bgs = [(bg_dir / w.file, background.BackgroundFrame(
+                    read_frame(bg_dir / w.file), w.window_start_s,
+                    w.window_end_s, w.sampled_indices))
+               for w in read_json(index_path, BackgroundIndex).windows]
+    else:
+        bgs = [(bg_dir / f"bg_{int(round(bg.window_start * 1000))}.pgm", bg)
+               for bg in background.background_stream(
+                   seq(), category, fraction=cfg.background_fraction,
+                   seed=cfg.seed)]
+        bg_dir.mkdir(parents=True, exist_ok=True)
+        for path, bg in bgs:
+            write_frame(bg.frame, path)
+        write_json(index_path, BackgroundIndex([
+            BackgroundWindow(path.name, bg.window_start, bg.window_end,
+                             bg.sampled_indices) for path, bg in bgs]))
+    yield bgs
 
-    bgs = background.background_stream(seq, category,
-                                       fraction=cfg.background_fraction,
-                                       seed=cfg.seed)
-    bg_dir.mkdir(parents=True, exist_ok=True)
-    paths, windows = [], []
-    for bg in bgs:
-        path = bg_dir / f"bg_{int(round(bg.window_start * 1000))}.pgm"
-        write_frame(bg.frame, path)
-        paths.append(path)
-        windows.append(BackgroundWindow(path.name, bg.window_start,
-                                        bg.window_end, bg.sampled_indices))
-    write_json(index_path, BackgroundIndex(windows))
-    return bgs, paths
-
-
-def mask_stage(bgs, category: VideoCategory, out_vid: Path,
-               cfg: PipelineConfig) -> Mask:
-    """Road-mask union of the backgrounds, written to mask.pgm; rebuilt on
-    every call, never read back."""
+    # rebuilt whenever the chain gets here, never read back
     params = cfg.mask_params(category.lighting)
-    union = mask_union([adaptive_road_mask(bg.frame, params) for bg in bgs])
-    write_frame(union.to_frame(), out_vid / "mask.pgm")
-    return union
-
-
-def process_video(video_dir: Path, out_vid: Path,
-                  cfg: PipelineConfig) -> list[AnomalyEvent]:
-    """Run (or resume) the full per-video pipeline; returns accepted events.
-
-    An existing events.json is the answer, read before the video's frames
-    or detections are looked at. Otherwise one pass: each value
-    (foreground detection columns, backgrounds, road mask, per-window
-    detections) is computed once and handed to the next step. A detector
-    failure skips that window with a warning.
-    """
-    events_path = out_vid / "events.json"
-    if events_path.is_file():
-        return read_json(events_path, list[AnomalyEvent])
-
-    seq = open_sequence(video_dir)
-    foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
-    category = sort_stage(seq, foreground, out_vid, cfg)
-    bgs, bg_paths = background_stage(seq, category, out_vid, cfg)
-    road = mask_stage(bgs, category, out_vid, cfg)
+    road = mask_union([adaptive_road_mask(bg.frame, params) for _, bg in bgs])
+    write_frame(road.to_frame(), out_vid / "mask.pgm")
+    yield road
 
     per_window: list[tuple[float, list[Detection]]] = []
-    with make_detector(cfg, video_dir, out_vid / "backgrounds") as handle:
-        for bg, path in zip(bgs, bg_paths):
+    with make_detector(cfg, video_dir, bg_dir) as handle:
+        for path, bg in bgs:
             try:
                 dets = handle.detect(path, bg.frame)
             except Exception as exc:
                 logger.warning("%s: detector failed on window at %.1fs: %s",
-                               seq.video_id, bg.window_start, exc)
+                               seq().video_id, bg.window_start, exc)
                 dets = []
             per_window.append((bg.window_start, dets))
+    yield per_window
 
+    video = seq()
     events = anomaly.detect_anomalies(
-        road, per_window, foreground,
+        road, per_window, foreground(),
         params=cfg.decision,
         min_overlap=cfg.mask_min_overlap,
-        fps=seq.fps,
-        video_id=seq.video_id,
-        frame_area=seq.width * seq.height,
+        fps=video.fps,
+        video_id=video.video_id,
+        frame_area=video.width * video.height,
     )
-    write_json(events_path, events)
-    return events
+    write_json(out_vid / "events.json", events)
+    yield events
+
+
+def stages(video_dir: Path, out_vid: Path,
+           cfg: PipelineConfig) -> Iterator[tuple[str, object]]:
+    """One video's chain as (stage, value) for each name of STAGES. A
+    `StallwatchError` is raised again as its own type, its message prefixed
+    by the video directory's name and the stage."""
+    chain = _chain(video_dir, out_vid, cfg)
+    for stage in STAGES:
+        try:
+            value = next(chain)
+        except StallwatchError as exc:
+            raise prefixed(exc, f"{video_dir.name}: {stage}") from None
+        yield stage, value
+
+
+def process_video(video_dir: Path, out_vid: Path,
+                  cfg: PipelineConfig) -> list[AnomalyEvent]:
+    """Run (or resume) the whole chain; returns accepted events. An
+    existing events.json is the answer, read before the chain starts."""
+    events_path = out_vid / "events.json"
+    if events_path.is_file():
+        return read_json(events_path, list[AnomalyEvent])
+    return dict(stages(video_dir, out_vid, cfg))["decide"]
 
 
 def run_corpus(corpus_dir: Path, out_dir: Path,

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stallwatch
+from stallwatch import media, pipeline
 from stallwatch.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -130,6 +133,87 @@ class TestStages:
                     "--gt", str(mini_corpus / "gt.csv")]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["f1"] == 1.0
+
+
+def linked_corpus(mini_corpus: Path, corpus: Path, names=("mini_day_stall",)) -> Path:
+    """The mini corpus's video under each of `names`: its small files
+    copied, its frame segments hard-linked, so that a test may overwrite
+    the small files without touching the fixture."""
+    src = mini_corpus / "videos" / "mini_day_stall"
+    corpus.mkdir()
+    shutil.copy(mini_corpus / "gt.csv", corpus)
+    for name in names:
+        video = corpus / "videos" / name
+        video.mkdir(parents=True)
+        for small in ("meta.json", "scene.json", "foreground.jsonl"):
+            shutil.copy(src / small, video)
+        for segment in src.glob("frames_*.pgm"):
+            os.link(segment, video / segment.name)
+    return corpus
+
+
+def tree_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under `root`, keyed by its relative path."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestStageChain:
+    def test_chain_error_names_the_video_and_stage(self, mini_corpus, tmp_path,
+                                                   capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        (corpus / "videos" / "mini_day_stall" / "foreground.jsonl").write_text("")
+        assert run(["sort", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "sort: InsufficientData: mini_day_stall: sort: detections span 0" in err
+
+    def test_staged_commands_read_only_what_their_stage_needs(
+            self, mini_corpus, tmp_path, capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        filled = tree_digests(out)
+        video = corpus / "videos" / "mini_day_stall"
+        for name in ("meta.json", "foreground.jsonl"):
+            (video / name).write_text("not json {")
+        for stage in ("sort", "background", "mask"):
+            assert run([stage, "--corpus", str(corpus),
+                        "--out", str(out)]) == EXIT_OK, capsys.readouterr().err
+            assert tree_digests(out) == filled
+
+    def test_sort_opens_and_parses_once_per_video(self, mini_corpus, tmp_path,
+                                                  monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(path):
+                calls[name, str(path)] += 1
+                return fn(path)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "open_sequence",
+                            counted("open", media.open_sequence))
+        monkeypatch.setattr(pipeline, "read_detections",
+                            counted("parse", media.read_detections))
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        assert run(["sort", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "out")]) == EXIT_OK
+        videos = [corpus / "videos" / name for name in ("a", "b")]
+        assert calls == {
+            **{("open", str(video)): 1 for video in videos},
+            **{("parse", str(video / "foreground.jsonl")): 1 for video in videos}}
+
+    def test_staged_run_writes_the_bytes_of_run_all(self, mini_corpus, tmp_path):
+        staged, chained = tmp_path / "staged", tmp_path / "chained"
+        for stage in ("sort", "background", "mask", "detect"):
+            assert run([stage, "--corpus", str(mini_corpus),
+                        "--out", str(staged)]) == EXIT_OK
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(chained)]) == EXIT_OK
+        want = tree_digests(chained)
+        del want["manifest.json"], want["score.json"]
+        assert tree_digests(staged) == want
 
 
 def test_cli_import_loads_no_scipy():

@@ -369,6 +369,21 @@ class TestSequence:
         with pytest.raises(DimensionMismatch):
             seq.frame(1)
 
+    @pytest.mark.parametrize("damage,error", [
+        # frame 5's record of 15 bytes starts at byte 75 of segment 0
+        (lambda data: data[:75] + b"X" + data[76:], "bad magic b'X5', expected P5"),
+        (lambda data: data[:75 + 11 + 2], "truncated raster: 2 of 4 bytes"),
+    ], ids=["bad-magic", "truncated-raster"])
+    def test_read_error_names_frame_segment_and_offset(self, tmp_path, damage,
+                                                       error):
+        self._write(tmp_path, 20)
+        seq = open_sequence(tmp_path)
+        segment = tmp_path / "frames_000000.pgm"
+        segment.write_bytes(damage(segment.read_bytes()))
+        with pytest.raises(ParseError) as info:
+            seq.frame(5)
+        assert str(info.value) == f"frame 5: {segment} at byte 75: {error}"
+
 
 class TestDetections:
     def test_single_line(self, tmp_path):
