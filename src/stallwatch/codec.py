@@ -18,12 +18,15 @@ rejects unknown keys itself before decoding. A value that does not fit
 its type raises `ParseError`.
 
 `dumps` is the one on-disk format: sorted keys, indent 2, final newline.
+`write_json` replaces its file atomically, through `write_atomic`, which
+`media.write_frame` also uses.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import types
 import typing
 from dataclasses import MISSING, Field, fields, is_dataclass
@@ -124,8 +127,25 @@ def dumps(value) -> str:
     return json.dumps(encode(value), sort_keys=True, indent=2) + "\n"
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a new file beside `path`, then rename it over `path`:
+    a reader, or the next run, sees the old file or the new one, never a
+    torn one. If the write fails, the new file is removed and the error
+    raised. The rename is not synced to disk, so a power cut may still lose
+    it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, value) -> None:
-    Path(path).write_text(dumps(value))
+    write_atomic(path, dumps(value).encode())
 
 
 def read_json(path: str | Path, cls):

@@ -35,7 +35,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import read_json, write_atomic, write_json
 from .errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -200,11 +200,12 @@ def _header(width: int, height: int) -> bytes:
 
 
 def write_frame(frame: Frame, dest: str | Path | BinaryIO) -> None:
-    """`frame` as one PGM image: the whole file at path `dest`, or appended
-    to `dest` when that is a file open for binary writing."""
+    """`frame` as one PGM image: the whole file at path `dest`, replaced
+    atomically (`codec.write_atomic`), or appended to `dest` when that is a
+    file open for binary writing."""
     data = _header(frame.width, frame.height) + frame.pixels.tobytes()
     if isinstance(dest, (str, os.PathLike)):
-        Path(dest).write_bytes(data)
+        write_atomic(dest, data)
     else:
         dest.write(data)
 

@@ -13,16 +13,18 @@ thread per video of a short corpus. Each video draws from its own generator
 and writes only into its own directory, and ground truth is collected in
 spec order, so the corpus is byte-identical whatever the thread scheduling.
 Threads pay off because the per-frame numpy calls run without the GIL: the
-uint8 index draw (`Generator.integers`), the noise table lookup, the
-float32 add, `rint`, `clip` and the uint8 cast. Checked, not assumed, on
-numpy 2.4: while one thread makes one such call on a 100-frame array
-(15-60 ms), a second thread running Python code is never stalled for more
+uint16 pair draw (`Generator.integers`), the pair table `take`, the float32
+multiply and add, `rint`, `clip` and the uint8 cast. Checked, not assumed,
+on numpy 2.4: while one thread makes one such call on a 100-frame array
+(13-35 ms), a second thread running Python code is never stalled for more
 than 8 ms (the interpreter's 5 ms switch interval plus scheduling), where a
-call that holds the GIL (`sorted` on a list, 80 ms) stalls it for 56 ms.
+call that holds the GIL (`sorted` on a list, 65-95 ms) stalls it for the
+whole call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -55,6 +57,25 @@ FOREGROUND_FILE = "foreground.jsonl"
 # bounded at +-2.89.
 NOISE_QUANTILES = np.array(
     [NormalDist().inv_cdf((i + 0.5) / 256) for i in range(256)], dtype=np.float32)
+
+
+@functools.cache
+def _noise_pairs() -> np.ndarray:
+    """The noise of two pixels for each uint16 value j, as one 8-byte item:
+    float32 `NOISE_QUANTILES[j & 255]`, then `NOISE_QUANTILES[j >> 8]`
+    (512 KiB, built on first use).
+
+    numpy fills a uint8 or uint16 draw of the full range from 32-bit words,
+    low bits first, and drops the rest of the last word of each call. So
+    the low byte of uint16 draw j is uint8 draw 2j, its high byte is uint8
+    draw 2j + 1, and both draws leave the generator in the same state:
+    `render_frame` draws half as many uint16 values as it has pixels
+    (rounded up) and gets the pixels of a one-per-pixel uint8 draw.
+    """
+    pairs = np.empty((256, 256, 2), dtype=np.float32)  # [high, low, pixel]
+    pairs[:, :, 0] = NOISE_QUANTILES
+    pairs[:, :, 1] = NOISE_QUANTILES[:, None]
+    return pairs.view(np.uint64).reshape(1 << 16)
 
 
 @dataclass(frozen=True)
@@ -160,9 +181,17 @@ def _validate(spec: SceneSpec) -> None:
     if not 0 <= spec.noise_sigma < math.inf:
         raise InvalidSpec(f"noise_sigma must be non-negative and finite, got "
                           f"{spec.noise_sigma}")
+    for kind, rects in (("road band", spec.bands),
+                        ("parked vehicle", spec.offroad_parked)):
+        for r in rects:
+            if not (r.w > 0 and r.h > 0 and 0 <= r.x and r.x + r.w <= spec.width
+                    and 0 <= r.y and r.y + r.h <= spec.height):
+                raise InvalidSpec(f"{kind} {r.w}x{r.h} at ({r.x}, {r.y}) empty or "
+                                  f"not fully inside the {spec.width}x{spec.height} "
+                                  f"frame")
     for v in spec.vehicles:
-        if v.width > spec.width or v.height > spec.height:
-            raise InvalidSpec(f"vehicle {v.width}x{v.height} larger than frame")
+        if not (0 < v.width <= spec.width and 0 < v.height <= spec.height):
+            raise InvalidSpec(f"vehicle {v.width}x{v.height} empty or larger than frame")
         if v.axis not in ("h", "v"):
             raise InvalidSpec(f"vehicle axis must be 'h' or 'v', got {v.axis!r}")
         if v.speed <= 0:
@@ -209,24 +238,37 @@ def render_frame(spec: SceneSpec, base: np.ndarray, t: float,
     """The frame at time t and the (box, class label) of each vehicle drawn.
 
     The frame is composed in place in one float32 buffer: with several
-    videos rendering at once, per-frame temporaries add up.
+    videos rendering at once, per-frame temporaries add up. Its pixels are
+    those of one uint8 draw per pixel looked up in `NOISE_QUANTILES`, scaled
+    by the spec's sigma and added to `base` with the vehicles drawn in, but
+    the draw and the lookup go two pixels at a time: see `_noise_pairs`.
     """
-    canvas = base.copy()
-    drawn: list[tuple[BBox, str]] = []
-    for v in spec.vehicles:
-        box = v.box_at(t, spec.width, spec.height)
-        if box is None:
-            continue
-        canvas[box.y : box.y2, box.x : box.x2] = v.intensity
-        drawn.append((box, v.class_label))
+    shown = [(box, v) for v in spec.vehicles
+             if (box := v.box_at(t, spec.width, spec.height)) is not None]
     if spec.noise_sigma > 0:
-        # indexing, not `take`: `take` first copies the indices to intp, 8
-        # bytes a pixel per rendering thread
-        idx = rng.integers(0, 256, size=canvas.shape, dtype=np.uint8)
-        canvas += (NOISE_QUANTILES * np.float32(spec.noise_sigma))[idx]
+        n = base.size
+        pairs = rng.integers(0, 1 << 16, size=(n + 1) // 2, dtype=np.uint16)
+        buffer = np.empty(n + n % 2, dtype=np.float32)
+        # `take`, not indexing: 40% faster here, though it first copies the
+        # indices to intp. "wrap" cannot change a uint16 index; the default
+        # "raise" copies through a second buffer at twice the cost
+        np.take(_noise_pairs(), pairs, out=buffer.view(np.uint64), mode="wrap")
+        canvas = buffer[:n].reshape(base.shape)
+        canvas *= np.float32(spec.noise_sigma)
+        # a vehicle's pixels are its intensity plus their noise, as if it
+        # had been drawn into `base`; the last one drawn wins
+        patches = [canvas[box.y : box.y2, box.x : box.x2] + np.float32(v.intensity)
+                   for box, v in shown]
+        canvas += base
+        for (box, _), patch in zip(shown, patches):
+            canvas[box.y : box.y2, box.x : box.x2] = patch
+    else:
+        canvas = base.copy()
+        for box, v in shown:
+            canvas[box.y : box.y2, box.x : box.x2] = v.intensity
     np.rint(canvas, out=canvas)
     np.clip(canvas, 0, 255, out=canvas)
-    return Frame(canvas.astype(np.uint8)), drawn
+    return Frame(canvas.astype(np.uint8)), [(box, v.class_label) for box, v in shown]
 
 
 def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:

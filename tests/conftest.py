@@ -44,16 +44,18 @@ def columns(dets: list[Detection]) -> Detections:
 
 @pytest.fixture(scope="session")
 def timed_acceptance_corpus(tmp_path_factory):
-    """The 12-video synthetic corpus, generated once per session, and the
-    seconds its rendering took. Removed at the end of the session: it is
+    """The 12-video synthetic corpus, generated once per session, then the
+    wall seconds and the process CPU seconds (every thread) its rendering
+    took, and its frame count. Removed at the end of the session: it is
     about 2.8 GB, and pytest keeps the base temp directories of the last
     three sessions."""
-    from stallwatch.synth import corpus
+    from stallwatch.synth import corpus, corpus_specs
 
     root = tmp_path_factory.mktemp("corpus")
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     corpus(root, seed=0)
-    yield root, time.perf_counter() - t0
+    wall_s, cpu_s = time.perf_counter() - t0, time.process_time() - cpu0
+    yield root, wall_s, cpu_s, sum(spec.frame_count for spec in corpus_specs(0))
     shutil.rmtree(root)
 
 

@@ -76,7 +76,7 @@ def test_criterion_1_metric_reconstruction(report_line):
 def test_criterion_2_synthetic_end_to_end(full_run, timed_acceptance_corpus,
                                           report_line):
     out, manifest, elapsed = full_run
-    render_s = timed_acceptance_corpus[1]
+    _, render_s, render_cpu_s, frames = timed_acceptance_corpus
     score = manifest["score"]
     parked_vids = [name for name, *_ in CORPUS_PRESETS if "parked" in name]
     parked_preds = sum(
@@ -89,7 +89,8 @@ def test_criterion_2_synthetic_end_to_end(full_run, timed_acceptance_corpus,
                        f"rmse={score['rmse']:.2f}s (limit 30), "
                        f"{parked_preds} predictions on parked-distractor videos, "
                        f"runtime {elapsed:.1f}s (limit 120); "
-                       f"corpus render {render_s:.1f}s (reported only)")
+                       f"corpus render {render_s:.1f}s, {frames / render_s:.0f} "
+                       f"frames/s, {render_cpu_s:.1f} CPU s (reported only)")
 
 
 def test_criterion_3_median_oracle(report_line):

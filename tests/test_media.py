@@ -1,11 +1,15 @@
 import json
 import re
+import resource
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stallwatch.codec import write_json
 from stallwatch.errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -659,3 +663,45 @@ class TestGroundTruth:
         path.write_text("video_id,start_seconds,end_seconds\nv1,abc,10\n")
         with pytest.raises(ParseError):
             read_ground_truth(path)
+
+
+@contextmanager
+def file_size_limit(limit: int):
+    """Writes past byte `limit` of any file fail with EFBIG, partway through,
+    as they would on a full disk."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+# each writes an artifact whose size grows with n
+ARTIFACT_WRITERS = {
+    "write_json": lambda path, n: write_json(path, {"values": list(range(n))}),
+    "write_frame": lambda path, n: write_frame(make_frame(np.full((n, 8), 7)), path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS)
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        writer(path, 10)
+        old = path.read_bytes()
+        with file_size_limit(4096), pytest.raises(OSError):
+            writer(path, 10_000)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    @pytest.mark.parametrize("writer", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS)
+    def test_write_replaces_the_file(self, tmp_path, writer):
+        writer(tmp_path / "fresh", 20)
+        path = tmp_path / "artifact"
+        writer(path, 10_000)
+        writer(path, 20)
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "fresh"]

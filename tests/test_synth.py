@@ -21,10 +21,12 @@ from stallwatch.synth import (
     CORPUS_PRESETS,
     NOISE_QUANTILES,
     PALETTES,
+    ParkedVehicle,
     RoadBand,
     SceneSpec,
     VehicleSpec,
     _base_canvas,
+    _noise_pairs,
     corpus,
     generate,
     load_scene,
@@ -112,6 +114,30 @@ class TestSceneValidation:
     def test_non_finite_or_negative_value(self, tmp_path, field, value):
         with pytest.raises(InvalidSpec, match=field):
             generate(small_scene(**{field: value}), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bands,parked", [
+        ((RoadBand(0, 2, 12, 3, 70.0, 3.0),), ()),
+        ((RoadBand(-3, 2, 5, 3, 70.0, 3.0),), ()),
+        ((), (ParkedVehicle(6, 4, 4, 4, 175.0),)),
+        ((RoadBand(0, 2, 0, 3, 70.0, 3.0),), ()),
+        ((RoadBand(2, 2, 3, -1, 70.0, 3.0),), ()),
+    ], ids=["band-past-right-edge", "band-left-of-frame", "parked-past-corner",
+            "band-of-width-0", "band-of-height-minus-1"])
+    def test_scene_outside_the_frame(self, tmp_path, bands, parked):
+        spec = small_scene(width=8, height=6, bands=bands, vehicles=(),
+                           offroad_parked=parked)
+        with pytest.raises(InvalidSpec, match="not fully inside the 8x6 frame"):
+            corpus(tmp_path, specs=[spec])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("width,height", [(0, 3), (3, -1)])
+    def test_empty_vehicle(self, tmp_path, width, height):
+        vehicle = VehicleSpec(width=width, height=height, intensity=25.0, speed=6.0,
+                              spawn=0.0, axis="h", lane=2, direction=1, start=1.0)
+        with pytest.raises(InvalidSpec, match="empty"):
+            corpus(tmp_path, specs=[small_scene(width=8, height=6, bands=(),
+                                                vehicles=(vehicle,))])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -327,6 +353,12 @@ class TestNoiseDraw:
         assert abs(residual.mean()) < 0.02
         assert abs(residual.std() / spec.noise_sigma - 1.0) <= 0.03
 
+    def test_pair_table(self):
+        pairs = _noise_pairs().view(np.float32).reshape(1 << 16, 2)
+        j = np.arange(1 << 16)
+        assert np.array_equal(pairs[:, 0], NOISE_QUANTILES[j & 255])
+        assert np.array_equal(pairs[:, 1], NOISE_QUANTILES[j >> 8])
+
     def test_golden_bytes(self, tmp_path):
         spec = small_scene(duration=0.4)
         generate(spec, tmp_path)
@@ -336,3 +368,75 @@ class TestNoiseDraw:
         for name, data in files.items():
             h.update(name.encode() + b"\0" + data)
         assert h.hexdigest() == GOLDEN_SCENE_SHA256
+
+
+def oracle_frame(spec: SceneSpec, base: np.ndarray, t: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The pixels of `render_frame`, the way it once made them: vehicles
+    drawn into a copy of `base`, then one uint8 draw per pixel looked up in
+    the sigma-scaled quantile table and added."""
+    canvas = base.copy()
+    for v in spec.vehicles:
+        box = v.box_at(t, spec.width, spec.height)
+        if box is not None:
+            canvas[box.y:box.y2, box.x:box.x2] = v.intensity
+    if spec.noise_sigma > 0:
+        idx = rng.integers(0, 256, size=canvas.shape, dtype=np.uint8)
+        canvas += (NOISE_QUANTILES * np.float32(spec.noise_sigma))[idx]
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+
+
+def edge_scene(width: int, height: int, sigma: float) -> SceneSpec:
+    """Vehicles on all four frame edges, two of them overlapping, with
+    intensities near both ends of the pixel range."""
+    def mover(w, h, intensity, axis, lane, direction, start):
+        return VehicleSpec(width=w, height=h, intensity=intensity, speed=1.0,
+                           spawn=0.0, axis=axis, lane=lane, direction=direction,
+                           start=start)
+    return small_scene(
+        width=width, height=height, duration=3.0, fps=4.0, noise_sigma=sigma,
+        seed=width * height,
+        bands=(RoadBand(0, 1, width, 2, 70.0, 3.0),),
+        vehicles=(mover(2, 2, 250.0, "h", 0, 1, 0.0),
+                  mover(3, 3, 128.4, "h", 0, 1, 0.0),
+                  mover(2, 2, 3.3, "h", height - 2, -1, width - 2.0),
+                  mover(3, 2, 1.7, "v", width - 3, 1, 0.0)))
+
+
+class TestNoiseOracle:
+    # pixel counts 12, 25, 30 and 35: every residue mod 4
+    @pytest.mark.parametrize("width,height", [(4, 3), (5, 5), (6, 5), (7, 5)])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 7.5])
+    def test_frames_and_draws_match_the_per_pixel_draw(self, width, height, sigma):
+        spec = edge_scene(width, height, sigma)
+        ours, theirs = (np.random.default_rng(spec.seed) for _ in range(2))
+        base = _base_canvas(spec, ours)
+        _base_canvas(spec, theirs)
+        edges, overlaps = set(), 0
+        for i in range(spec.frame_count):
+            t = i / spec.fps
+            frame, drawn = render_frame(spec, base, t, ours)
+            assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
+            boxes = [box for box, _ in drawn]
+            for b in boxes:
+                edges |= {side for side, on in (
+                    ("left", b.x == 0), ("top", b.y == 0),
+                    ("right", b.x2 == width), ("bottom", b.y2 == height)) if on}
+            overlaps += len(boxes) > 1 and boxes[0].x == boxes[1].x
+        assert edges == {"left", "top", "right", "bottom"} and overlaps > 0
+        # the generators end in the same state, so every later draw agrees
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(0, 256, size=9).tolist() == \
+               theirs.integers(0, 256, size=9).tolist()
+
+    def test_corpus_frame(self):
+        spec = make_scene("oracle", LightingClass.SNOW, True, (1.0, 2.0), True,
+                          seed=5, duration=3.0, fps=2.0)
+        ours, theirs = (np.random.default_rng(spec.seed) for _ in range(2))
+        base = _base_canvas(spec, ours)
+        _base_canvas(spec, theirs)
+        for i in range(spec.frame_count):
+            t = i / spec.fps
+            frame, _ = render_frame(spec, base, t, ours)
+            assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
+        assert ours.bit_generator.state == theirs.bit_generator.state
