@@ -3,6 +3,13 @@ Background estimation: per-window pixel-wise median of randomly sampled frames.
 
 Moving traffic is erased by the median; anything stationary for most of a
 window (including a stalled vehicle) survives into the background image.
+
+The median is selected by a comparator network of `np.minimum` and
+`np.maximum` calls on whole frame rows: Batcher's odd-even merge sort,
+cut to the window's n samples and pruned to what the middle output needs.
+Its plan is built on first use for each n and cached for the process.
+It works in place, so the rows of a `FrameStack` handed to `median_frame`
+are scratch; `background_stream` refills its block for every window.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -21,12 +29,6 @@ from .sorting import VideoCategory
 # a trailing partial window shorter than this share of the nominal window
 # is merged into the previous one instead of producing a tiny median
 MIN_PARTIAL_FRACTION = 0.10
-
-# bytes of the frame stack that one block of `median_frame`'s passes reads
-MEDIAN_BLOCK_BYTES = 256 * 1024
-
-# most bool rows whose per-column sum fits in uint8
-COUNT_CHUNK = 255
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ def sample_indices(window_frames: range, fraction: float, seed: int) -> list[int
 
 class FrameStack(Sequence[Frame]):
     """Frames of one shape held as the rows of one (n, height, width) uint8
-    array, `pixels`; `median_frame` reads them without stacking a copy."""
+    array, `pixels`. `median_frame` selects in place on those rows, without
+    stacking a copy, and leaves them overwritten."""
 
     __slots__ = ("pixels",)
 
@@ -72,23 +75,69 @@ class FrameStack(Sequence[Frame]):
         return Frame(self.pixels[index])
 
 
+def _batcher_pairs(size: int) -> list[tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort of
+    `size` wires, a power of two, in the order they run: each leaves the
+    smaller value on wire i and the larger on wire j."""
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
+@cache
+def _median_plan(n: int) -> tuple[list[tuple], int]:
+    """`median_frame`'s network for n rows: the ufunc calls (f, a, b, out)
+    over row indices 0..n, row n being the spare, and the row that holds
+    the ((n - 1) // 2)-th smallest value once they have run."""
+    size = 1 << (n - 1).bit_length()
+    live = {(n - 1) // 2}
+    kept = []
+    for i, j in reversed(_batcher_pairs(size)):
+        if j < n and (i in live or j in live):
+            kept.append((i, j, i in live, j in live))
+            live |= {i, j}
+    row = list(range(n + 1))  # the row that holds each wire's value
+    ops = []
+    for i, j, keep_min, keep_max in reversed(kept):
+        a, b = row[i], row[j]
+        if keep_min and keep_max:
+            ops += [(np.minimum, a, b, row[n]), (np.maximum, a, b, b)]
+            row[i], row[n] = row[n], a
+        elif keep_min:
+            ops.append((np.minimum, a, b, a))
+        else:
+            ops.append((np.maximum, a, b, b))
+    return ops, row[(n - 1) // 2]
+
+
 def median_frame(frames: Sequence[Frame]) -> Frame:
     """Per-pixel median; even counts take the lower-middle order statistic.
 
     The lower-middle rule keeps every output pixel an 8-bit value that was
     actually observed at that location.
 
-    The order statistic is found by bit-plane selection, most significant
-    bit first: the k-th smallest of n values is the largest v with at most
-    k values below v, so each of the 8 passes tries setting one more bit
-    of the result and keeps it where no more than k values fall below the
-    candidate. This counts along the frame axis of a contiguous stack
-    instead of partitioning every pixel's strided column. The passes run
-    over blocks of MEDIAN_BLOCK_BYTES // n pixels, so that a block of the
-    stack and the scratch of its passes stay in cache.
+    The order statistic is selected by a comparator network applied to
+    whole rows with `np.minimum` and `np.maximum`. The network is Batcher's
+    odd-even merge sort (AFIPS 1968) for the next power of two N >= n,
+    less every comparator that touches a wire at or past n (those wires
+    hold +inf, so the rest sorts n wires), less every comparator the
+    output wire (n - 1) // 2 does not depend on; a kept comparator computes
+    only the side, min or max, that a later one reads. Its plan is built once per n,
+    on first use, and cached (`_median_plan`). It runs in place on the
+    stack's rows and one spare row, and the result row is copied out.
 
-    A `FrameStack` is read in place; frames in any other sequence are
-    first stacked into one.
+    A `FrameStack`'s rows are scratch: they are overwritten, and their
+    values are not kept. Frames in any other sequence are first stacked
+    into a fresh array, so the caller's frames are untouched.
     """
     if not len(frames):
         raise EmptyInput("median of zero frames")
@@ -102,39 +151,11 @@ def median_frame(frames: Sequence[Frame]) -> Frame:
                     f"frame shapes differ: {shape} vs {f.pixels.shape}")
         stack = np.stack([f.pixels for f in frames])
     n = len(stack)
-    flat = stack.reshape(n, -1)
-    size = flat.shape[1]
-    cols = min(size, max(1, MEDIAN_BLOCK_BYTES // n))
-    k = (n - 1) // 2
-    below = np.empty((n, cols), dtype=bool)
-    # holds counts up to n without overflow: uint8 for n <= 255
-    count = np.empty(cols, dtype=np.min_scalar_type(n))
-    # Rows are summed in uint8 chunks of at most COUNT_CHUNK rows and, for
-    # n > COUNT_CHUNK, the chunk sums added into `count`: a uint16 reduce
-    # over uint8 rows goes through numpy's buffered cast at twice the time.
-    chunk = count if n <= COUNT_CHUNK else np.empty(cols, dtype=np.uint8)
-    candidate = np.empty(cols, dtype=np.uint8)
-    result = np.zeros(size, dtype=np.uint8)
-    for lo in range(0, size, cols):
-        values, res = flat[:, lo:lo + cols], result[lo:lo + cols]
-        m = len(res)
-        blw, cnt, chk, cand = below[:, :m], count[:m], chunk[:m], candidate[:m]
-        rows = blw.view(np.uint8)
-        for bit in range(7, -1, -1):
-            np.bitwise_or(res, 1 << bit, out=cand)
-            np.less(values, cand, out=blw)
-            np.add.reduce(rows[:COUNT_CHUNK], axis=0, dtype=np.uint8, out=chk)
-            if n > COUNT_CHUNK:
-                np.copyto(cnt, chk)
-                for r in range(COUNT_CHUNK, n, COUNT_CHUNK):
-                    np.add.reduce(rows[r:r + COUNT_CHUNK], axis=0,
-                                  dtype=np.uint8, out=chk)
-                    cnt += chk
-            # the bit is kept where at most k values fall below the candidate
-            np.less_equal(cnt, k, out=cand.view(bool))
-            cand <<= bit
-            res |= cand
-    return Frame(result.reshape(stack.shape[1:]))
+    ops, result = _median_plan(n)
+    rows = [*stack.reshape(n, -1), np.empty(stack[0].size, dtype=np.uint8)]
+    for f, a, b, out in ops:
+        f(rows[a], rows[b], out=rows[out])
+    return Frame(rows[result].reshape(stack.shape[1:]).copy())
 
 
 def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[int, int]]:

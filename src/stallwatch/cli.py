@@ -3,7 +3,8 @@ Command-line entry point.
 
 Subcommands: synth, sort, background, mask, detect, score, run-all.
 Exit codes: 0 success, 2 bad configuration, 3 missing input,
-64 unknown subcommand, 1 any other stage failure.
+64 unknown subcommand, 1 any other stage failure, including any video
+that detect or run-all could not finish (the others are still scored).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
-from .codec import dumps
+from .codec import dumps, encode
 from .config import PipelineConfig
 from .errors import ConfigError, StallwatchError
 
@@ -99,13 +100,14 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
 
     stage = args.subcommand
+    failures = []
     try:
         if "corpus" in vars(args):
             _require(args.corpus, "corpus directory")
         if stage == "synth":
             synth.corpus(args.out, seed=cfg.seed)
         elif stage == "detect":
-            pipeline.run_corpus(args.corpus, args.out, cfg)
+            failures = encode(pipeline.run_corpus(args.corpus, args.out, cfg))
         elif stage in pipeline.STAGES:
             for video_dir in pipeline.corpus_video_dirs(args.corpus):
                 for done, _ in pipeline.stages(video_dir, args.out / video_dir.name,
@@ -120,6 +122,7 @@ def run(argv: list[str]) -> int:
         elif stage == "run-all":
             manifest = pipeline.run_all(args.corpus, args.out, cfg)
             sys.stdout.write(dumps(manifest))
+            failures = manifest["failures"]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FAILURE
     except FileNotFoundError as exc:
@@ -131,7 +134,9 @@ def run(argv: list[str]) -> int:
     except StallwatchError as exc:
         print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    return EXIT_OK
+    for failure in failures:
+        print(f"{stage}: {failure['error']}", file=sys.stderr)
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def main() -> None:

@@ -15,16 +15,21 @@ image's file and its pixels; each kind uses the one it needs:
                       one line ``{"detections": [{"class": ..., "score": ...,
                       "bbox": [x, y, w, h]}, ...]}``. On startup the bridge
                       sends ``{"ping": 1}`` and expects ``{"ready": true}``.
+                      A request unanswered within the timeout kills the
+                      child; it is started again, once, and the request
+                      retried. If that fails too, `DetectorTimeout` is
+                      raised, and the pipeline fails the video.
 
 Detections are filtered to the configured vehicle classes. A kept box that
 reaches past the image's edges raises `DetectionOutOfFrame`, naming the box
 and the image; the pipeline then skips that window, like any detector
-failure.
+failure but a `DetectorTimeout`.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import subprocess
 import threading
@@ -38,6 +43,7 @@ from .errors import (
     DetectorTimeout,
     MissingDetections,
     ProtocolError,
+    StallwatchError,
 )
 from .media import Frame, read_detections, _detection_from_obj, Detection
 from .synth import SceneSpec, static_boxes
@@ -46,6 +52,8 @@ from .synth import SceneSpec, static_boxes
 VEHICLE_CLASSES = ("car", "truck", "bus")
 TIMEOUT_S = 30.0
 ORACLE_MATCH_TOLERANCE = 6.0
+
+logger = logging.getLogger(__name__)
 
 
 class DetectorHandle:
@@ -120,22 +128,22 @@ class ExternalProcessDetector(DetectorHandle):
 
     def __init__(self, command: list[str], timeout: float = TIMEOUT_S,
                  vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES):
+        self.command = command
         self.timeout = timeout
         self.vehicle_classes = vehicle_classes
+        self._start()
+
+    def _start(self) -> None:
+        """Start the child, with a reader thread and line queue of its own,
+        and shake hands with it."""
         self._proc = subprocess.Popen(
-            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            bufsize=1,
+            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True, bufsize=1,
         )
         self._lines: queue.Queue[str | None] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        threading.Thread(target=_pump, args=(self._proc.stdout, self._lines),
+                         daemon=True).start()
         self._handshake()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
 
     def _roundtrip(self, request: dict) -> dict:
         assert self._proc.stdin is not None
@@ -165,7 +173,18 @@ class ExternalProcessDetector(DetectorHandle):
             raise ProtocolError(f"bad handshake reply: {reply}")
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
-        reply = self._roundtrip({"image": str(path)})
+        request = {"image": str(path)}
+        try:
+            reply = self._roundtrip(request)
+        except DetectorTimeout as exc:
+            logger.warning("%s: %s; restarting the detector", path, exc)
+            try:
+                self._start()
+                reply = self._roundtrip(request)
+            except (StallwatchError, OSError) as again:
+                self.close()
+                raise DetectorTimeout(
+                    f"{path}: {exc}, then after a restart: {again}") from again
         if "detections" not in reply or not isinstance(reply["detections"], list):
             raise ProtocolError(f"response missing detections list: {reply}")
         out = []
@@ -187,3 +206,10 @@ class ExternalProcessDetector(DetectorHandle):
                 self._proc.wait(timeout=5)
             except Exception:
                 self._proc.kill()
+
+
+def _pump(lines, out: queue.Queue) -> None:
+    """Put each line of a child's output on `out`, then None at its end."""
+    for line in lines:
+        out.put(line)
+    out.put(None)

@@ -2,7 +2,10 @@
 
 
 class StallwatchError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors. `stage` names the pipeline stage
+    that raised it, once `pipeline.stages` has seen it go by."""
+
+    stage: str | None = None
 
 
 # --- file formats / parsing ---

@@ -9,6 +9,11 @@ and mask commands stop after their stage. The chain's inputs, the frame
 sequence and the foreground detection columns, are opened on first use,
 so a stage that reuses its artifact reads nothing upstream of it.
 
+`run_corpus` runs every video's chain. A `StallwatchError` fails that
+video only: it is returned as a `VideoFailure` (video, stage, error),
+which run-all lists in manifest.json, and the other videos are still
+predicted and scored.
+
 category.json, backgrounds/ and events.json are reused when an earlier
 invocation left them, so rerunning a later stage gives the same result as
 one chained run; a video with events.json is answered before its chain
@@ -24,7 +29,7 @@ Output layout, per corpus:
       <video_id>/events.json
       predictions.csv
       score.json          (when gt.csv is available)
-      manifest.json       (run-all only)
+      manifest.json       (run-all only; lists the failed videos)
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .detector import (
     OracleDetector,
     PrecomputedDetector,
 )
-from .errors import MissingMetadata, StallwatchError, prefixed
+from .errors import DetectorTimeout, MissingMetadata, StallwatchError, prefixed
 from .media import (
     AnomalyEvent,
     Detection,
@@ -99,6 +104,15 @@ class BackgroundWindow:
 @dataclass(frozen=True)
 class BackgroundIndex:
     windows: list[BackgroundWindow]
+
+
+@dataclass(frozen=True)
+class VideoFailure:
+    """One entry of manifest.json's failures: a video whose chain raised."""
+
+    video: str
+    stage: str
+    error: str
 
 
 # --- the per-video stage chain ----------------------------------------------
@@ -154,6 +168,8 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
         for path, bg in bgs:
             try:
                 dets = handle.detect(path, bg.frame)
+            except DetectorTimeout:
+                raise  # the handle has already restarted the detector once
             except Exception as exc:
                 logger.warning("%s: detector failed on window at %.1fs: %s",
                                seq().video_id, bg.window_start, exc)
@@ -174,6 +190,15 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     yield events
 
 
+def _at_stage(exc: StallwatchError, video_dir: Path,
+              stage: str) -> StallwatchError:
+    """`exc` with its message prefixed by the video directory's name and
+    `stage`, which it also carries as `stage`. Raise it `from None`."""
+    err = prefixed(exc, f"{video_dir.name}: {stage}")
+    err.stage = stage
+    return err
+
+
 def stages(video_dir: Path, out_vid: Path,
            cfg: PipelineConfig) -> Iterator[tuple[str, object]]:
     """One video's chain as (stage, value) for each name of STAGES. A
@@ -184,7 +209,7 @@ def stages(video_dir: Path, out_vid: Path,
         try:
             value = next(chain)
         except StallwatchError as exc:
-            raise prefixed(exc, f"{video_dir.name}: {stage}") from None
+            raise _at_stage(exc, video_dir, stage) from None
         yield stage, value
 
 
@@ -194,24 +219,41 @@ def process_video(video_dir: Path, out_vid: Path,
     existing events.json is the answer, read before the chain starts."""
     events_path = out_vid / "events.json"
     if events_path.is_file():
-        return read_json(events_path, list[AnomalyEvent])
+        try:
+            return read_json(events_path, list[AnomalyEvent])
+        except StallwatchError as exc:
+            raise _at_stage(exc, video_dir, "decide") from None
     return dict(stages(video_dir, out_vid, cfg))["decide"]
 
 
+def _events_or_failure(video_dir: Path, out_vid: Path, cfg: PipelineConfig
+                       ) -> list[AnomalyEvent] | VideoFailure:
+    """`process_video`, with a `StallwatchError` returned as the video's
+    failure rather than raised."""
+    try:
+        return process_video(video_dir, out_vid, cfg)
+    except StallwatchError as exc:
+        return VideoFailure(video_dir.name, exc.stage,
+                            f"{type(exc).__name__}: {exc}")
+
+
 def run_corpus(corpus_dir: Path, out_dir: Path,
-               cfg: PipelineConfig) -> list[AnomalyEvent]:
-    """Per-video pipelines over the whole corpus; writes predictions.csv."""
+               cfg: PipelineConfig) -> list[VideoFailure]:
+    """Per-video pipelines over the whole corpus; writes predictions.csv
+    from the videos that finished and returns those that failed."""
     dirs = corpus_video_dirs(corpus_dir)
     args = (dirs, [out_dir / d.name for d in dirs], [cfg] * len(dirs))
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_video = list(pool.map(process_video, *args))
+            per_video = list(pool.map(_events_or_failure, *args))
     else:
-        per_video = list(map(process_video, *args))
-    events = [ev for video_events in per_video for ev in video_events]
+        per_video = list(map(_events_or_failure, *args))
+    failures = [r for r in per_video if isinstance(r, VideoFailure)]
+    events = [ev for r in per_video if not isinstance(r, VideoFailure)
+              for ev in r]
     events.sort(key=lambda e: (e.video_id, e.start, e.end))
     write_predictions(events, out_dir / "predictions.csv")
-    return events
+    return failures
 
 
 def score_corpus(pred_path: Path, gt_path: Path, out_path: Path | None = None
@@ -249,7 +291,7 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
     timings["hash_inputs"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_corpus(corpus_dir, out_dir, cfg)
+    failures = run_corpus(corpus_dir, out_dir, cfg)
     timings["pipeline"] = time.perf_counter() - t0
 
     gt_path = corpus_dir / "gt.csv"
@@ -266,6 +308,7 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
         "input_hash": input_hash,
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "score": encode(report),
+        "failures": encode(failures),
     }
     write_json(out_dir / "manifest.json", manifest)
     return manifest

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stallwatch.background import (
-    MEDIAN_BLOCK_BYTES,
     MIN_PARTIAL_FRACTION,
     FrameStack,
     background_stream,
@@ -102,22 +101,39 @@ class TestMedian:
         frames = [make_frame(np.full((2, 3), value))] * n
         assert median_frame(frames) == make_frame(np.full((2, 3), value))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 61, 255, 256, 300])
-    def test_blocks_match_sort_oracle(self, rng, n):
-        # two full pixel blocks and a partial third one
-        cols = MEDIAN_BLOCK_BYTES // n
-        shape = (2, cols + 3)
-        assert (shape[0] * shape[1]) % cols != 0
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_every_zero_one_column(self, n):
+        # 0-1 principle: a comparator network that selects the k-th smallest
+        # of every 0/1 input selects it of every input. Column c holds the
+        # bits of c; its k-th smallest is 1 iff at most k of its bits are 0.
+        columns = np.arange(2**n)
+        bits = (columns >> np.arange(n)[:, None]) & 1
+        ones = bits.sum(axis=0)
+        want = (ones >= n - (n - 1) // 2).astype(np.uint8)
+        stack = bits.astype(np.uint8).reshape(n, 1, 2**n)
+        assert median_frame(FrameStack(stack)) == Frame(want[None, :])
+
+    @pytest.mark.parametrize("n, shape", [(6, (240, 320)), (60, (240, 320)),
+                                          (300, (7, 11))])
+    def test_benchmark_shapes_match_sort_oracle(self, rng, n, shape):
+        # the corpus's windows of 6 and 60 samples, and a 10 fps
+        # intersection's 300 on a small frame
         stack = rng.integers(0, 256, (n, *shape), dtype=np.uint8)
         want = np.sort(stack, axis=0)[(n - 1) // 2]
         assert median_frame(FrameStack(stack)) == Frame(want)
 
-    @pytest.mark.parametrize("n", [1, 4, 33])
+    @pytest.mark.parametrize("n", [1, 2, 4, 33, 60])
     def test_list_and_stack_agree(self, rng, n):
         stack = rng.integers(0, 256, (n, 9, 13), dtype=np.uint8)
-        from_list = median_frame([Frame(s) for s in stack])
-        assert from_list == median_frame(FrameStack(stack))
+        frames = [Frame(s.copy()) for s in stack]
+        from_list = median_frame(frames)
+        # the caller's frames are untouched; a FrameStack's rows are
+        # scratch, so its result must not be one of them
+        assert frames == [Frame(s) for s in stack]
+        from_stack = median_frame(FrameStack(stack))
+        assert from_list == from_stack
         assert not np.shares_memory(from_list.pixels, stack)
+        assert not np.shares_memory(from_stack.pixels, stack)
 
     def test_stack_is_a_sequence_of_frames(self, rng):
         stack = FrameStack(rng.integers(0, 256, (3, 2, 4), dtype=np.uint8))

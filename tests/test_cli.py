@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stallwatch
-from stallwatch import media, pipeline
+from stallwatch import media, pipeline, synth
 from stallwatch.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -214,6 +215,129 @@ class TestStageChain:
         want = tree_digests(chained)
         del want["manifest.json"], want["score.json"]
         assert tree_digests(staged) == want
+
+
+def stall_detector(tmp_path: Path, corpus: Path, hangs: str) -> Path:
+    """A config whose external detector, given 0.5 s a request, sleeps on
+    each image for which `hangs`, the source of `def hangs(image)`, returns
+    true, and answers any other with the mini corpus's stall box."""
+    scene = synth.load_scene(corpus / "videos" / "mini_day_stall" / synth.SCENE_FILE)
+    (box, _, label), = synth.static_boxes(scene)
+    stall = {"class": label, "score": 1.0, "bbox": [box.x, box.y, box.w, box.h]}
+    script = tmp_path / "detector.py"
+    script.write_text(textwrap.dedent(hangs) + textwrap.dedent(f"""
+        import json, sys, time
+        for line in sys.stdin:
+            req = json.loads(line)
+            if "ping" in req:
+                print(json.dumps({{"ready": True}}), flush=True)
+                continue
+            if hangs(req["image"]):
+                time.sleep(60)
+            print(json.dumps({{"detections": [{stall!r}]}}), flush=True)
+    """))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": {
+        "kind": "external", "command": [sys.executable, str(script)],
+        "timeout": 0.5}}))
+    return cfg
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_video_fails_alone(self, mini_corpus, tmp_path, capsys, jobs):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        (corpus / "videos" / "bad" / "foreground.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run(["--jobs", str(jobs), "run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        printed = capsys.readouterr()
+        error = ("InsufficientData: bad: sort: detections span 0 frame(s), "
+                 "need >= 2")
+        assert f"run-all: {error}" in printed.err
+        manifest = json.loads(printed.out)
+        assert manifest["failures"] == [
+            {"video": "bad", "stage": "sort", "error": error}]
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        assert manifest["score"]["tp"] == 1
+        assert json.loads((out / "score.json").read_text()) == manifest["score"]
+
+        # the other video's results are those of a corpus without the bad one
+        alone = tmp_path / "alone"
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(alone)]) == EXIT_OK
+        assert ((out / "predictions.csv").read_bytes()
+                == (alone / "predictions.csv").read_bytes())
+
+    def test_corrupt_events_file_fails_at_the_decide_stage(self, mini_corpus,
+                                                           tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        (out / "mini_day_stall" / "events.json").write_text("[{")
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failure, = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["video"], failure["stage"]) == ("mini_day_stall", "decide")
+        assert failure["error"].startswith(
+            "ParseError: mini_day_stall: decide: ")
+
+    def test_detect_command_fails_the_bad_video_only(self, mini_corpus, tmp_path,
+                                                     capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        (corpus / "videos" / "bad" / "foreground.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        assert "detect: InsufficientData: bad: sort: " in capsys.readouterr().err
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+
+    def test_detector_hung_once_is_restarted(self, mini_corpus, tmp_path, capsys):
+        # the first image request hangs; every window still gets detections,
+        # so the run predicts what the oracle detector predicts
+        cfg = stall_detector(tmp_path, mini_corpus, f"""
+            import os
+            def hangs(image):
+                if os.path.exists({str(tmp_path / "hung")!r}):
+                    return False
+                open({str(tmp_path / "hung")!r}, "w").close()
+                return True
+        """)
+        out, oracle = tmp_path / "out", tmp_path / "oracle"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        assert (tmp_path / "hung").exists()
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(oracle)]) == EXIT_OK
+        assert ((out / "predictions.csv").read_bytes()
+                == (oracle / "predictions.csv").read_bytes())
+        assert len(read_predictions(out / "predictions.csv")) == 1
+
+    def test_detector_that_always_hangs_fails_its_video_only(
+            self, mini_corpus, tmp_path, capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("hangs", "mini_day_stall"))
+        cfg = stall_detector(tmp_path, corpus, """
+            def hangs(image):
+                return "/hangs/" in image
+        """)
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        manifest = json.loads(capsys.readouterr().out)
+        failure, = manifest["failures"]
+        assert (failure["video"], failure["stage"]) == ("hangs", "detect")
+        assert failure["error"].startswith("DetectorTimeout: hangs: detect: ")
+        assert "after a restart" in failure["error"]
+        assert not (out / "hangs" / "events.json").exists()
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        assert manifest["score"]["tp"] == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -142,6 +142,42 @@ class TestExternal:
             handle = ExternalProcessDetector(cmd, timeout=0.5)
             handle.detect("/some/frame.pgm", BLANK)
 
+    def test_timeout_restarts_the_child_and_retries_the_request(self, tmp_path):
+        # the first image request hangs; the restarted child answers it
+        cmd = child_script(tmp_path, """
+            import json, os, sys, time
+            for line in sys.stdin:
+                req = json.loads(line)
+                if "ping" in req:
+                    print(json.dumps({"ready": True}), flush=True)
+                    continue
+                if not os.path.exists(sys.argv[1]):
+                    open(sys.argv[1], "w").close()
+                    time.sleep(60)
+                dets = [{"class": "car", "score": 0.9, "bbox": [10, 10, 20, 20]}]
+                print(json.dumps({"detections": dets}), flush=True)
+        """) + [str(tmp_path / "hung")]
+        with ExternalProcessDetector(cmd, timeout=0.5) as handle:
+            got = [handle.detect(f"/some/frame{i}.pgm", BLANK) for i in range(3)]
+        assert got == [[Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]] * 3
+
+    def test_timeout_after_the_restart_is_raised(self, tmp_path):
+        starts = tmp_path / "starts"
+        cmd = child_script(tmp_path, """
+            import json, sys, time
+            with open(sys.argv[1], "a") as starts:
+                starts.write("started\\n")
+            for line in sys.stdin:
+                if "ping" in json.loads(line):
+                    print(json.dumps({"ready": True}), flush=True)
+                else:
+                    time.sleep(60)
+        """) + [str(starts)]
+        handle = ExternalProcessDetector(cmd, timeout=0.5)
+        with pytest.raises(DetectorTimeout, match=r"frame\.pgm: .*after a restart"):
+            handle.detect("/some/frame.pgm", BLANK)
+        assert starts.read_text() == "started\n" * 2
+
     def test_garbage_response(self, tmp_path):
         cmd = child_script(tmp_path, """
             import json, sys
