@@ -28,6 +28,7 @@ failure but a `DetectorTimeout`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import queue
@@ -135,22 +136,28 @@ class ExternalProcessDetector(DetectorHandle):
 
     def _start(self) -> None:
         """Start the child, with a reader thread and line queue of its own,
-        and shake hands with it."""
+        and shake hands with it; a failed handshake closes the child."""
         self._proc = subprocess.Popen(
             self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, bufsize=1,
         )
         self._lines: queue.Queue[str | None] = queue.Queue()
-        threading.Thread(target=_pump, args=(self._proc.stdout, self._lines),
-                         daemon=True).start()
-        self._handshake()
+        self._reader = threading.Thread(
+            target=_pump, args=(self._proc.stdout, self._lines), daemon=True)
+        self._reader.start()
+        try:
+            reply = self._roundtrip({"ping": 1})
+            if reply.get("ready") is not True:
+                raise ProtocolError(f"bad handshake reply: {reply}")
+        except BaseException:
+            self.close()
+            raise
 
     def _roundtrip(self, request: dict) -> dict:
-        assert self._proc.stdin is not None
         try:
             self._proc.stdin.write(json.dumps(request) + "\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: closed by `close`
             raise ProtocolError(f"detector process is gone: {exc}") from exc
         try:
             line = self._lines.get(timeout=self.timeout)
@@ -158,6 +165,7 @@ class ExternalProcessDetector(DetectorHandle):
             self.close()
             raise DetectorTimeout(f"no response within {self.timeout}s")
         if line is None:
+            self._lines.put(None)  # the output stays closed for later requests
             raise ProtocolError("detector process closed its output")
         try:
             obj = json.loads(line)
@@ -166,11 +174,6 @@ class ExternalProcessDetector(DetectorHandle):
         if not isinstance(obj, dict):
             raise ProtocolError("response must be a JSON object")
         return obj
-
-    def _handshake(self) -> None:
-        reply = self._roundtrip({"ping": 1})
-        if reply.get("ready") is not True:
-            raise ProtocolError(f"bad handshake reply: {reply}")
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
         request = {"image": str(path)}
@@ -198,18 +201,21 @@ class ExternalProcessDetector(DetectorHandle):
         return out
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                if self._proc.stdin:
-                    self._proc.stdin.close()
-                self._proc.terminate()
-                self._proc.wait(timeout=5)
-            except Exception:
-                self._proc.kill()
+        """Reap the child and join the reader thread, which closes its output."""
+        with contextlib.suppress(OSError):  # input a dead child never read
+            self._proc.stdin.close()
+        self._proc.terminate()  # a no-op once the child is reaped
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._reader.join(timeout=5)  # a grandchild may hold the output open
 
 
 def _pump(lines, out: queue.Queue) -> None:
-    """Put each line of a child's output on `out`, then None at its end."""
-    for line in lines:
-        out.put(line)
+    """Put each line of a child's output on `out`, then None; close it."""
+    with lines:
+        for line in lines:
+            out.put(line)
     out.put(None)

@@ -14,10 +14,6 @@ class ParseError(StallwatchError):
     pass
 
 
-class UnsupportedFormat(StallwatchError):
-    pass
-
-
 class MissingMetadata(StallwatchError):
     pass
 

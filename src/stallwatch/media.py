@@ -1,15 +1,16 @@
 """
 Frame, detection and interval I/O.
 
-All image data is 8-bit grayscale. Frames live on disk as binary PGM (P5,
-maxval 255), detections as JSON-Lines, ground truth and predictions as CSV.
+All image data is 8-bit grayscale. Frames live on disk as binary PGM, each
+with the one header `write_frame` writes, ``P5\n{width} {height}\n255\n``;
+detections as JSON-Lines, ground truth and predictions as CSV, all UTF-8.
 Every reader validates its input and raises a typed error from
 :mod:`stallwatch.errors` instead of crashing on malformed bytes.
 
 A video's frames are stored FRAMES_PER_FILE to a file: segment k,
 `frames_%06d.pgm` formatted with k, is a multi-image PGM holding frames
-FRAMES_PER_FILE * k onwards, each image with the header `write_frame`
-writes, so every frame sits at a fixed byte offset of its segment.
+FRAMES_PER_FILE * k onwards, so every frame sits at a fixed byte offset
+of its segment.
 Creating a file costs about as much as rendering a 320x240 frame, so one
 file per frame doubled the cost of writing a video. Segments stay small
 (1.2 MB at 320x240) because a whole-file read of a corpus file, such as
@@ -24,9 +25,9 @@ per-row `Detection` values where one is wanted.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -45,7 +46,6 @@ from .errors import (
     ParseError,
     SequenceGap,
     StallwatchError,
-    UnsupportedFormat,
     prefixed,
 )
 
@@ -210,42 +210,8 @@ def write_frame(frame: Frame, dest: str | Path | BinaryIO) -> None:
         dest.write(data)
 
 
-# "P5", then width, height and maxval, each after whitespace and '#'
-# comments (a comment runs up to the end of its line), then the one
-# whitespace byte that ends the header. A token is whatever runs up to the
-# next whitespace or '#'; `_pgm_header` checks that it is digits. Every
-# part can match empty, so the match never backtracks.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*([^\s#]*)" * 3 + rb"(\s?)")
-
-# A header that ends within this many bytes is parsed from one short read;
-# a longer one (long comments) from the whole file.
-_PGM_HEAD_BYTES = 256
-
-
-def _pgm_header(data: bytes, complete: bool) -> tuple[int, int, int, int] | None:
-    """Width, height, maxval and raster offset of the PGM file starting
-    with `data`. `complete` says that `data` is the whole file; if it is
-    not, and the header may run past its end, returns None."""
-    m = _PGM_HEADER.match(data)
-    if m is None:
-        raise ParseError(f"bad magic {data[:2]!r}, expected P5")
-    if not m.group(4) and not complete:
-        return None
-    values = []
-    for token in m.group(1, 2, 3):
-        if not token:
-            raise ParseError("truncated PGM header")
-        if not token.isdigit():
-            raise ParseError(f"non-numeric PGM header token {token!r}")
-        try:
-            values.append(int(token))
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(f"PGM header token of {len(token)} digits") from exc
-    if not m.group(4):
-        if m.end() == len(data):
-            raise ParseError("PGM header not followed by raster data")
-        raise ParseError("PGM maxval not followed by whitespace")
-    return values[0], values[1], values[2], m.end()
+# the longest header of a frame whose sides fit in a file (each below 2**63)
+_MAX_HEADER = len(_header(2**63, 2**63))
 
 
 def _check_buffer(out: np.ndarray) -> None:
@@ -263,36 +229,33 @@ def read_frame(path: str | Path, out: np.ndarray | None = None,
     """The PGM image that starts at byte `offset` of the file at `path`.
     Its raster is read into `out`, a writable, C-contiguous uint8 array of
     the frame's (height, width), when that is given, and the frame shares
-    `out`'s memory; otherwise into a new array that is read-only. An error
-    about the image names `path` and `offset`."""
+    `out`'s memory; otherwise into a new array that is read-only. A header
+    but the one `write_frame` writes raises `ParseError`. An error about
+    the image names `path` and `offset`."""
     if out is not None:
         _check_buffer(out)
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = os.pread(fd, _PGM_HEAD_BYTES, offset)
-        header = _pgm_header(data, len(data) < _PGM_HEAD_BYTES)
-        size = os.fstat(fd).st_size
-        if header is None:
-            data = os.pread(fd, size - offset, offset)
-            header = _pgm_header(data, True)
-        width, height, maxval, header_bytes = header
-        if maxval != 255:
-            raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
-        if width <= 0 or height <= 0:
-            raise ParseError(f"bad dimensions {width}x{height}")
+        head = os.pread(fd, _MAX_HEADER, offset)
+        try:
+            width, height = map(int, head[3:head.find(b"\n", 3)].split(b" "))
+        except ValueError:
+            width = height = 0
+        header = _header(width, height)
+        if width <= 0 or height <= 0 or not head.startswith(header):
+            found = b"".join(head.splitlines(keepends=True)[:3])
+            raise ParseError(f"bad header {found!r}, expected "
+                             "b'P5\\n<width> <height>\\n255\\n'")
         expected = width * height
-        raster = offset + header_bytes
+        raster = offset + len(header)
         # before allocating: a header can claim any size
-        available = size - raster
+        available = os.fstat(fd).st_size - raster
         if available < expected:
             raise ParseError(f"truncated raster: {available} of {expected} bytes")
-        if out is None:
-            pixels = np.empty((height, width), dtype=np.uint8)
-        elif out.shape != (height, width):
+        pixels = np.empty((height, width), dtype=np.uint8) if out is None else out
+        if pixels.shape != (height, width):
             raise DimensionMismatch(f"frame is {width}x{height}, "
-                                    f"buffer is {out.shape[::-1]}")
-        else:
-            pixels = out
+                                    f"buffer is {pixels.shape[::-1]}")
         if os.preadv(fd, [pixels], raster) != expected:
             raise ParseError("raster changed while it was read")
     except StallwatchError as exc:
@@ -348,15 +311,14 @@ class FrameSequence(SequenceMeta):
         if not 0 <= index < self.frame_count:
             raise IndexError(f"frame {index} outside [0, {self.frame_count})")
         segment, slot = divmod(index, FRAMES_PER_FILE)
+        pixels = np.empty((self.height, self.width), np.uint8) if out is None else out
         try:
-            f = read_frame(self.directory / (SEGMENT_NAME % segment), out,
+            f = read_frame(self.directory / (SEGMENT_NAME % segment), pixels,
                            slot * self.record_bytes)
         except StallwatchError as exc:
             raise prefixed(exc, f"frame {index}") from None
-        if f.width != self.width or f.height != self.height:
-            raise DimensionMismatch(
-                f"frame {index} is {f.width}x{f.height}, meta says {self.width}x{self.height}"
-            )
+        if out is None:
+            pixels.flags.writeable = False
         return f
 
 
@@ -439,6 +401,14 @@ def _detection_from_obj(obj: dict, where: str) -> Detection:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; other bytes raise `ParseError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _detection_from_line(line: str, where: str) -> Detection:
     """One stripped, non-blank line holding exactly one JSON object."""
     try:
@@ -493,8 +463,7 @@ def read_detections(path: str | Path) -> Detections:
     blank lines skipped. The first invalid row raises `ParseError` or
     `InvalidBBox` naming `path:line`."""
     # text mode has already turned every line end into "\n"
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh.read().split("\n")))
+    lines = list(map(str.strip, _read_text(path).split("\n")))
     try:
         columns = _columns(list(filter(None, lines)))
     except (json.JSONDecodeError, KeyError, OverflowError):
@@ -533,22 +502,21 @@ PRED_HEADER = GT_HEADER + ["confidence"]
 def _csv_rows(path: str | Path, header: list[str]):
     """(first field, the other fields as floats) of each non-blank row of
     a CSV file that starts with `header`; errors name `path:line`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ParseError(f"{path}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-            yield row[0], values
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise ParseError(f"{path}: expected header {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
+        yield row[0], values
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:

@@ -296,6 +296,34 @@ class TestFaultIsolation:
         preds = read_predictions(out / "predictions.csv")
         assert [p.video_id for p in preds] == ["mini_day_stall"]
 
+    def test_non_utf8_foreground_fails_its_video_only(self, mini_corpus, tmp_path,
+                                                      capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        foreground = corpus / "videos" / "bad" / "foreground.jsonl"
+        data = foreground.read_bytes()
+        foreground.write_bytes(data[:100] + b"\xff" + data[101:])
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        manifest = json.loads(capsys.readouterr().out)
+        failure, = manifest["failures"]
+        assert (failure["video"], failure["stage"]) == ("bad", "sort")
+        assert failure["error"].startswith(
+            f"ParseError: bad: sort: {foreground}: not UTF-8: ")
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        assert manifest["score"]["tp"] == 1
+
+    def test_non_utf8_ground_truth_is_a_parse_error(self, mini_corpus, tmp_path,
+                                                    capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        gt = corpus / "gt.csv"
+        gt.write_bytes(gt.read_bytes() + b"\xff,1,2\n")
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "out")]) == EXIT_FAILURE
+        assert f"run-all: ParseError: {gt}: not UTF-8: " in capsys.readouterr().err
+
     def test_detector_hung_once_is_restarted(self, mini_corpus, tmp_path, capsys):
         # the first image request hangs; every window still gets detections,
         # so the run predicts what the oracle detector predicts

@@ -1,5 +1,6 @@
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ class TestExternal:
         with ExternalProcessDetector(cmd, timeout=10.0) as handle:
             with pytest.raises(ProtocolError):
                 handle.detect("/some/frame.pgm", BLANK)
+
+    def test_requests_after_the_child_exits_fail_at_once(self, tmp_path):
+        # the child exits on its first image request
+        cmd = child_script(tmp_path, """
+            import json, sys
+            for line in sys.stdin:
+                if "ping" not in json.loads(line):
+                    sys.exit(0)
+                print(json.dumps({"ready": True}), flush=True)
+        """)
+        handle = ExternalProcessDetector(cmd, timeout=3.0)
+        for request in range(4):
+            if request == 3:
+                handle.close()
+            start = time.monotonic()
+            with pytest.raises(ProtocolError):
+                handle.detect(f"/some/frame{request}.pgm", BLANK)
+            assert time.monotonic() - start < 1.0
+        handle.close()
 
     def test_malformed_detection_record(self, tmp_path):
         cmd = child_script(tmp_path, """

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stallwatch.codec import write_json
+from stallwatch.codec import write_atomic, write_json
 from stallwatch.errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -19,7 +19,6 @@ from stallwatch.errors import (
     ParseError,
     SequenceGap,
     StallwatchError,
-    UnsupportedFormat,
 )
 from stallwatch.media import (
     MAX_COORD,
@@ -40,56 +39,21 @@ from stallwatch.media import (
 from conftest import make_frame, write_segments
 
 
-def _pgm_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, honoring '#' comments.
-
-    Returns the tokens and the offset of the first raster byte. The header
-    parser `read_frame` once used, byte by byte; kept as the oracle of the
-    one it uses now, which differs only in taking ASCII digits alone where
-    this one takes whatever int() does.
-    """
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise ParseError("truncated PGM header")
-        try:
-            tokens.append(int(data[start:i]))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric PGM header token {data[start:i]!r}") from exc
-    # exactly one whitespace byte separates the header from the raster
-    if i >= n:
-        raise ParseError("PGM header not followed by raster data")
-    if not data[i : i + 1].isspace():
-        raise ParseError("PGM maxval not followed by whitespace")
-    return tokens, i + 1
+# the header `write_frame` writes, for positive sides
+CANONICAL_HEADER = re.compile(rb"P5\n([1-9][0-9]*) ([1-9][0-9]*)\n255\n")
 
 
 def oracle_read_frame(path) -> Frame:
-    """`read_frame` as it was with `_pgm_header_tokens`."""
+    """A frame is read if and only if the file starts with the header
+    `write_frame` writes for its sides and holds their raster."""
     data = path.read_bytes()
-    if data[:2] != b"P5":
-        raise ParseError(f"bad magic {data[:2]!r}, expected P5")
-    (width, height, maxval), offset = _pgm_header_tokens(data[2:], 3)
-    offset += 2
-    if maxval != 255:
-        raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"bad dimensions {width}x{height}")
-    expected = width * height
-    raster = data[offset : offset + expected]
-    if len(raster) < expected:
-        raise ParseError(f"truncated raster: {len(raster)} of {expected} bytes")
+    m = CANONICAL_HEADER.match(data)
+    if m is None:
+        raise ParseError("not the header write_frame writes")
+    width, height = int(m[1]), int(m[2])
+    raster = data[m.end() : m.end() + width * height]
+    if len(raster) < width * height:
+        raise ParseError(f"truncated raster: {len(raster)} of {width * height} bytes")
     return Frame(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
 
 
@@ -108,11 +72,11 @@ WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
 @st.composite
 def pgm_headers(draw):
     """A P5 file with three header tokens, mostly sides of 1 to 7 and
-    maxval 255, one in five drawn from digits, '+', '_' and letters,
-    between separators of the six whitespace bytes and '#' comments (half
-    of them longer than one read of the header), then mostly one whitespace
-    byte and 64 raster bytes. Returns the bytes and whether every token is
-    digits."""
+    maxval 255, one in five drawn from digits, '+', '_' and letters, then
+    mostly 64 raster bytes. In half the files the tokens are separated and
+    ended as `write_frame` does; in the rest by the six whitespace bytes and
+    '#' comments (half of them longer than any frame's header), and mostly
+    ended by one whitespace byte."""
 
     def one_in_five(common, rare):
         return draw(common if draw(st.integers(0, 4)) else rare)
@@ -120,8 +84,11 @@ def pgm_headers(draw):
     long_text = st.integers(250, 400).map(lambda n: b"c" * n)
     comment = st.one_of(st.binary(max_size=20), long_text).map(
         lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+    plain = draw(st.booleans())
 
-    def separator() -> bytes:
+    def separator(canonical: bytes) -> bytes:
+        if plain:
+            return canonical
         return b"".join(one_in_five(st.sampled_from(WHITESPACE), comment)
                         for _ in range(draw(st.integers(1, 3))))
 
@@ -129,12 +96,12 @@ def pgm_headers(draw):
     side = st.sampled_from([b"1", b"2", b"5", b"007"])
     maxval = st.sampled_from([b"255", b"0255"])
     tokens = [one_in_five(s, odd) for s in (side, side, maxval)]
-    first = separator() if draw(st.booleans()) else b""
-    data = (b"P5" + first + tokens[0] + separator() + tokens[1]
-            + separator() + tokens[2]
-            + one_in_five(st.sampled_from(WHITESPACE), st.sampled_from([b"#", b""]))
+    first = separator(b"\n") if plain or draw(st.booleans()) else b""
+    end = b"\n" if plain else one_in_five(st.sampled_from(WHITESPACE),
+                                           st.sampled_from([b"#", b""]))
+    return (b"P5" + first + tokens[0] + separator(b" ") + tokens[1]
+            + separator(b"\n") + tokens[2] + end
             + bytes(one_in_five(st.just(64), st.sampled_from([0, 3]))))
-    return data, all(t.isdigit() for t in tokens)
 
 
 class TestPGM:
@@ -148,7 +115,7 @@ class TestPGM:
     def test_maxval_not_255_rejected(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(ParseError):
             read_frame(path)
 
     def test_large_all_zero(self, tmp_path):
@@ -174,7 +141,8 @@ class TestPGM:
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([9, 10]))
-        assert read_frame(path) == make_frame([[9, 10]])
+        with pytest.raises(ParseError, match=re.escape(repr(b"P5\n# a comment\n2 1\n"))):
+            read_frame(path)
 
     @given(w=st.integers(1, 12), h=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1))
@@ -203,28 +171,19 @@ class TestPGM:
         (b"P5\n32 \xd9\xa1\n255\n", b"\xd9\xa1"),
     ])
     def test_header_token_must_be_ascii_digits(self, tmp_path, header, token):
-        # int() reads the first two as 32, the third as 255
+        # int() reads the first two as 32, the third as 255; `token` names
+        # the case, and the error shows the whole header found
         path = tmp_path / "f.pgm"
         path.write_bytes(header + bytes(32))
-        with pytest.raises(ParseError, match=re.escape(repr(token))):
+        with pytest.raises(ParseError, match=re.escape(repr(header))):
             read_frame(path)
 
-    def test_header_past_first_read(self, tmp_path):
-        path = tmp_path / "f.pgm"
-        path.write_bytes(b"P5\n#" + b"x" * 1000 + b"\n2 1\n255\n" + bytes([9, 10]))
-        assert read_frame(path) == make_frame([[9, 10]])
-
-    @given(header=pgm_headers())
+    @given(data=pgm_headers())
     @settings(max_examples=300, deadline=None)
-    def test_header_against_token_oracle(self, tmp_path_factory, header):
-        data, digits = header
+    def test_header_against_token_oracle(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("hdr") / "f.pgm"
         path.write_bytes(data)
-        got = frame_outcome(read_frame, path)
-        if digits:
-            assert got == frame_outcome(oracle_read_frame, path)
-        else:
-            assert got == ("raised", ParseError)
+        assert frame_outcome(read_frame, path) == frame_outcome(oracle_read_frame, path)
 
     def test_read_into_buffer_shares_its_memory(self, tmp_path):
         frame = make_frame([[0, 255, 3], [128, 7, 9]])
@@ -370,12 +329,26 @@ class TestSequence:
                                   make_frame(np.zeros((3, 3)))])
         seq = open_sequence(tmp_path)
         seq.frame(0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^frame 1: .*frame is 3x3, "
+                                                    r"buffer is \(2, 2\)$"):
             seq.frame(1)
+
+    def test_commented_headers_rejected_at_frame_0(self, tmp_path):
+        # open_sequence sees a segment long enough for its 3 frames
+        self._write(tmp_path, 3)
+        segment = tmp_path / "frames_000000.pgm"
+        header = b"P5\n# made by another tool\n2 2\n"
+        segment.write_bytes((header + b"255\n" + bytes(4)) * 3)
+        seq = open_sequence(tmp_path)
+        with pytest.raises(ParseError) as info:
+            seq.frame(0)
+        assert str(info.value).startswith(
+            f"frame 0: {segment} at byte 0: bad header {header!r}")
 
     @pytest.mark.parametrize("damage,error", [
         # frame 5's record of 15 bytes starts at byte 75 of segment 0
-        (lambda data: data[:75] + b"X" + data[76:], "bad magic b'X5', expected P5"),
+        (lambda data: data[:75] + b"X" + data[76:],
+         "bad header b'X5\\n2 2\\n255\\n', expected b'P5\\n<width> <height>\\n255\\n'"),
         (lambda data: data[:75 + 11 + 2], "truncated raster: 2 of 4 bytes"),
     ], ids=["bad-magic", "truncated-raster"])
     def test_read_error_names_frame_segment_and_offset(self, tmp_path, damage,
@@ -681,6 +654,7 @@ def file_size_limit(limit: int):
 
 # each writes an artifact whose size grows with n
 ARTIFACT_WRITERS = {
+    "write_atomic": lambda path, n: write_atomic(path, bytes(range(256)) * n),
     "write_json": lambda path, n: write_json(path, {"values": list(range(n))}),
     "write_frame": lambda path, n: write_frame(make_frame(np.full((n, 8), 7)), path),
 }
