@@ -138,10 +138,8 @@ class ExternalProcessDetector(DetectorHandle):
         """Start the child, with a reader thread and line queue of its own,
         and shake hands with it; a failed handshake closes the child."""
         self._proc = subprocess.Popen(
-            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
-        )
-        self._lines: queue.Queue[str | None] = queue.Queue()
+            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
         self._reader = threading.Thread(
             target=_pump, args=(self._proc.stdout, self._lines), daemon=True)
         self._reader.start()
@@ -155,7 +153,7 @@ class ExternalProcessDetector(DetectorHandle):
 
     def _roundtrip(self, request: dict) -> dict:
         try:
-            self._proc.stdin.write(json.dumps(request) + "\n")
+            self._proc.stdin.write(json.dumps(request).encode() + b"\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:  # ValueError: closed by `close`
             raise ProtocolError(f"detector process is gone: {exc}") from exc
@@ -169,7 +167,7 @@ class ExternalProcessDetector(DetectorHandle):
             raise ProtocolError("detector process closed its output")
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ProtocolError(f"invalid response line: {exc}") from exc
         if not isinstance(obj, dict):
             raise ProtocolError("response must be a JSON object")
@@ -214,8 +212,10 @@ class ExternalProcessDetector(DetectorHandle):
 
 
 def _pump(lines, out: queue.Queue) -> None:
-    """Put each line of a child's output on `out`, then None; close it."""
-    with lines:
-        for line in lines:
-            out.put(line)
-    out.put(None)
+    """Put each raw line of a child's output on `out`, then always None; close it."""
+    try:
+        with lines:
+            for line in lines:
+                out.put(line)
+    finally:
+        out.put(None)

@@ -10,6 +10,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from stallwatch import pipeline, synth
 from stallwatch.config import PipelineConfig
 from stallwatch.media import read_detections
@@ -25,12 +27,20 @@ def load_tracer():
     return module
 
 
-def test_traced_run_all_reports_every_layer_metric(mini_corpus, tmp_path):
+@pytest.fixture(scope="module")
+def traced_spans(mini_corpus, tmp_path_factory):
+    """The tracer module and the spans of one traced run_all."""
     tracer = load_tracer()
     spans = tracer.Tracer()
     with tracer.installed(spans):
-        pipeline.run_all(mini_corpus, tmp_path / "out", PipelineConfig())
-    metrics = tracer.layer_metrics(spans.spans)
+        pipeline.run_all(mini_corpus, tmp_path_factory.mktemp("traced") / "out",
+                         PipelineConfig())
+    return tracer, spans.spans
+
+
+def test_traced_run_all_reports_every_layer_metric(mini_corpus, traced_spans):
+    tracer, spans = traced_spans
+    metrics = tracer.layer_metrics(spans)
 
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     # the trace.* metrics are computed by measure.py from the whole run
@@ -43,3 +53,19 @@ def test_traced_run_all_reports_every_layer_metric(mini_corpus, tmp_path):
     assert metrics["media.read_detections.rows"] == rows
     assert metrics["media.read_detections.rows_per_distinct_row"] == 1.0
     assert metrics["sorting.estimate_directions.detections"] == rows
+
+
+def test_road_mask_time_stays_in_its_metric(traced_spans):
+    # roadmask.adaptive_road_mask.s sums the self times of the mask step and
+    # local_stats; a public helper they called would be a span of its own,
+    # and its time would leave the metric
+    tracer, spans = traced_spans
+    inside = set()
+    for span in spans:
+        outer = span.parent
+        while outer is not None and outer.name != "roadmask.adaptive_road_mask":
+            outer = outer.parent
+        if outer is not None:
+            inside.add(span.name)
+    assert inside <= {"roadmask.local_stats"}
+    assert tracer.layer_metrics(spans)["roadmask.adaptive_road_mask.s"] > 0

@@ -193,6 +193,27 @@ class TestExternal:
             with pytest.raises(ProtocolError):
                 handle.detect("/some/frame.pgm", BLANK)
 
+    def test_non_utf8_reply_fails_that_request_only(self, tmp_path):
+        # one byte that is not UTF-8 in the first image reply; the reader
+        # thread keeps going, and the next request is answered
+        cmd = child_script(tmp_path, """
+            import json, sys
+            replies = [b'{"detections": [], "x": "\\xff"}\\n',
+                       b'{"detections": []}\\n']
+            for line in sys.stdin:
+                if "ping" in json.loads(line):
+                    print(json.dumps({"ready": True}), flush=True)
+                else:
+                    sys.stdout.buffer.write(replies.pop(0))
+                    sys.stdout.buffer.flush()
+        """)
+        with ExternalProcessDetector(cmd, timeout=3.0) as handle:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="invalid response line"):
+                handle.detect("/some/frame0.pgm", BLANK)
+            assert time.monotonic() - start < 1.0
+            assert handle.detect("/some/frame1.pgm", BLANK) == []
+
     def test_bad_handshake(self, tmp_path):
         cmd = child_script(tmp_path, """
             import json, sys

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stallwatch import background, synth
 from stallwatch.errors import DimensionMismatch, InvalidBBox, InvalidParam
 from stallwatch.media import BBox, Frame
 from stallwatch.roadmask import (
@@ -14,6 +17,7 @@ from stallwatch.roadmask import (
     local_stats,
     mask_union,
 )
+from stallwatch.sorting import LightingClass
 
 from conftest import make_frame
 
@@ -56,6 +60,38 @@ class TestLocalStats:
             assert mean.dtype == std.dtype == np.float64
             assert np.array_equal(mean, want_mean)
             assert np.array_equal(std, want_std)
+
+    @pytest.mark.parametrize("shape,block", [
+        # the largest block whose sums of squares fit uint32, and the next
+        ((257, 300), 257), ((259, 300), 259),
+    ])
+    def test_exact_at_the_sum_dtype_edge(self, rng, shape, block):
+        # 254s and 255s: central sums of squares near block**2 * 255**2
+        for pixels in (np.full(shape, 255, dtype=np.uint8),
+                       rng.integers(0, 256, shape, dtype=np.uint8),
+                       rng.integers(254, 256, shape, dtype=np.uint8)):
+            frame = Frame(pixels)
+            mean, std = local_stats(frame, block)
+            want_mean, want_std = fancy_index_local_stats(frame, block)
+            assert np.array_equal(mean, want_mean)
+            assert np.array_equal(std, want_std)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_shape_and_odd_block_equals_oracle(self, data):
+        h = data.draw(st.integers(1, 64), label="h")
+        w = data.draw(st.integers(1, 64), label="w")
+        # an integer strategy draws its bounds often: block 1 and the
+        # largest odd block that fits
+        block = 2 * data.draw(st.integers(0, (min(h, w) - 1) // 2), label="half") + 1
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        low = data.draw(st.sampled_from([0, 254, 255]), label="low")
+        frame = Frame(np.random.default_rng(seed).integers(
+            low, 256, (h, w), dtype=np.uint8))
+        mean, std = local_stats(frame, block)
+        want_mean, want_std = fancy_index_local_stats(frame, block)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(std, want_std)
 
     def test_center_of_3x3_ramp(self):
         # values 0..8: mean 4, population std sqrt(60/9)
@@ -128,6 +164,49 @@ class TestAdaptiveMask:
             MaskParams(k1=0.0, k2=1.0)
         with pytest.raises(InvalidParam):
             MaskParams(k1=1.0, k2=1.0, block=4)
+
+
+def oracle_mask_bits(frame: Frame, params: MaskParams) -> np.ndarray:
+    """The road-mask threshold over float64 pixels, written out as in the
+    method, on the oracle's statistics."""
+    mu, sigma = fancy_index_local_stats(frame, params.block)
+    t = frame.pixels.astype(np.float64)
+    k1, k2 = params.k1, params.k2
+    return ((mu - k1 * sigma) / k2 <= t) & (t <= (mu + k1 * sigma) / (k1 + k2))
+
+
+@pytest.fixture(scope="module")
+def day_background() -> Frame:
+    """The median of a day intersection scene's frames, as the background
+    stage makes it: noise, a parked car and two textured road bands."""
+    spec = synth.make_scene("day", LightingClass.DAY, True, (0.0, 60.0), True,
+                            seed=3, duration=60.0, fps=1.0)
+    rng = np.random.default_rng(spec.seed)
+    base = synth._base_canvas(spec, rng)
+    frames = [synth.render_frame(spec, base, float(t), rng)[0] for t in range(0, 60, 6)]
+    return background.median_frame(frames)
+
+
+class TestMaskThreshold:
+    @pytest.mark.parametrize("k1,k2,block", [
+        (2.0, 0.6, 31), (0.25, 0.1, 3), (1.0, 1.0, 7), (4.0, 3.0, 15), (0.5, 2.0, 61),
+    ])
+    def test_bits_equal_float_threshold_oracle(self, rng, day_background, k1, k2, block):
+        params = MaskParams(k1=k1, k2=k2, block=block)
+        # flat patches put pixels on the band's edges: a black one on both,
+        # a grey one on the lower edge when k2 is 1
+        patched = rng.integers(254, 256, (80, 120), dtype=np.uint8)
+        patched[5:35, 5:60] = 0
+        patched[40:75, 60:115] = 77
+        for frame in (Frame(rng.integers(0, 256, (80, 120), dtype=np.uint8)),
+                      Frame(rng.integers(60, 70, (80, 120), dtype=np.uint8)),
+                      Frame(patched), day_background):
+            bits = adaptive_road_mask(frame, params).bits
+            assert np.array_equal(bits, oracle_mask_bits(frame, params))
+
+    def test_day_background_is_part_road(self, day_background):
+        bits = adaptive_road_mask(day_background, MaskParams(k1=2.0, k2=0.6)).bits
+        assert 0.05 < bits.mean() < 0.95
 
 
 class TestMaskBits:
