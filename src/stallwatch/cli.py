@@ -4,7 +4,8 @@ Command-line entry point.
 Subcommands: synth, sort, background, mask, detect, score, run-all.
 Exit codes: 0 success, 2 bad configuration, 3 missing input,
 64 unknown subcommand, 1 any other stage failure, including any video
-that detect or run-all could not finish (the others are still scored).
+that sort, background, mask, detect or run-all could not finish (the
+other videos still run).
 """
 
 from __future__ import annotations
@@ -106,14 +107,10 @@ def run(argv: list[str]) -> int:
             _require(args.corpus, "corpus directory")
         if stage == "synth":
             synth.corpus(args.out, seed=cfg.seed)
-        elif stage == "detect":
-            failures = encode(pipeline.run_corpus(args.corpus, args.out, cfg))
         elif stage in pipeline.STAGES:
-            for video_dir in pipeline.corpus_video_dirs(args.corpus):
-                for done, _ in pipeline.stages(video_dir, args.out / video_dir.name,
-                                               cfg):
-                    if done == stage:
-                        break
+            through = "decide" if stage == "detect" else stage
+            failures = encode(pipeline.run_corpus(args.corpus, args.out, cfg,
+                                                  through))
         elif stage == "score":
             _require(args.pred, "predictions file")
             _require(args.gt, "ground-truth file")

@@ -3,7 +3,7 @@
 
 class StallwatchError(Exception):
     """Base class for all pipeline errors. `stage` names the pipeline stage
-    that raised it, once `pipeline.stages` has seen it go by."""
+    that raised it, once `pipeline.process_video` has seen it go by."""
 
     stage: str | None = None
 

@@ -486,9 +486,9 @@ def detection_to_obj(det: Detection) -> dict:
 
 
 def write_detections(detections: list[Detection], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            fh.write(json.dumps(detection_to_obj(det), sort_keys=True) + "\n")
+    write_atomic(path, "".join(
+        json.dumps(detection_to_obj(det), sort_keys=True) + "\n"
+        for det in detections).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +524,18 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
             for video_id, (start, end) in _csv_rows(path, GT_HEADER)]
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """`header`, then `rows`, as one CSV file replaced through `write_atomic`."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode())
+
+
 def write_ground_truth(entries: list[GroundTruthEntry], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GT_HEADER)
-        for e in entries:
-            writer.writerow([e.video_id, f"{e.start:g}", f"{e.end:g}"])
+    _write_csv(path, GT_HEADER,
+               ([e.video_id, f"{e.start:g}", f"{e.end:g}"] for e in entries))
 
 
 def read_predictions(path: str | Path) -> list[AnomalyEvent]:
@@ -539,8 +545,6 @@ def read_predictions(path: str | Path) -> list[AnomalyEvent]:
 
 
 def write_predictions(events: list[AnomalyEvent], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRED_HEADER)
-        for e in events:
-            writer.writerow([e.video_id, f"{e.start:.6f}", f"{e.end:.6f}", f"{e.confidence:.4f}"])
+    _write_csv(path, PRED_HEADER,
+               ([e.video_id, f"{e.start:.6f}", f"{e.end:.6f}", f"{e.confidence:.4f}"]
+                for e in events))

@@ -1,18 +1,20 @@
 """
 Corpus orchestration: one per-video stage chain, then predictions and score.
 
-`stages` runs one video's chain and yields a value per name of STAGES:
-sort (category.json), background (each window's background with its
-file), mask (mask.pgm), detect (detector output per window) and decide
-(events.json). `process_video` runs all of it; the CLI's sort, background
-and mask commands stop after their stage. The chain's inputs, the frame
-sequence and the foreground detection columns, are opened on first use,
-so a stage that reuses its artifact reads nothing upstream of it.
+`_chain` computes one value per name of STAGES: sort (category.json),
+background (each window's background with its file), mask (mask.pgm),
+detect (detector output per window) and decide (events.json).
+`process_video` runs it up to a given stage; the CLI's sort, background
+and mask commands stop after theirs, detect and run-all run it through
+decide. The chain's inputs, the frame sequence and the foreground
+detection columns, are opened on first use, so a stage that reuses its
+artifact reads nothing upstream of it.
 
-`run_corpus` runs every video's chain. A `StallwatchError` fails that
-video only: it is returned as a `VideoFailure` (video, stage, error),
-which run-all lists in manifest.json, and the other videos are still
-predicted and scored.
+`run_corpus` is the one loop over a corpus's videos, for every command.
+A `StallwatchError` fails that video only: it is returned as a
+`VideoFailure` (video, stage, error), which run-all lists in
+manifest.json, and the other videos still run. Run through decide, it
+writes predictions.csv from the videos that finished.
 
 category.json, backgrounds/ and events.json are reused when an earlier
 invocation left them, so rerunning a later stage gives the same result as
@@ -38,7 +40,6 @@ import concurrent.futures
 import hashlib
 import logging
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -190,69 +191,59 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     yield events
 
 
-def _at_stage(exc: StallwatchError, video_dir: Path,
-              stage: str) -> StallwatchError:
-    """`exc` with its message prefixed by the video directory's name and
-    `stage`, which it also carries as `stage`. Raise it `from None`."""
-    err = prefixed(exc, f"{video_dir.name}: {stage}")
-    err.stage = stage
-    return err
-
-
-def stages(video_dir: Path, out_vid: Path,
-           cfg: PipelineConfig) -> Iterator[tuple[str, object]]:
-    """One video's chain as (stage, value) for each name of STAGES. A
-    `StallwatchError` is raised again as its own type, its message prefixed
-    by the video directory's name and the stage."""
-    chain = _chain(video_dir, out_vid, cfg)
-    for stage in STAGES:
-        try:
-            value = next(chain)
-        except StallwatchError as exc:
-            raise _at_stage(exc, video_dir, stage) from None
-        yield stage, value
-
-
-def process_video(video_dir: Path, out_vid: Path,
-                  cfg: PipelineConfig) -> list[AnomalyEvent]:
-    """Run (or resume) the whole chain; returns accepted events. An
-    existing events.json is the answer, read before the chain starts."""
-    events_path = out_vid / "events.json"
-    if events_path.is_file():
-        try:
+def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
+                  through: str = "decide") -> list[AnomalyEvent]:
+    """Run (or resume) the chain through `through`, a name of STAGES;
+    returns the accepted events, or [] when it stops before decide. Through
+    decide, an existing events.json is the answer. A `StallwatchError` is
+    raised again as its own type, prefixed "<video dir>: <stage>", with the
+    stage as its `stage`."""
+    stage = "decide"
+    try:
+        events_path = out_vid / "events.json"
+        if through == "decide" and events_path.is_file():
             return read_json(events_path, list[AnomalyEvent])
-        except StallwatchError as exc:
-            raise _at_stage(exc, video_dir, "decide") from None
-    return dict(stages(video_dir, out_vid, cfg))["decide"]
+        chain = _chain(video_dir, out_vid, cfg)
+        for stage in STAGES[:STAGES.index(through) + 1]:
+            value = next(chain)
+    except StallwatchError as exc:
+        err = prefixed(exc, f"{video_dir.name}: {stage}")
+        err.stage = stage
+        raise err from None
+    return value if through == "decide" else []
 
 
-def _events_or_failure(video_dir: Path, out_vid: Path, cfg: PipelineConfig
-                       ) -> list[AnomalyEvent] | VideoFailure:
+def _events_or_failure(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
+                       through: str) -> list[AnomalyEvent] | VideoFailure:
     """`process_video`, with a `StallwatchError` returned as the video's
     failure rather than raised."""
     try:
-        return process_video(video_dir, out_vid, cfg)
+        return process_video(video_dir, out_vid, cfg, through)
     except StallwatchError as exc:
         return VideoFailure(video_dir.name, exc.stage,
                             f"{type(exc).__name__}: {exc}")
 
 
-def run_corpus(corpus_dir: Path, out_dir: Path,
-               cfg: PipelineConfig) -> list[VideoFailure]:
-    """Per-video pipelines over the whole corpus; writes predictions.csv
-    from the videos that finished and returns those that failed."""
+def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
+               through: str = "decide") -> list[VideoFailure]:
+    """Every video's chain up to `through` (`process_video`); returns the
+    videos that failed. Run through decide, it writes predictions.csv from
+    the videos that finished."""
     dirs = corpus_video_dirs(corpus_dir)
-    args = (dirs, [out_dir / d.name for d in dirs], [cfg] * len(dirs))
+    n = len(dirs)
+    args = (dirs, [out_dir / d.name for d in dirs], [cfg] * n, [through] * n)
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             per_video = list(pool.map(_events_or_failure, *args))
     else:
         per_video = list(map(_events_or_failure, *args))
     failures = [r for r in per_video if isinstance(r, VideoFailure)]
-    events = [ev for r in per_video if not isinstance(r, VideoFailure)
-              for ev in r]
-    events.sort(key=lambda e: (e.video_id, e.start, e.end))
-    write_predictions(events, out_dir / "predictions.csv")
+    if through == "decide":
+        events = [ev for r in per_video if not isinstance(r, VideoFailure)
+                  for ev in r]
+        events.sort(key=lambda e: (e.video_id, e.start, e.end))
+        out_dir.mkdir(parents=True, exist_ok=True)  # when every video failed
+        write_predictions(events, out_dir / "predictions.csv")
     return failures
 
 
@@ -283,7 +274,6 @@ def _hash_inputs(corpus_dir: Path) -> str:
 
 def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
     """Chained run over a corpus plus a reproducibility manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

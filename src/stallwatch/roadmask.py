@@ -137,17 +137,24 @@ def _counts(h: int, w: int, r: int) -> np.ndarray:
     return counts
 
 
-def adaptive_road_mask(background: Frame, params: MaskParams) -> Mask:
-    mu, sigma = local_stats(background, params.block)
-    t = background.pixels
-    spread = np.multiply(sigma, params.k1, out=sigma)
+def _road_bits(t: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+               k1: float, k2: float) -> np.ndarray:
+    """The road test of the module docstring on pixels `t`, whose local
+    mean and std are `mu` and `sigma`, as a bool array. `mu` and `sigma`
+    are overwritten."""
+    spread = np.multiply(sigma, k1, out=sigma)
     lower = np.subtract(mu, spread)
-    lower /= params.k2
+    lower /= k2
     upper = np.add(mu, spread, out=mu)
-    upper /= params.k1 + params.k2
+    upper /= k1 + k2
     bits = np.less_equal(lower, t)
     bits &= t <= upper
-    return Mask(bits)
+    return bits
+
+
+def adaptive_road_mask(background: Frame, params: MaskParams) -> Mask:
+    mu, sigma = local_stats(background, params.block)
+    return Mask(_road_bits(background.pixels, mu, sigma, params.k1, params.k2))
 
 
 def mask_union(masks: list[Mask]) -> Mask:
@@ -182,20 +189,19 @@ def calibrate_mask_params(scene: Frame, road_truth: np.ndarray
     road_truth is a boolean array marking the true road pixels. Returns all
     (k1, k2, recall, off_road_fpr) cells with recall >= MIN_RECALL and
     off-road false-positive rate <= MAX_FALSE_POSITIVE, best recall first.
-    Local statistics are computed once; each cell is two threshold
-    comparisons.
+    Local statistics are computed once; each cell runs `_road_bits`, the
+    test `adaptive_road_mask` applies, on copies of them.
     """
     truth = np.asarray(road_truth, dtype=bool)
     if truth.shape != scene.pixels.shape:
         raise DimensionMismatch("road_truth shape differs from scene")
     mu, sigma = local_stats(scene, DEFAULT_BLOCK)
-    t = scene.pixels.astype(np.float64)
     n_road = truth.sum()
     n_off = (~truth).sum()
     passing: list[tuple[float, float, float, float]] = []
     for k1 in K1_GRID:
         for k2 in K2_GRID:
-            bits = ((mu - k1 * sigma) / k2 <= t) & (t <= (mu + k1 * sigma) / (k1 + k2))
+            bits = _road_bits(scene.pixels, mu.copy(), sigma.copy(), k1, k2)
             recall = bits[truth].sum() / n_road if n_road else 0.0
             fpr = bits[~truth].sum() / n_off if n_off else 0.0
             if recall >= MIN_RECALL and fpr <= MAX_FALSE_POSITIVE:

@@ -284,17 +284,49 @@ class TestFaultIsolation:
         assert failure["error"].startswith(
             "ParseError: mini_day_stall: decide: ")
 
-    def test_detect_command_fails_the_bad_video_only(self, mini_corpus, tmp_path,
-                                                     capsys):
+    @pytest.mark.parametrize("command, artifact", [
+        ("sort", "category.json"), ("background", "backgrounds/index.json"),
+        ("mask", "mask.pgm"), ("detect", "events.json")])
+    def test_per_video_command_fails_the_bad_video_only(
+            self, mini_corpus, tmp_path, capsys, command, artifact):
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
                                ("bad", "mini_day_stall"))
         (corpus / "videos" / "bad" / "foreground.jsonl").write_text("")
         out = tmp_path / "out"
-        assert run(["detect", "--corpus", str(corpus),
+        assert run([command, "--corpus", str(corpus),
                     "--out", str(out)]) == EXIT_FAILURE
-        assert "detect: InsufficientData: bad: sort: " in capsys.readouterr().err
-        preds = read_predictions(out / "predictions.csv")
-        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        assert (f"{command}: InsufficientData: bad: sort: "
+                in capsys.readouterr().err)
+        assert (out / "mini_day_stall" / artifact).is_file()
+        assert not (out / "bad").exists()
+        if command == "detect":
+            preds = read_predictions(out / "predictions.csv")
+            assert [p.video_id for p in preds] == ["mini_day_stall"]
+        else:
+            assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "run-all"])
+    def test_every_video_failing_still_writes_empty_predictions(
+            self, mini_corpus, tmp_path, capsys, command):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("bad",))
+        (corpus / "videos" / "bad" / "foreground.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run([command, "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        assert (f"{command}: InsufficientData: bad: sort: "
+                in capsys.readouterr().err)
+        assert read_predictions(out / "predictions.csv") == []
+
+    def test_staged_commands_write_the_same_bytes_in_parallel(
+            self, mini_corpus, tmp_path, capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        for stage in ("sort", "background", "mask"):
+            for jobs in (1, 2):
+                assert run(["--jobs", str(jobs), stage, "--corpus", str(corpus),
+                            "--out", str(tmp_path / f"jobs{jobs}")]) == EXIT_OK, \
+                    capsys.readouterr().err
+            assert (tree_digests(tmp_path / "jobs2")
+                    == tree_digests(tmp_path / "jobs1"))
 
     def test_non_utf8_foreground_fails_its_video_only(self, mini_corpus, tmp_path,
                                                       capsys):

@@ -1,14 +1,17 @@
+import ast
 import json
 import re
 import resource
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stallwatch
 from stallwatch.codec import write_atomic, write_json
 from stallwatch.errors import (
     DimensionMismatch,
@@ -22,6 +25,7 @@ from stallwatch.errors import (
 )
 from stallwatch.media import (
     MAX_COORD,
+    AnomalyEvent,
     BBox,
     Detection,
     Frame,
@@ -32,6 +36,8 @@ from stallwatch.media import (
     read_ground_truth,
     write_detections,
     write_frame,
+    write_ground_truth,
+    write_predictions,
     write_sequence_meta,
     _detection_from_obj,
 )
@@ -657,10 +663,59 @@ ARTIFACT_WRITERS = {
     "write_atomic": lambda path, n: write_atomic(path, bytes(range(256)) * n),
     "write_json": lambda path, n: write_json(path, {"values": list(range(n))}),
     "write_frame": lambda path, n: write_frame(make_frame(np.full((n, 8), 7)), path),
+    "write_predictions": lambda path, n: write_predictions(
+        [AnomalyEvent(f"v{i}", i, i + 1.5, BBox(0, 0, 1, 1), 0.5) for i in range(n)],
+        path),
+    "write_ground_truth": lambda path, n: write_ground_truth(
+        [GroundTruthEntry(f"v{i}", i, i + 1.5) for i in range(n)], path),
+    "write_detections": lambda path, n: write_detections(
+        [Detection(i, "car", 0.5, BBox(1, 2, 3, 4)) for i in range(n)], path),
 }
 
 
+# (module, outermost function) where a file may be opened for writing: the
+# one atomic write path, and synth.generate's frame segments, whose length
+# open_sequence checks
+WRITE_SITES = {("codec", "write_atomic"), ("synth", "generate")}
+OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def file_writes(node: ast.AST, func: str | None = None):
+    """(call name, outermost enclosing function, line) of each call under
+    `node` that opens a file for writing or appending, or writes a whole
+    file through `Path.write_text` or `Path.write_bytes`."""
+    for child in ast.iter_child_nodes(node):
+        inner = func
+        if func is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            keywords = {k.arg: k.value for k in child.keywords}
+            if name == "open" and getattr(getattr(f, "value", None), "id", None) == "os":
+                flags = keywords.get("flags", child.args[1] if len(child.args) > 1 else None)
+                writes = any(getattr(n, "attr", getattr(n, "id", None)) in OS_WRITE_FLAGS
+                             for n in ast.walk(flags))
+            elif name == "open":
+                at = 1 if isinstance(f, ast.Name) else 0  # open(path, mode), path.open(mode)
+                mode = keywords.get("mode", child.args[at] if len(child.args) > at else None)
+                writes = mode is not None and (
+                    not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+")))
+            else:
+                writes = name in ("write_text", "write_bytes")
+            if writes:
+                yield name, inner, child.lineno
+        yield from file_writes(child, inner)
+
+
 class TestAtomicWrites:
+    def test_files_are_written_only_at_the_write_sites(self):
+        found = [(path.stem, name, func, line)
+                 for path in sorted(Path(stallwatch.__file__).parent.glob("*.py"))
+                 for name, func, line in file_writes(ast.parse(path.read_text()))]
+        assert {(module, func) for module, _, func, _ in found} == WRITE_SITES, found
+        assert {name for _, name, _, _ in found} == {"open"}, found
+
     @pytest.mark.parametrize("writer", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS)
     def test_failed_write_keeps_the_old_bytes(self, tmp_path, writer):
         path = tmp_path / "artifact"

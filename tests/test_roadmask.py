@@ -263,19 +263,33 @@ class TestBBoxOnRoad:
             bbox_on_road(BBox(0, 0, 2, 2), self.mask, min_overlap=0.0)
 
 
+def reference_scene(rng) -> tuple[Frame, np.ndarray]:
+    """A dark noisy road band across a bright scene, and its road pixels."""
+    img = np.full((80, 160), 220.0)
+    truth = np.zeros((80, 160), dtype=bool)
+    truth[30:44, :] = True
+    img[truth] = 90.0 + rng.normal(0, 5, size=int(truth.sum()))
+    return Frame(np.clip(img, 0, 255).astype(np.uint8)), truth
+
+
 class TestCalibration:
     def test_finds_passing_cells_on_reference_scene(self, rng):
-        img = np.full((80, 160), 220.0)
-        truth = np.zeros((80, 160), dtype=bool)
-        truth[30:44, :] = True
-        img[truth] = 90.0 + rng.normal(0, 5, size=int(truth.sum()))
-        scene = Frame(np.clip(img, 0, 255).astype(np.uint8))
+        scene, truth = reference_scene(rng)
         passing = calibrate_mask_params(scene, truth)
         assert passing
         ks = {(k1, k2) for k1, k2, _, _ in passing}
         assert (2.0, 0.6) in ks
         best = passing[0]
         assert best[2] >= 0.95 and best[3] <= 0.05
+
+    def test_reported_rates_are_those_of_adaptive_road_mask(self, rng):
+        scene, truth = reference_scene(rng)
+        passing = calibrate_mask_params(scene, truth)
+        assert len(passing) >= 8
+        for k1, k2, recall, fpr in passing[::max(1, len(passing) // 8)]:
+            bits = adaptive_road_mask(scene, MaskParams(k1, k2)).bits
+            assert recall == bits[truth].sum() / truth.sum()
+            assert fpr == bits[~truth].sum() / (~truth).sum()
 
     def test_truth_shape_checked(self):
         with pytest.raises(DimensionMismatch):
