@@ -182,7 +182,7 @@ def background_stream(
 ) -> list[BackgroundFrame]:
     """One background image per window of ``category.background_window_s`` seconds."""
     if seq.duration < 1.0:
-        raise VideoTooShort(f"{seq.video_id}: duration {seq.duration:.3f}s < 1s")
+        raise VideoTooShort(f"duration {seq.duration:.3f}s < 1s")
     windows = window_bounds(seq.frame_count, seq.fps, category.background_window_s)
     samples = [sample_indices(range(start, end), fraction,
                               derive_seed(seed, seq.video_id, start))

@@ -110,7 +110,7 @@ def run(argv: list[str]) -> int:
         elif stage in pipeline.STAGES:
             through = "decide" if stage == "detect" else stage
             failures = encode(pipeline.run_corpus(args.corpus, args.out, cfg,
-                                                  through))
+                                                  through)[0])
         elif stage == "score":
             _require(args.pred, "predictions file")
             _require(args.gt, "ground-truth file")

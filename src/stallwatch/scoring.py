@@ -135,6 +135,8 @@ def score_report(preds: list[AnomalyEvent],
             "fp": sub.false_positives,
             "fn": sub.false_negatives,
             "start_errors": [round(err, 6) for _, _, err in sub.true_positives],
+            "end_errors": [round(abs(p.end - g.end), 6)
+                           for p, g, _ in sub.true_positives],
         }
         for vid, sub in by_video.items()
     }

@@ -44,10 +44,9 @@ class RoadType(str, Enum):
     INTERSECTION = "intersection"
 
 
-# Road-mask constants, the same for every lighting class. Calibrated by
-# grid search on the synthetic textured road scene (see
-# roadmask.calibrate_mask_params and tests/test_acceptance.py); overridable
-# per class via the pipeline config.
+# Road-mask constants, the same for every lighting class; overridable per
+# class via the pipeline config. Calibrated by grid search on a synthetic
+# textured road scene (tests/mask_calibration.py, acceptance criterion 5).
 DEFAULT_K1K2 = {cls: (2.0, 0.6) for cls in LightingClass}
 
 
@@ -79,7 +78,7 @@ class VideoCategory:
 def average_histogram(seq: FrameSequence, stride: int) -> Histogram:
     """Mean per-frame pixel-frequency distribution over every stride-th frame."""
     if seq.frame_count == 0:
-        raise EmptyInput(f"{seq.video_id}: no frames")
+        raise EmptyInput("no frames")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     total = np.zeros(256, dtype=np.float64)

@@ -31,10 +31,11 @@ from stallwatch.media import (
 )
 from stallwatch.background import median_frame
 from stallwatch.pipeline import run_all
-from stallwatch.roadmask import calibrate_mask_params
 from stallwatch.scoring import _match_one_video, s4
 from stallwatch.sorting import DEFAULT_K1K2, LightingClass
 from stallwatch.synth import CORPUS_PRESETS
+
+from mask_calibration import calibrate_mask_params
 
 
 @pytest.fixture

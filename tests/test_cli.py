@@ -45,6 +45,14 @@ class TestExitCodes:
         assert run(["score", "--pred", str(tmp_path / "p.csv"),
                     "--gt", str(tmp_path / "g.csv")]) == EXIT_MISSING_INPUT
 
+    def test_score_creates_the_report_directory(self, mini_corpus, tmp_path,
+                                                capsys):
+        pred, report = tmp_path / "p.csv", tmp_path / "reports" / "x.json"
+        media.write_predictions([], pred)
+        assert run(["score", "--pred", str(pred), "--gt",
+                    str(mini_corpus / "gt.csv"), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
     def test_help(self, capsys):
         assert run(["--help"]) == EXIT_OK
         assert "stallwatch" in capsys.readouterr().out
@@ -78,22 +86,6 @@ class TestStages:
         assert run(["mask", "--corpus", str(mini_corpus),
                     "--out", str(out)]) == EXIT_OK
         assert (out / "mini_day_stall" / "mask.pgm").is_file()
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda text: text[:len(text) // 2],
-        lambda text: text.replace('"lighting"', '"lightning"'),
-    ], ids=["truncated", "no-lighting"])
-    def test_corrupt_category_fails_naming_the_file(self, mini_corpus, tmp_path,
-                                                    capsys, corrupt):
-        out = tmp_path / "out"
-        assert run(["sort", "--corpus", str(mini_corpus),
-                    "--out", str(out)]) == EXIT_OK
-        cat = out / "mini_day_stall" / "category.json"
-        cat.write_text(corrupt(cat.read_text()))
-        assert run(["detect", "--corpus", str(mini_corpus),
-                    "--out", str(out)]) == EXIT_FAILURE
-        err = capsys.readouterr().err
-        assert "ParseError" in err and "category.json" in err
 
     @pytest.mark.parametrize("bbox", ['[1, 2, "3", 4]', "[NaN, 2, 3, 4]",
                                       "[1e400, 2, 3, 4]"])
@@ -169,19 +161,29 @@ class TestStageChain:
         err = capsys.readouterr().err
         assert "sort: InsufficientData: mini_day_stall: sort: detections span 0" in err
 
-    def test_staged_commands_read_only_what_their_stage_needs(
-            self, mini_corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["sort", "background", "mask"])
+    def test_staged_command_recomputes_and_drops_the_stamp(
+            self, mini_corpus, tmp_path, capsys, stage):
+        """A staged command into a filled --out reads nothing back: it
+        recomputes its stages from the video's inputs, writes the same
+        bytes and removes the stamp, so the next run-all runs the chain."""
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
         out = tmp_path / "out"
         assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
         filled = tree_digests(out)
+        category = out / "mini_day_stall" / "category.json"
+        before = category.stat().st_ino
+        assert run([stage, "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert category.stat().st_ino != before
+        assert not (out / "mini_day_stall" / "stamp").exists()
+        del filled["mini_day_stall/stamp"]
+        assert tree_digests(out) == filled
+
         video = corpus / "videos" / "mini_day_stall"
-        for name in ("meta.json", "foreground.jsonl"):
-            (video / name).write_text("not json {")
-        for stage in ("sort", "background", "mask"):
-            assert run([stage, "--corpus", str(corpus),
-                        "--out", str(out)]) == EXIT_OK, capsys.readouterr().err
-            assert tree_digests(out) == filled
+        (video / "meta.json").write_text("not json {")
+        assert run([stage, "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        assert f"{stage}: ParseError: mini_day_stall: sort: " in capsys.readouterr().err
 
     def test_sort_opens_and_parses_once_per_video(self, mini_corpus, tmp_path,
                                                   monkeypatch):
@@ -215,6 +217,100 @@ class TestStageChain:
         want = tree_digests(chained)
         del want["manifest.json"], want["score.json"]
         assert tree_digests(staged) == want
+
+
+def without_manifest(root: Path) -> dict[str, str]:
+    digests = tree_digests(root)
+    del digests["manifest.json"]
+    return digests
+
+
+def hide_stall_from_oracle(video: Path) -> None:
+    """scene.json with the stalled vehicle's intensity changed, so that the
+    oracle detector no longer finds it on the backgrounds."""
+    scene = json.loads((video / "scene.json").read_text())
+    for vehicle in scene["vehicles"]:
+        if vehicle["stall"] is not None:
+            vehicle["intensity"] = 255.0
+    (video / "scene.json").write_text(json.dumps(scene))
+
+
+def drop_stall_rows(video: Path) -> None:
+    """foreground.jsonl without the rows of the stalled vehicle's box, so
+    that the stall has no support."""
+    (box, _, _), = synth.static_boxes(synth.load_scene(video / "scene.json"))
+    lines = (video / "foreground.jsonl").read_text().splitlines()
+    (video / "foreground.jsonl").write_text("".join(
+        line + "\n" for line in lines
+        if json.loads(line)["bbox"] != [box.x, box.y, box.w, box.h]))
+
+
+class TestStamp:
+    """Through decide, a video is answered from its events.json only when
+    its stamp matches the config and the video's small input files."""
+
+    @pytest.mark.parametrize("change", [{"decision": {"min_windows": 50}},
+                                        {"background_fraction": 0.2}],
+                             ids=["decision", "background_fraction"])
+    def test_rerun_with_another_config_equals_a_fresh_run(
+            self, mini_corpus, tmp_path, capsys, change):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        first = without_manifest(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(change))
+        for directory in (out, fresh):
+            assert run(["--config", str(cfg), "run-all", "--corpus",
+                        str(mini_corpus), "--out", str(directory)]) == EXIT_OK
+        assert without_manifest(out) == without_manifest(fresh) != first
+
+    @pytest.mark.parametrize("edit", [hide_stall_from_oracle, drop_stall_rows],
+                             ids=["scene", "foreground"])
+    def test_edited_input_is_recomputed(self, mini_corpus, tmp_path, capsys,
+                                        edit):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert len(read_predictions(out / "predictions.csv")) == 1
+        edit(corpus / "videos" / "mini_day_stall")
+        for directory in (out, fresh):
+            assert run(["run-all", "--corpus", str(corpus),
+                        "--out", str(directory)]) == EXIT_OK
+        assert read_predictions(out / "predictions.csv") == []
+        assert without_manifest(out) == without_manifest(fresh)
+
+    @pytest.mark.parametrize("deleted", ["events.json", "stamp"])
+    def test_deleted_answer_recomputes_that_video_only(
+            self, mini_corpus, tmp_path, capsys, deleted):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        filled = without_manifest(out)
+        inodes = {v: (out / v / "category.json").stat().st_ino for v in "ab"}
+        (out / "a" / deleted).unlink()
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert (out / "a" / "category.json").stat().st_ino != inodes["a"]
+        assert (out / "b" / "category.json").stat().st_ino == inodes["b"]
+        assert without_manifest(out) == filled
+
+    def test_parallel_rerun_is_answered_from_events(self, mini_corpus, tmp_path,
+                                                    capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        first = json.loads(capsys.readouterr().out)
+
+        def answers():
+            return {v: ((out / v / "category.json").stat().st_ino,
+                        (out / v / "stamp").read_bytes()) for v in "ab"}
+
+        filled = answers()
+        assert run(["--jobs", "2", "run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert answers() == filled
+        assert json.loads(capsys.readouterr().out)["input_hash"] == \
+               first["input_hash"]
 
 
 def stall_detector(tmp_path: Path, corpus: Path, hangs: str) -> Path:
@@ -270,6 +366,20 @@ class TestFaultIsolation:
         assert ((out / "predictions.csv").read_bytes()
                 == (alone / "predictions.csv").read_bytes())
 
+    def test_video_without_meta_fails_alone(self, mini_corpus, tmp_path, capsys):
+        # the stamp hashes a missing input as empty; the chain then fails
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        (corpus / "videos" / "bad" / "meta.json").unlink()
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failure, = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["video"], failure["stage"]) == ("bad", "sort")
+        assert failure["error"].startswith("MissingMetadata: bad: sort: ")
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+
     def test_corrupt_events_file_fails_at_the_decide_stage(self, mini_corpus,
                                                            tmp_path, capsys):
         out = tmp_path / "out"
@@ -320,7 +430,7 @@ class TestFaultIsolation:
     def test_staged_commands_write_the_same_bytes_in_parallel(
             self, mini_corpus, tmp_path, capsys):
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
-        for stage in ("sort", "background", "mask"):
+        for stage in ("sort", "background", "mask", "detect"):
             for jobs in (1, 2):
                 assert run(["--jobs", str(jobs), stage, "--corpus", str(corpus),
                             "--out", str(tmp_path / f"jobs{jobs}")]) == EXIT_OK, \

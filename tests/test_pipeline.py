@@ -1,5 +1,8 @@
 import json
+import os
+import shutil
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -40,7 +43,8 @@ class TestOnePass:
 
         video_dir = mini_corpus / "videos" / "mini_day_stall"
         out_vid = tmp_path / "mini_day_stall"
-        events = pipeline.process_video(video_dir, out_vid, PipelineConfig())
+        cfg, stamp = PipelineConfig(), b"stamp\n"
+        events = pipeline.process_video(video_dir, out_vid, cfg, stamp)
         index = json.loads((out_vid / "backgrounds" / "index.json").read_text())
 
         assert len(events) == 1
@@ -50,15 +54,38 @@ class TestOnePass:
 
         # a finished video is answered from events.json without opening
         # the frame sequence or parsing anything
-        assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
+        assert pipeline.process_video(video_dir, out_vid, cfg, stamp) == events
         assert counts == {"open": 1, "parse": 1, "mask": 2, "median": 2}
 
-        # without events.json the decision runs again: category.json and the
-        # backgrounds are reused, the foreground is parsed once more and the
-        # road mask is rebuilt, one per window
+        # without events.json the whole chain runs again, once: nothing
+        # upstream of it is read back
         (out_vid / "events.json").unlink()
-        assert pipeline.process_video(video_dir, out_vid, PipelineConfig()) == events
-        assert counts == {"open": 2, "parse": 2, "mask": 4, "median": 2}
+        assert pipeline.process_video(video_dir, out_vid, cfg, stamp) == events
+        assert counts == {"open": 2, "parse": 2, "mask": 4, "median": 4}
+
+
+class TestShortVideo:
+    def test_fails_alone_at_background_naming_itself_once(self, mini_corpus,
+                                                          tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus, corpus, copy_function=os.link)
+        scene = synth.make_scene("short", LightingClass.DAY, False, None, False,
+                                 seed=2, duration=0.5)
+        lane = scene.bands[0].y + synth.FWD_LANE
+        scene = replace(scene, vehicles=(VehicleSpec(
+            width=synth.VEH_W, height=synth.VEH_H, intensity=20.0,
+            speed=synth.SPEED, spawn=0.0, axis="h", lane=lane, direction=1,
+            start=0.0),))
+        synth.generate(scene, corpus / "videos" / "short")
+        out = tmp_path / "out"
+        failures, stamps = pipeline.run_corpus(corpus, out, PipelineConfig())
+        assert failures == [pipeline.VideoFailure(
+            "short", "background",
+            "VideoTooShort: short: background: duration 0.500s < 1s")]
+        assert stamps == [(out / "mini_day_stall" / "stamp").read_bytes()]
+        assert (out / "short" / "category.json").is_file()
+        assert [p.video_id for p in media.read_predictions(
+            out / "predictions.csv")] == ["mini_day_stall"]
 
 
 class TestOutOfFrameDetection:

@@ -13,13 +13,13 @@ from stallwatch.roadmask import (
     MaskParams,
     adaptive_road_mask,
     bbox_on_road,
-    calibrate_mask_params,
     local_stats,
     mask_union,
 )
 from stallwatch.sorting import LightingClass
 
 from conftest import make_frame
+from mask_calibration import calibrate_mask_params
 
 
 def fancy_index_local_stats(frame: Frame, block: int):

@@ -90,13 +90,17 @@ class TestMetrics:
 
 class TestReport:
     def test_per_video_breakdown(self):
-        preds = [pred(100.0, vid="a"), pred(50.0, vid="b"), pred(200.0, vid="b")]
+        preds = [pred(100.0, vid="a"), pred(50.0, 95.5, vid="b"),
+                 pred(200.0, vid="b")]
         gts = [gt(101.0, vid="a"), gt(52.0, vid="b")]
         rep = score_report(preds, gts)
         assert rep.tp == 2 and rep.fp == 1 and rep.fn == 0
         assert rep.per_video["a"]["start_errors"] == [1.0]
+        assert rep.per_video["a"]["end_errors"] == [1.0]  # 130 against 131
+        # the end error is reported, not matched on: 95.5 against 82
         assert rep.per_video["b"] == {"tp": 1, "fp": 1, "fn": 0,
-                                      "start_errors": [2.0]}
+                                      "start_errors": [2.0],
+                                      "end_errors": [13.5]}
 
     def test_totals_consistent(self):
         preds = [pred(10.0), pred(100.0), pred(500.0)]
