@@ -150,8 +150,9 @@ def write_json(path: str | Path, value) -> None:
 
 def read_json(path: str | Path, cls):
     """Parse and decode one JSON file; a malformed file raises `ParseError`
-    naming it. A missing file raises `FileNotFoundError`."""
+    naming it, also one nested too deep to parse. A missing file raises
+    `FileNotFoundError`."""
     try:
         return decode(cls, json.loads(Path(path).read_text()))
-    except (ValueError, StallwatchError) as exc:
+    except (ValueError, RecursionError, StallwatchError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -167,7 +167,7 @@ class ExternalProcessDetector(DetectorHandle):
             raise ProtocolError("detector process closed its output")
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
             raise ProtocolError(f"invalid response line: {exc}") from exc
         if not isinstance(obj, dict):
             raise ProtocolError("response must be a JSON object")

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -199,15 +198,20 @@ def _header(width: int, height: int) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii")
 
 
-def write_frame(frame: Frame, dest: str | Path | BinaryIO) -> None:
-    """`frame` as one PGM image: the whole file at path `dest`, replaced
-    atomically (`codec.write_atomic`), or appended to `dest` when that is a
-    file open for binary writing."""
-    data = _header(frame.width, frame.height) + frame.pixels.tobytes()
-    if isinstance(dest, (str, os.PathLike)):
-        write_atomic(dest, data)
-    else:
-        dest.write(data)
+def write_frame(frame: Frame, path: str | Path) -> None:
+    """`frame` as one PGM image, the whole file at `path`, replaced
+    atomically (`codec.write_atomic`)."""
+    write_atomic(path, _header(frame.width, frame.height) + frame.pixels.tobytes())
+
+
+def frame_record(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer for one `width` x `height` image as `write_frame` writes
+    it, its header filled in, and the (height, width) view of its pixels.
+    For each frame, fill the view, then write the whole buffer."""
+    header = _header(width, height)
+    record = np.empty(len(header) + width * height, dtype=np.uint8)
+    record[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    return record, record[len(header):].reshape(height, width)
 
 
 # the longest header of a frame whose sides fit in a file (each below 2**63)
@@ -411,9 +415,11 @@ def _read_text(path: str | Path) -> str:
 
 def _detection_from_line(line: str, where: str) -> Detection:
     """One stripped, non-blank line holding exactly one JSON object."""
+    # ValueError also for an integer of more than sys.get_int_max_str_digits()
+    # digits; RecursionError for arrays or objects nested too deep
     try:
         obj, end = _raw_decode(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}: invalid JSON: {exc}") from exc
     if end != len(line):
         raise ParseError(f"{where}: invalid JSON: extra data at column {end + 1}")
@@ -428,7 +434,8 @@ _FIELDS = itemgetter("frame", "class", "score", "bbox")
 def _columns(lines: list[str]) -> Detections | None:
     """Every line's row as columns, or None when some row is not valid;
     a line that is not JSON, a missing key or a number too large to convert
-    raises `JSONDecodeError`, `KeyError` or `OverflowError` instead.
+    raises `ValueError`, `RecursionError`, `KeyError` or `OverflowError`
+    instead.
 
     At least as strict as `_detection_from_line`, field by field: element
     types are checked exactly before any conversion (numpy would turn the
@@ -466,7 +473,7 @@ def read_detections(path: str | Path) -> Detections:
     lines = list(map(str.strip, _read_text(path).split("\n")))
     try:
         columns = _columns(list(filter(None, lines)))
-    except (json.JSONDecodeError, KeyError, OverflowError):
+    except (ValueError, RecursionError, KeyError, OverflowError):
         columns = None
     if columns is not None:
         return columns
@@ -485,10 +492,13 @@ def detection_to_obj(det: Detection) -> dict:
     }
 
 
+# `json.dumps(obj, sort_keys=True)` without building an encoder per row
+_encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_detections(detections: list[Detection], path: str | Path) -> None:
     write_atomic(path, "".join(
-        json.dumps(detection_to_obj(det), sort_keys=True) + "\n"
-        for det in detections).encode())
+        _encode_row(detection_to_obj(det)) + "\n" for det in detections).encode())
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,26 @@ The pipeline's math only ever sees pixels-vs-median and boxes, so nothing
 fancier is needed. Every output (frames, foreground detections, ground
 truth) is byte-identical for a given spec and seed.
 
+`generate` works out where every vehicle is on every frame first, as one
+array per vehicle (`VehicleSpec.track`), and renders each frame into
+buffers allocated once per video (`FrameBuffers`): the frame is cast
+straight into its PGM record, which is written as it is. Per frame, only
+the noise draw allocates.
+
 `corpus` renders its videos concurrently on a thread pool of the standard
 library's default size, min(32, CPUs + 4), which on a small host is one
 thread per video of a short corpus. Each video draws from its own generator
 and writes only into its own directory, and ground truth is collected in
 spec order, so the corpus is byte-identical whatever the thread scheduling.
-Threads pay off because the per-frame numpy calls run without the GIL: the
-uint16 pair draw (`Generator.integers`), the pair table `take`, the float32
-multiply and add, `rint`, `clip` and the uint8 cast. Checked, not assumed,
-on numpy 2.4: while one thread makes one such call on a 100-frame array
-(13-35 ms), a second thread running Python code is never stalled for more
-than 8 ms (the interpreter's 5 ms switch interval plus scheduling), where a
-call that holds the GIL (`sorted` on a list, 65-95 ms) stalls it for the
-whole call.
+The per-frame numpy calls run without the GIL: the uint16 pair draw
+(`Generator.integers`), its copy to intp, the pair table `take`, the
+float32 multiply and add, `rint`, `clip` and the cast to uint8. Checked,
+not assumed, on numpy 2.4: while one thread makes one such call on a
+100-frame array (13-35 ms), a second thread running Python code is never
+stalled for more than 8 ms (the interpreter's 5 ms switch interval plus
+scheduling), where a call that holds the GIL (`sorted` on a list,
+65-95 ms) stalls it for the whole call. The threads gain little on a
+small host all the same: each frame's calls are short and memory-bound.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from .media import (
     Detection,
     Frame,
     GroundTruthEntry,
+    frame_record,
     write_detections,
-    write_frame,
     write_ground_truth,
     write_sequence_meta,
 )
@@ -122,27 +129,41 @@ class VehicleSpec:
     stall: tuple[float, float] | None = None
     class_label: str = field(default="car", metadata={"key": "class"})
 
-    def moving_coord(self, t: float) -> float:
-        """Position along the travel axis at time t (before visibility clip)."""
+    def moving_coord(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Position along the travel axis at time t, a float or a float64
+        array (before visibility clip)."""
         if self.stall is None:
             travel = t - self.spawn
         else:
             s0, s1 = self.stall
-            travel = (min(t, s0) - self.spawn) + max(0.0, t - s1)
+            travel = (np.minimum(t, s0) - self.spawn) + np.maximum(0.0, t - s1)
         return self.start + self.direction * self.speed * travel
+
+    def track(self, t: np.ndarray, frame_w: int,
+              frame_h: int) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the times in the float64 array `t` at which the
+        vehicle shows, spawned and fully inside the frame, and the moving
+        coordinate of its box there: `moving_coord` rounded half to even,
+        as int64."""
+        pos = np.rint(self.moving_coord(t))
+        extent, length, cross_extent, cross = (
+            (frame_w, self.width, frame_h, self.height) if self.axis == "h"
+            else (frame_h, self.height, frame_w, self.width))
+        # nan and infinities fail every comparison
+        shown = ((t >= self.spawn) & (pos >= 0) & (pos <= extent - length)
+                 & (0 <= self.lane <= cross_extent - cross))
+        index = np.flatnonzero(shown)
+        return index, pos[index].astype(np.int64)
+
+    def box(self, pos: int) -> BBox:
+        """The box with moving coordinate `pos`."""
+        x, y = (pos, self.lane) if self.axis == "h" else (self.lane, pos)
+        return BBox(x, y, self.width, self.height)
 
     def box_at(self, t: float, frame_w: int, frame_h: int) -> BBox | None:
         """Box if the vehicle is spawned and fully inside the frame, else None."""
-        if t < self.spawn:
-            return None
-        pos = int(round(self.moving_coord(t)))
-        if self.axis == "h":
-            x, y = pos, self.lane
-        else:
-            x, y = self.lane, pos
-        if x < 0 or y < 0 or x + self.width > frame_w or y + self.height > frame_h:
-            return None
-        return BBox(x, y, self.width, self.height)
+        index, pos = self.track(np.array([t], dtype=np.float64), frame_w, frame_h)
+        return self.box(int(pos[0])) if index.size else None
 
     def stall_box(self, frame_w: int, frame_h: int) -> BBox | None:
         if self.stall is None:
@@ -233,42 +254,69 @@ def _base_canvas(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     return canvas
 
 
-def render_frame(spec: SceneSpec, base: np.ndarray, t: float,
-                 rng: np.random.Generator) -> tuple[Frame, list[tuple[BBox, str]]]:
-    """The frame at time t and the (box, class label) of each vehicle drawn.
+def drawn_boxes(spec: SceneSpec,
+                t: np.ndarray) -> list[list[tuple[BBox, VehicleSpec]]]:
+    """For each time of the float64 array `t`, the box of every vehicle
+    that shows then, in spec order, which is the order they are drawn in."""
+    drawn: list[list[tuple[BBox, VehicleSpec]]] = [[] for _ in range(len(t))]
+    for v in spec.vehicles:
+        index, pos = v.track(t, spec.width, spec.height)
+        for i, p in zip(index.tolist(), pos.tolist()):
+            drawn[i].append((v.box(p), v))
+    return drawn
 
-    The frame is composed in place in one float32 buffer: with several
-    videos rendering at once, per-frame temporaries add up. Its pixels are
-    those of one uint8 draw per pixel looked up in `NOISE_QUANTILES`, scaled
-    by the spec's sigma and added to `base` with the vehicles drawn in, but
-    the draw and the lookup go two pixels at a time: see `_noise_pairs`.
+
+class FrameBuffers:
+    """The memory `render_frame` works in, allocated once per video: the
+    intp pair indices, the float32 canvas (its pixel count rounded up to
+    even) and the frame's PGM record (`media.frame_record`), whose pixels
+    take the finished frame. Each frame overwrites them all."""
+
+    def __init__(self, width: int, height: int):
+        n = width * height
+        self.index = np.empty((n + 1) // 2, dtype=np.intp)
+        self.noise = np.empty(n + n % 2, dtype=np.float32)
+        self.canvas = self.noise[:n].reshape(height, width)
+        self.record, self.pixels = frame_record(width, height)
+
+
+def render_frame(spec: SceneSpec, base: np.ndarray,
+                 drawn: list[tuple[BBox, VehicleSpec]], rng: np.random.Generator,
+                 buffers: FrameBuffers) -> Frame:
+    """The next frame, with the vehicles `drawn` (see `drawn_boxes`) drawn
+    in, rendered into `buffers`; the frame shares `buffers.pixels`, so the
+    next call overwrites it.
+
+    Its pixels are those of one uint8 draw per pixel looked up in
+    `NOISE_QUANTILES`, scaled by the spec's sigma and added to `base` with
+    the vehicles drawn in, but the draw and the lookup go two pixels at a
+    time: see `_noise_pairs`.
     """
-    shown = [(box, v) for v in spec.vehicles
-             if (box := v.box_at(t, spec.width, spec.height)) is not None]
+    canvas = buffers.canvas
     if spec.noise_sigma > 0:
-        n = base.size
-        pairs = rng.integers(0, 1 << 16, size=(n + 1) // 2, dtype=np.uint16)
-        buffer = np.empty(n + n % 2, dtype=np.float32)
-        # `take`, not indexing: 40% faster here, though it first copies the
-        # indices to intp. "wrap" cannot change a uint16 index; the default
-        # "raise" copies through a second buffer at twice the cost
-        np.take(_noise_pairs(), pairs, out=buffer.view(np.uint64), mode="wrap")
-        canvas = buffer[:n].reshape(base.shape)
+        pairs = rng.integers(0, 1 << 16, size=buffers.index.size, dtype=np.uint16)
+        np.copyto(buffers.index, pairs)
+        # `take`, not indexing: 40% faster here. Given intp indices and
+        # "wrap", which cannot change a uint16 index, it gathers straight
+        # into `out`; the default "raise" copies through a second buffer
+        np.take(_noise_pairs(), buffers.index, out=buffers.noise.view(np.uint64),
+                mode="wrap")
         canvas *= np.float32(spec.noise_sigma)
         # a vehicle's pixels are its intensity plus their noise, as if it
         # had been drawn into `base`; the last one drawn wins
         patches = [canvas[box.y : box.y2, box.x : box.x2] + np.float32(v.intensity)
-                   for box, v in shown]
+                   for box, v in drawn]
         canvas += base
-        for (box, _), patch in zip(shown, patches):
+        for (box, _), patch in zip(drawn, patches):
             canvas[box.y : box.y2, box.x : box.x2] = patch
     else:
-        canvas = base.copy()
-        for box, v in shown:
+        np.copyto(canvas, base)
+        for box, v in drawn:
             canvas[box.y : box.y2, box.x : box.x2] = v.intensity
     np.rint(canvas, out=canvas)
     np.clip(canvas, 0, 255, out=canvas)
-    return Frame(canvas.astype(np.uint8)), [(box, v.class_label) for box, v in shown]
+    np.copyto(buffers.pixels, canvas, casting="unsafe")
+    return Frame(buffers.pixels)
 
 
 def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
@@ -284,15 +332,18 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     base = _base_canvas(spec, rng)
+    buffers = FrameBuffers(spec.width, spec.height)
 
     foreground: list[Detection] = []
     n = spec.frame_count
+    drawn = drawn_boxes(spec, np.arange(n) / spec.fps)
     for first in range(0, n, FRAMES_PER_FILE):
         with open(out / (SEGMENT_NAME % (first // FRAMES_PER_FILE)), "wb") as segment:
             for i in range(first, min(first + FRAMES_PER_FILE, n)):
-                frame, drawn = render_frame(spec, base, i / spec.fps, rng)
-                write_frame(frame, segment)
-                foreground += [Detection(i, label, 1.0, box) for box, label in drawn]
+                render_frame(spec, base, drawn[i], rng, buffers)
+                segment.write(buffers.record)
+                foreground += [Detection(i, v.class_label, 1.0, box)
+                               for box, v in drawn[i]]
                 foreground += [Detection(i, p.class_label, 1.0, p.bbox)
                                for p in spec.offroad_parked]
 

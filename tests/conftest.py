@@ -10,7 +10,7 @@ from stallwatch.media import (
     Detection,
     Detections,
     Frame,
-    write_frame,
+    frame_record,
 )
 
 
@@ -23,13 +23,19 @@ def make_frame(values) -> Frame:
     return Frame(np.asarray(values, dtype=np.uint8))
 
 
+def frame_bytes(frame: Frame) -> bytes:
+    """`frame` as the one PGM record a segment holds of it."""
+    record, pixels = frame_record(frame.width, frame.height)
+    pixels[...] = frame.pixels
+    return record.tobytes()
+
+
 def write_segments(directory, frames: list[Frame]) -> None:
     """`frames` as the segment files of a frame directory."""
     for first in range(0, len(frames), FRAMES_PER_FILE):
         name = SEGMENT_NAME % (first // FRAMES_PER_FILE)
-        with open(directory / name, "wb") as segment:
-            for frame in frames[first:first + FRAMES_PER_FILE]:
-                write_frame(frame, segment)
+        (directory / name).write_bytes(b"".join(
+            map(frame_bytes, frames[first:first + FRAMES_PER_FILE])))
 
 
 def columns(dets: list[Detection]) -> Detections:

@@ -380,6 +380,45 @@ class TestFaultIsolation:
         preds = read_predictions(out / "predictions.csv")
         assert [p.video_id for p in preds] == ["mini_day_stall"]
 
+    @pytest.mark.parametrize("name, text, where", [
+        ("foreground.jsonl", '{"frame": 1%s}\n' % ("0" * 5000), "foreground.jsonl:1: "),
+        ("foreground.jsonl", "[" * 100_000 + "\n", "foreground.jsonl:1: "),
+        ("meta.json", "[" * 100_000, "meta.json: "),
+    ], ids=["5000-digit-integer", "deep-foreground-line", "deep-meta"])
+    def test_json_past_the_parser_limits_fails_alone(
+            self, mini_corpus, tmp_path, capsys, name, text, where):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        (corpus / "videos" / "bad" / name).write_text(text)
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failure, = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["video"], failure["stage"]) == ("bad", "sort")
+        assert failure["error"].startswith("ParseError: bad: sort: ")
+        assert where in failure["error"]
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        assert (out / "manifest.json").is_file()
+
+    def test_deep_events_file_fails_at_the_decide_stage(self, mini_corpus,
+                                                        tmp_path, capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        (out / "bad" / "events.json").write_text("[" * 100_000)
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failure, = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["video"], failure["stage"]) == ("bad", "decide")
+        assert failure["error"].startswith("ParseError: bad: decide: ")
+        assert "events.json" in failure["error"]
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+
     def test_corrupt_events_file_fails_at_the_decide_stage(self, mini_corpus,
                                                            tmp_path, capsys):
         out = tmp_path / "out"

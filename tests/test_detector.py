@@ -214,6 +214,21 @@ class TestExternal:
             assert time.monotonic() - start < 1.0
             assert handle.detect("/some/frame1.pgm", BLANK) == []
 
+    def test_reply_nested_too_deep_fails_that_request_only(self, tmp_path):
+        cmd = child_script(tmp_path, """
+            import json, sys
+            replies = ["[" * 100_000, '{"detections": []}']
+            for line in sys.stdin:
+                if "ping" in json.loads(line):
+                    print(json.dumps({"ready": True}), flush=True)
+                else:
+                    print(replies.pop(0), flush=True)
+        """)
+        with ExternalProcessDetector(cmd, timeout=3.0) as handle:
+            with pytest.raises(ProtocolError, match="invalid response line"):
+                handle.detect("/some/frame0.pgm", BLANK)
+            assert handle.detect("/some/frame1.pgm", BLANK) == []
+
     def test_bad_handshake(self, tmp_path):
         cmd = child_script(tmp_path, """
             import json, sys

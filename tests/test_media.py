@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stallwatch
-from stallwatch.codec import write_atomic, write_json
+from stallwatch.codec import read_json, write_atomic, write_json
 from stallwatch.errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -30,6 +30,7 @@ from stallwatch.media import (
     Detection,
     Frame,
     GroundTruthEntry,
+    SequenceMeta,
     open_sequence,
     read_detections,
     read_frame,
@@ -42,7 +43,7 @@ from stallwatch.media import (
     _detection_from_obj,
 )
 
-from conftest import make_frame, write_segments
+from conftest import frame_bytes, make_frame, write_segments
 
 
 # the header `write_frame` writes, for positive sides
@@ -227,9 +228,7 @@ class TestPGM:
     def test_read_at_offset(self, tmp_path):
         frames = [make_frame(np.full((2, 3), v)) for v in (5, 6, 7)]
         path = tmp_path / "s.pgm"
-        with open(path, "wb") as fh:
-            for frame in frames:
-                write_frame(frame, fh)
+        path.write_bytes(b"".join(map(frame_bytes, frames)))
         record = len(b"P5\n3 2\n255\n") + 6
         assert path.stat().st_size == 3 * record
         out = np.zeros((2, 3), dtype=np.uint8)
@@ -429,8 +428,29 @@ def row_text(frame="0", label='"car"', score="0.5", bbox="[1, 1, 2, 2]"):
     return f'{{"frame": {frame}, "class": {label}, "score": {score}, "bbox": {bbox}}}'
 
 
+class TestReadJson:
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000, "1" * 5000],
+                             ids=["nested-arrays", "nested-objects",
+                                  "5000-digit-integer"])
+    def test_json_past_the_parser_limits(self, tmp_path, text):
+        path = tmp_path / "meta.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
+            read_json(path, SequenceMeta)
+
+
 class TestDetectionRows:
     """Every malformed row raises a typed error naming its file and line."""
+
+    @pytest.mark.parametrize("line", [
+        row_text(frame="1" * 5000), row_text(bbox="[" * 100_000), "[" * 100_000],
+        ids=["5000-digit-integer", "nested-past-the-recursion-limit",
+             "nested-line"])
+    def test_json_past_the_parser_limits(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_text(f"{ROW}\n{line}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: invalid JSON")):
+            read_detections(path)
 
     @pytest.mark.parametrize("line, error", [
         (row_text(bbox='[1, 2, "3", 4]'), ParseError),

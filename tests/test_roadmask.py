@@ -183,7 +183,9 @@ def day_background() -> Frame:
                             seed=3, duration=60.0, fps=1.0)
     rng = np.random.default_rng(spec.seed)
     base = synth._base_canvas(spec, rng)
-    frames = [synth.render_frame(spec, base, float(t), rng)[0] for t in range(0, 60, 6)]
+    buffers = synth.FrameBuffers(spec.width, spec.height)
+    frames = [Frame(synth.render_frame(spec, base, drawn, rng, buffers).pixels.copy())
+              for drawn in synth.drawn_boxes(spec, np.arange(0.0, 60.0, 6.0))]
     return background.median_frame(frames)
 
 

@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stallwatch.codec import decode, encode
 from stallwatch.errors import InvalidSpec
 from stallwatch.media import (
     FRAMES_PER_FILE,
     SEGMENT_NAME,
+    BBox,
+    Frame,
     open_sequence,
     read_detections,
     read_ground_truth,
@@ -21,6 +25,7 @@ from stallwatch.synth import (
     CORPUS_PRESETS,
     NOISE_QUANTILES,
     PALETTES,
+    FrameBuffers,
     ParkedVehicle,
     RoadBand,
     SceneSpec,
@@ -28,6 +33,7 @@ from stallwatch.synth import (
     _base_canvas,
     _noise_pairs,
     corpus,
+    drawn_boxes,
     generate,
     load_scene,
     make_scene,
@@ -48,6 +54,19 @@ def small_scene(**overrides) -> SceneSpec:
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+def frame_times(spec: SceneSpec) -> np.ndarray:
+    return np.arange(spec.frame_count) / spec.fps
+
+
+def render(spec: SceneSpec, base: np.ndarray, times, rng: np.random.Generator):
+    """(frame, (box, class label) of each vehicle drawn) at each of
+    `times`, rendered as `generate` renders them; each frame is a copy."""
+    buffers = FrameBuffers(spec.width, spec.height)
+    for drawn in drawn_boxes(spec, np.asarray(times, dtype=np.float64)):
+        frame = render_frame(spec, base, drawn, rng, buffers)
+        yield Frame(frame.pixels.copy()), [(box, v.class_label) for box, v in drawn]
 
 
 class TestVehicleKinematics:
@@ -79,6 +98,85 @@ class TestVehicleKinematics:
     def test_partially_out_of_frame_hidden(self):
         v = self._veh()
         assert v.box_at(21.0, 200, 100) is None  # x=195, x2=205 > 200
+
+
+def oracle_moving_coord(v: VehicleSpec, t: float) -> float:
+    """`VehicleSpec.moving_coord` for one time, in scalar Python floats."""
+    if v.stall is None:
+        travel = t - v.spawn
+    else:
+        s0, s1 = v.stall
+        travel = (min(t, s0) - v.spawn) + max(0.0, t - s1)
+    return v.start + v.direction * v.speed * travel
+
+
+def oracle_box_at(v: VehicleSpec, t: float, frame_w: int, frame_h: int):
+    """The vehicle's box at time t if it is spawned and fully inside the
+    frame, else None: one time at a time, rounding by Python's `round`."""
+    if t < v.spawn:
+        return None
+    pos = int(round(oracle_moving_coord(v, t)))
+    x, y = (pos, v.lane) if v.axis == "h" else (v.lane, pos)
+    if x < 0 or y < 0 or x + v.width > frame_w or y + v.height > frame_h:
+        return None
+    return BBox(x, y, v.width, v.height)
+
+
+FPS_VALUES = (1.0, 2.0, 3.0, 4.0, 7.5, 10.0, 29.97)
+
+
+@st.composite
+def visibility_scenes(draw):
+    """Scenes of 1-4 vehicles on either axis and in either direction, most
+    of them spawning, stalling and resuming on frame times, and moving a
+    multiple of half a pixel a frame from a start on a half pixel, so that
+    rounding meets exact halves."""
+    fps = draw(st.sampled_from(FPS_VALUES))
+    frames = draw(st.integers(1, 60))
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    frame_time = st.integers(0, frames + 2).map(lambda k: k / fps)
+    any_time = st.floats(0.0, (frames + 2) / fps)
+    vehicles = []
+    for _ in range(draw(st.integers(1, 4))):
+        axis = draw(st.sampled_from("hv"))
+        extent, cross = (width, height) if axis == "h" else (height, width)
+        w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        step = st.integers(1, 12).map(lambda k: k * fps / 2)
+        start = st.integers(-2 * extent - 8, 4 * extent + 8).map(lambda k: k / 2)
+        times = st.one_of(frame_time, any_time)
+        stall = st.none() | st.tuples(times, times).filter(lambda s: s[0] < s[1])
+        vehicles.append(VehicleSpec(
+            width=w, height=h, intensity=25.0,
+            speed=draw(st.one_of(step, st.floats(0.01, 50.0))),
+            spawn=draw(times), axis=axis, lane=draw(st.integers(-3, cross)),
+            direction=draw(st.sampled_from((1, -1))),
+            start=draw(st.one_of(start, st.floats(-extent - 8.0, 2.0 * extent + 8))),
+            stall=draw(stall)))
+    return small_scene(width=width, height=height, fps=fps,
+                       duration=frames / fps, bands=(), vehicles=tuple(vehicles))
+
+
+class TestVisibility:
+    @given(spec=visibility_scenes())
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_boxes_equal_the_scalar_oracle(self, spec):
+        times = frame_times(spec)
+        oracle = [[oracle_box_at(v, t, spec.width, spec.height) for v in spec.vehicles]
+                  for t in times.tolist()]
+        assert drawn_boxes(spec, times) == [
+            [(box, v) for box, v in zip(boxes, spec.vehicles) if box is not None]
+            for boxes in oracle]
+        assert [[v.box_at(t, spec.width, spec.height) for v in spec.vehicles]
+                for t in times.tolist()] == oracle
+
+    @pytest.mark.parametrize("start,shown", [
+        (-0.5, 0), (0.5, 0), (1.5, 2), (-1.5, None), (14.5, 14), (15.5, None)])
+    def test_exact_halves_round_to_even(self, start, shown):
+        # a 6-pixel-wide mover at rest in a 20-pixel frame
+        v = VehicleSpec(width=6, height=2, intensity=25.0, speed=1.0, spawn=0.0,
+                        axis="h", lane=0, direction=1, start=start, stall=(0.0, 1.0))
+        box = v.box_at(0.5, 20, 4)
+        assert (None if box is None else box.x) == shown
 
 
 class TestSceneValidation:
@@ -173,7 +271,7 @@ class TestGenerate:
         generate(spec, tmp_path)
         rng = np.random.default_rng(spec.seed)
         base = _base_canvas(spec, rng)
-        frames = [render_frame(spec, base, i / spec.fps, rng)[0] for i in range(count)]
+        frames = [frame for frame, _ in render(spec, base, frame_times(spec), rng)]
         seq = open_sequence(tmp_path)
         assert seq.frame_count == count
         assert [seq.frame(i) for i in range(count)] == frames
@@ -319,9 +417,8 @@ class TestRenderFrame:
         base = np.zeros((spec.height, spec.width), dtype=np.float32)
         rng = np.random.default_rng(0)
         seen = 0
-        for i in range(spec.frame_count):
+        for i, (_, drawn) in enumerate(render(spec, base, frame_times(spec), rng)):
             t = i / spec.fps
-            _, drawn = render_frame(spec, base, t, rng)
             expected = [(v.box_at(t, spec.width, spec.height), v.class_label)
                         for v in spec.vehicles]
             assert drawn == [(b, c) for b, c in expected if b is not None]
@@ -332,6 +429,30 @@ class TestRenderFrame:
 # sha256 over the names and bytes of every file `generate` writes for a
 # 2-frame scene: a change to the corpus bytes must be a deliberate edit here.
 GOLDEN_SCENE_SHA256 = "3592a110e2923728e1964438eab88edb65e5e9e895497784c31054a07328c767"
+
+
+def segment_scene() -> SceneSpec:
+    """36 frames of 23x17 (an odd pixel count), so three segments, the last
+    one partial: a road cross, a parked car, a stall, and movers that
+    enter and leave by every frame edge, spawning on and between frames."""
+    def mover(axis, lane, direction, start, spawn=0.0, stall=None):
+        w, h = (4, 3) if axis == "h" else (3, 4)
+        return VehicleSpec(width=w, height=h, intensity=20.0, speed=5.0,
+                           spawn=spawn, axis=axis, lane=lane, direction=direction,
+                           start=start, stall=stall)
+    return SceneSpec(
+        video_id="segments", duration=9.0, fps=4.0, width=23, height=17,
+        lighting=LightingClass.DAY, offroad_intensity=190.0,
+        bands=(RoadBand(0, 6, 23, 6, 70.0, 3.0), RoadBand(9, 0, 6, 17, 70.0, 3.0)),
+        vehicles=(mover("h", 6, 1, -3.0), mover("h", 9, -1, 23.0, spawn=0.5),
+                  mover("v", 9, 1, -3.0, spawn=1.25), mover("v", 12, -1, 17.0, spawn=2.0),
+                  mover("h", 7, 1, 0.5, spawn=0.75, stall=(2.0, 6.5))),
+        offroad_parked=(ParkedVehicle(1, 1, 4, 3, 175.0),),
+        noise_sigma=1.5, seed=7)
+
+
+# the same over the files of `segment_scene`
+GOLDEN_SEGMENTS_SHA256 = "db4f8878e2f413d6ec04c34d81df8a5c5ba619226748a915260b1326fb006ce0"
 
 
 class TestNoiseDraw:
@@ -347,8 +468,8 @@ class TestNoiseDraw:
                            noise_sigma=1.5)
         base = np.full((240, 320), 100.0, dtype=np.float32)
         rng = np.random.default_rng(0)
-        frames = np.stack([render_frame(spec, base, i / spec.fps, rng)[0].pixels
-                           for i in range(4)])
+        frames = np.stack([frame.pixels for frame, _ in
+                           render(spec, base, frame_times(spec)[:4], rng)])
         residual = frames.astype(np.float64) - np.rint(base)
         assert abs(residual.mean()) < 0.02
         assert abs(residual.std() / spec.noise_sigma - 1.0) <= 0.03
@@ -368,6 +489,20 @@ class TestNoiseDraw:
         for name, data in files.items():
             h.update(name.encode() + b"\0" + data)
         assert h.hexdigest() == GOLDEN_SCENE_SHA256
+
+    def test_golden_segments(self, tmp_path):
+        spec = segment_scene()
+        entries = generate(spec, tmp_path)
+        assert spec.frame_count == 36 and spec.width * spec.height % 2 == 1
+        assert [(e.start, e.end) for e in entries] == [(2.0, 6.5)]
+        boxes = read_detections(tmp_path / "foreground.jsonl").boxes
+        x, y, w, h = boxes.T
+        assert ((x == 0).any() and (y == 0).any() and (x + w == spec.width).any()
+                and (y + h == spec.height).any())
+        h = hashlib.sha256()
+        for name, data in tree_bytes(tmp_path).items():
+            h.update(name.encode() + b"\0" + data)
+        assert h.hexdigest() == GOLDEN_SEGMENTS_SHA256
 
 
 def oracle_frame(spec: SceneSpec, base: np.ndarray, t: float,
@@ -413,9 +548,8 @@ class TestNoiseOracle:
         base = _base_canvas(spec, ours)
         _base_canvas(spec, theirs)
         edges, overlaps = set(), 0
-        for i in range(spec.frame_count):
+        for i, (frame, drawn) in enumerate(render(spec, base, frame_times(spec), ours)):
             t = i / spec.fps
-            frame, drawn = render_frame(spec, base, t, ours)
             assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
             boxes = [box for box, _ in drawn]
             for b in boxes:
@@ -435,8 +569,7 @@ class TestNoiseOracle:
         ours, theirs = (np.random.default_rng(spec.seed) for _ in range(2))
         base = _base_canvas(spec, ours)
         _base_canvas(spec, theirs)
-        for i in range(spec.frame_count):
+        for i, (frame, _) in enumerate(render(spec, base, frame_times(spec), ours)):
             t = i / spec.fps
-            frame, _ = render_frame(spec, base, t, ours)
             assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
         assert ours.bit_generator.state == theirs.bit_generator.state
