@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .media import AnomalyEvent, BBox, Detection, Detections
+from .media import AnomalyEvent, BBox, Detections
 from .roadmask import Mask, bbox_on_road
 
 
@@ -63,7 +63,7 @@ class SupportProfile:
 
 
 def extract_candidates(
-    bg_detections: list[tuple[float, list[Detection]]],
+    bg_detections: list[tuple[float, Detections]],
     mask: Mask,
     params: DecisionParams,
     frame_area: int,
@@ -72,15 +72,15 @@ def extract_candidates(
     """Gate background detections on score, area and road-mask overlap."""
     out: list[Candidate] = []
     for window_start, dets in bg_detections:
-        for det in dets:
-            if det.score < params.score_min:
+        for box, score in zip(dets.boxes.tolist(), dets.score.tolist()):
+            bbox = BBox(*box)
+            if score < params.score_min:
                 continue
-            if det.bbox.area < params.area_min * frame_area:
+            if bbox.area < params.area_min * frame_area:
                 continue
-            if not bbox_on_road(det.bbox, mask, min_overlap):
+            if not bbox_on_road(bbox, mask, min_overlap):
                 continue
-            out.append(Candidate(bbox=det.bbox, score=det.score,
-                                 first_seen=window_start))
+            out.append(Candidate(bbox=bbox, score=score, first_seen=window_start))
     return out
 
 
@@ -171,7 +171,7 @@ def coalesce_events(events: list[AnomalyEvent], iou_merge: float) -> list[Anomal
 
 def detect_anomalies(
     road: Mask,
-    per_window: list[tuple[float, list[Detection]]],
+    per_window: list[tuple[float, Detections]],
     foreground: Detections,
     params: DecisionParams,
     min_overlap: float,

@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, VideoTooShort
+from .errors import EmptyInput, VideoTooShort
 from .media import Frame, FrameSequence
 from .sorting import VideoCategory
 
@@ -119,7 +119,7 @@ def _median_plan(n: int) -> tuple[list[tuple], int]:
     return ops, row[(n - 1) // 2]
 
 
-def median_frame(frames: Sequence[Frame]) -> Frame:
+def median_frame(frames: FrameStack) -> Frame:
     """Per-pixel median; even counts take the lower-middle order statistic.
 
     The lower-middle rule keeps every output pixel an 8-bit value that was
@@ -135,21 +135,12 @@ def median_frame(frames: Sequence[Frame]) -> Frame:
     on first use, and cached (`_median_plan`). It runs in place on the
     stack's rows and one spare row, and the result row is copied out.
 
-    A `FrameStack`'s rows are scratch: they are overwritten, and their
-    values are not kept. Frames in any other sequence are first stacked
-    into a fresh array, so the caller's frames are untouched.
+    The stack's rows are scratch: they are overwritten, and their values
+    are not kept.
     """
     if not len(frames):
         raise EmptyInput("median of zero frames")
-    if isinstance(frames, FrameStack):
-        stack = frames.pixels
-    else:
-        shape = frames[0].pixels.shape
-        for f in frames[1:]:
-            if f.pixels.shape != shape:
-                raise DimensionMismatch(
-                    f"frame shapes differ: {shape} vs {f.pixels.shape}")
-        stack = np.stack([f.pixels for f in frames])
+    stack = frames.pixels
     n = len(stack)
     ops, result = _median_plan(n)
     rows = [*stack.reshape(n, -1), np.empty(stack[0].size, dtype=np.uint8)]

@@ -8,22 +8,23 @@ image's file and its pixels; each kind uses the one it needs:
                       reports the stationary rectangles actually present in
                       an image; anchors end-to-end tests with zero detector
                       noise.
-* ``precomputed``  -- the path: reads ``<frame_stem>.det.jsonl`` next to (or
-                      in a configured directory for) each frame.
+* ``precomputed``  -- the path: reads ``<frame_stem>.det.jsonl`` from a
+                      given directory, each video's own in the pipeline.
 * ``external``     -- the path: a child process speaking a line protocol:
                       we write one line ``{"image": "<path>"}``, it replies
                       one line ``{"detections": [{"class": ..., "score": ...,
-                      "bbox": [x, y, w, h]}, ...]}``. On startup the bridge
+                      "bbox": [x, y, w, h]}, ...]}``, each row checked as a
+                      detection file's row is. On startup the bridge
                       sends ``{"ping": 1}`` and expects ``{"ready": true}``.
                       A request unanswered within the timeout kills the
                       child; it is started again, once, and the request
                       retried. If that fails too, `DetectorTimeout` is
                       raised, and the pipeline fails the video.
 
-Detections are filtered to the configured vehicle classes. A kept box that
-reaches past the image's edges raises `DetectionOutOfFrame`, naming the box
-and the image; the pipeline then skips that window, like any detector
-failure but a `DetectorTimeout`.
+Each returns `Detections`, filtered to the configured vehicle classes. A
+kept box that reaches past the image's edges raises `DetectionOutOfFrame`,
+naming the box and the image; the pipeline then skips that window, like
+any detector failure but a `DetectorTimeout`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     ProtocolError,
     StallwatchError,
 )
-from .media import Frame, read_detections, _detection_from_obj, Detection
+from .media import Detections, Frame, _parse_rows, read_detections
 from .synth import SceneSpec, static_boxes
 
 # also the config's defaults (`vehicle_classes`, `detector.timeout`)
@@ -62,18 +63,18 @@ class DetectorHandle:
 
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
-    def detect(self, path: str | Path, frame: Frame) -> list[Detection]:
-        dets = [d for d in self._detect_raw(path, frame)
-                if d.class_label in self.vehicle_classes]
-        for d in dets:
-            box = d.bbox
-            if box.x2 > frame.width or box.y2 > frame.height:
-                raise DetectionOutOfFrame(
-                    f"{path}: box [{box.x}, {box.y}, {box.w}, {box.h}] lies "
-                    f"outside the {frame.width}x{frame.height} image")
+    def detect(self, path: str | Path, frame: Frame) -> Detections:
+        dets = self._detect_raw(path, frame)
+        dets = dets.select([label in self.vehicle_classes for label in dets.labels])
+        x, y, w, h = dets.boxes.T
+        outside = (x + w > frame.width) | (y + h > frame.height)
+        if outside.any():
+            raise DetectionOutOfFrame(
+                f"{path}: box {dets.boxes[outside.argmax()].tolist()} lies "
+                f"outside the {frame.width}x{frame.height} image")
         return dets
 
-    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
+    def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -98,30 +99,29 @@ class OracleDetector(DetectorHandle):
     scene: SceneSpec
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
-    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
-        out = []
+    def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
+        found = []
         for box, intensity, label in static_boxes(self.scene):
             patch = frame.pixels[box.y : box.y2, box.x : box.x2].astype(np.float64)
             if np.abs(patch - intensity).mean() <= ORACLE_MATCH_TOLERANCE:
-                out.append(Detection(frame_index=0, class_label=label,
-                                     score=1.0, bbox=box))
-        return out
+                found.append((box, label))
+        return Detections([0] * len(found),
+                          [(box.x, box.y, box.w, box.h) for box, _ in found],
+                          [1.0] * len(found), [label for _, label in found])
 
 
 @dataclass
 class PrecomputedDetector(DetectorHandle):
-    """Reads `<frame_stem>.det.jsonl` from `directory` (or beside the frame)."""
+    """Reads `<frame_stem>.det.jsonl` from `directory`."""
 
-    directory: Path | None = None
+    directory: Path
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
-    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
-        frame_path = Path(path)
-        base = self.directory if self.directory is not None else frame_path.parent
-        det_path = base / (frame_path.stem + ".det.jsonl")
+    def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
+        det_path = self.directory / (Path(path).stem + ".det.jsonl")
         if not det_path.is_file():
             raise MissingDetections(f"no detection file {det_path}")
-        return read_detections(det_path).rows()
+        return read_detections(det_path)
 
 
 class ExternalProcessDetector(DetectorHandle):
@@ -173,7 +173,7 @@ class ExternalProcessDetector(DetectorHandle):
             raise ProtocolError("response must be a JSON object")
         return obj
 
-    def _detect_raw(self, path: str | Path, frame: Frame) -> list[Detection]:
+    def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
         request = {"image": str(path)}
         try:
             reply = self._roundtrip(request)
@@ -188,15 +188,13 @@ class ExternalProcessDetector(DetectorHandle):
                     f"{path}: {exc}, then after a restart: {again}") from again
         if "detections" not in reply or not isinstance(reply["detections"], list):
             raise ProtocolError(f"response missing detections list: {reply}")
-        out = []
-        for i, obj in enumerate(reply["detections"]):
-            if not isinstance(obj, dict):
-                raise ProtocolError(f"detection {i} is not an object")
-            try:
-                out.append(_detection_from_obj({"frame": 0, **obj}, f"response[{i}]"))
-            except Exception as exc:
-                raise ProtocolError(f"malformed detection {i}: {exc}") from exc
-        return out
+        try:
+            return _parse_rows(
+                reply["detections"],
+                lambda obj: {"frame": 0, **obj} if type(obj) is dict else obj,
+                "response[{}]".format)
+        except StallwatchError as exc:
+            raise ProtocolError(f"malformed detection: {exc}") from exc
 
     def close(self) -> None:
         """Reap the child and join the reader thread, which closes its output."""

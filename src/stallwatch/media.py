@@ -16,10 +16,11 @@ file per frame doubled the cost of writing a video. Segments stay small
 (1.2 MB at 320x240) because a whole-file read of a corpus file, such as
 hashing it, then holds one segment in memory rather than a whole video.
 
-A detection file is read into `Detections`, one numpy column per field,
-because the pipeline consumes a video's foreground detections as arrays
-(direction estimation, foreground support); `Detections.rows` gives the
-per-row `Detection` values where one is wanted.
+Detections travel as `Detections`, one numpy column per field, from
+every source: detection files, every kind of detector, and synthesis. The
+pipeline consumes them as arrays (direction estimation, foreground
+support). `Detections` checks the range of every field, and `_columns`
+the types of a JSON row, for files and detector replies alike.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -52,6 +53,19 @@ from .errors import (
 # Every box coordinate and side is below this. Areas and unions of such
 # boxes stay below 2**53, so box arithmetic is exact in int64 and float64.
 MAX_COORD = 1 << 26
+# frame indices are stored as int64
+MAX_FRAME = np.iinfo(np.int64).max
+
+
+_BOX_RULE = (f"a box's origin must be non-negative and its sides positive, "
+             f"all below {MAX_COORD}")
+
+
+def _box_in_range(x, y, w, h):
+    """Whether the box (x, y, w, h) keeps `_BOX_RULE`: numbers, or arrays
+    of them compared element by element. nan fails every comparison."""
+    return ((0 <= x) & (x < MAX_COORD) & (0 <= y) & (y < MAX_COORD)
+            & (0 < w) & (w < MAX_COORD) & (0 < h) & (h < MAX_COORD))
 
 
 @dataclass(frozen=True)
@@ -66,13 +80,9 @@ class BBox:
     h: int
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidBBox(f"box sides must be positive, got w={self.w} h={self.h}")
-        if self.x < 0 or self.y < 0:
-            raise InvalidBBox(f"box origin must be non-negative, got ({self.x}, {self.y})")
-        if max(self.x, self.y, self.w, self.h) >= MAX_COORD:
-            raise InvalidBBox(f"box values must be below {MAX_COORD}, got "
-                              f"({self.x}, {self.y}, {self.w}, {self.h})")
+        if not _box_in_range(self.x, self.y, self.w, self.h):
+            raise InvalidBBox(
+                f"{_BOX_RULE}, got ({self.x}, {self.y}, {self.w}, {self.h})")
 
     @property
     def area(self) -> int:
@@ -87,43 +97,56 @@ class BBox:
         return self.y + self.h
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detected object on one frame."""
-
-    frame_index: int
-    class_label: str
-    score: float
-    bbox: BBox
-
-    def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ParseError(f"detection score {self.score} outside [0, 1]")
-        if self.frame_index < 0:
-            raise ParseError(f"negative frame index {self.frame_index}")
+def _array(values, dtype) -> np.ndarray | None:
+    """`values` as a `dtype` array, or None for a number too large for it."""
+    try:
+        return np.asarray(values, dtype)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """The rows of one detection file as columns; row i is
-    (frame[i], boxes[i], score[i], labels[i]). The arrays are read-only."""
+    """Rows of detections as columns; row i is (frame[i], boxes[i], score[i],
+    labels[i]). `Detections()` has no rows.
 
-    frame: np.ndarray        # int64, (n,)
-    boxes: np.ndarray        # int64, (n, 4): x, y, w, h
-    score: np.ndarray        # float64, (n,)
-    labels: tuple[str, ...]
+    Each column may be given as any sequence of numbers: it is converted
+    here, box values truncated toward zero, and checked against the range
+    rules of a detection row. A frame index is in [0, MAX_FRAME], a score
+    in [0, 1], and a box keeps `_BOX_RULE`; a number too large to convert
+    breaks its rule. The arrays are read-only."""
+
+    frame: np.ndarray = ()   # int64, (n,)
+    boxes: np.ndarray = ()   # int64, (n, 4): x, y, w, h
+    score: np.ndarray = ()   # float64, (n,)
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for column in (self.frame, self.boxes, self.score):
+        frame = _array(self.frame, np.int64)
+        score = _array(self.score, np.float64)
+        boxes = _array(self.boxes, np.float64)
+        if frame is None or not (frame >= 0).all():
+            raise ParseError(f"frame index outside [0, {MAX_FRAME}]")
+        if score is None or not ((score >= 0) & (score <= 1)).all():
+            raise ParseError("score outside [0, 1]")
+        if boxes is not None:
+            boxes = np.trunc(boxes.reshape(-1, 4))
+        if boxes is None or not _box_in_range(*boxes.T).all():
+            raise InvalidBBox(_BOX_RULE)
+        for name, column in (("frame", frame), ("score", score),
+                             ("boxes", boxes.astype(np.int64))):
             column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def rows(self) -> list[Detection]:
-        return [Detection(f, label, s, BBox(*box)) for f, box, s, label in zip(
-            self.frame.tolist(), self.boxes.tolist(), self.score.tolist(),
-            self.labels)]
+    def select(self, keep) -> Detections:
+        """The rows where the booleans `keep` are true."""
+        keep = np.asarray(keep, dtype=bool)
+        return Detections(self.frame[keep], self.boxes[keep], self.score[keep],
+                          tuple(compress(self.labels, keep)))
 
 
 @dataclass(frozen=True)
@@ -364,44 +387,6 @@ def write_sequence_meta(directory: str | Path, video_id: str, fps: float,
 # Detections (JSON-Lines)
 # ---------------------------------------------------------------------------
 
-# frame indices are stored as int64
-MAX_FRAME = np.iinfo(np.int64).max
-
-
-def _detection_from_obj(obj: dict, where: str) -> Detection:
-    """The one definition of a valid detection row; errors name `where`.
-
-    bool is not a number here, and box values must be finite; float box
-    values truncate toward zero.
-    """
-    try:
-        frame_index = obj["frame"]
-        class_label = obj["class"]
-        score = obj["score"]
-        box = obj["bbox"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{where}: malformed detection record: {exc!r}") from exc
-    if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME:
-        raise ParseError(f"{where}: frame index {frame_index!r} must be an "
-                         f"integer in [0, {MAX_FRAME}]")
-    if type(class_label) is not str:
-        raise ParseError(f"{where}: class {class_label!r} must be a string")
-    if type(score) not in (int, float) or not 0 <= score <= 1:
-        raise ParseError(f"{where}: score {score!r} outside [0, 1]")
-    if type(box) is not list or len(box) != 4 \
-            or not all(type(v) in (int, float) for v in box):
-        raise ParseError(f"{where}: bbox {box!r} must be a list of four numbers")
-    # also false for nan and infinities
-    if not all(abs(v) < MAX_COORD for v in box):
-        raise InvalidBBox(f"{where}: box values {box!r} must be finite and "
-                          f"below {MAX_COORD}")
-    try:
-        bbox = BBox(*map(int, box))
-    except InvalidBBox as exc:
-        raise InvalidBBox(f"{where}: {exc}") from None
-    return Detection(frame_index, class_label, float(score), bbox)
-
-
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -413,56 +398,61 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
 
 
-def _detection_from_line(line: str, where: str) -> Detection:
-    """One stripped, non-blank line holding exactly one JSON object."""
+def _json_line(line: str):
+    """The one JSON value that a stripped, non-blank line holds."""
     # ValueError also for an integer of more than sys.get_int_max_str_digits()
     # digits; RecursionError for arrays or objects nested too deep
     try:
         obj, end = _raw_decode(line)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from None
     if end != len(line):
-        raise ParseError(f"{where}: invalid JSON: extra data at column {end + 1}")
-    if type(obj) is not dict:
-        raise ParseError(f"{where}: expected a JSON object")
-    return _detection_from_obj(obj, where)
+        raise ParseError(f"invalid JSON: extra data at column {end + 1}")
+    return obj
 
 
 _FIELDS = itemgetter("frame", "class", "score", "bbox")
 
 
-def _columns(lines: list[str]) -> Detections | None:
-    """Every line's row as columns, or None when some row is not valid;
-    a line that is not JSON, a missing key or a number too large to convert
-    raises `ValueError`, `RecursionError`, `KeyError` or `OverflowError`
-    instead.
+def _columns(objs: list) -> Detections:
+    """Decoded JSON values, each one row's object, as columns: bool is not
+    a number here, and `Detections` checks the ranges. Types are checked
+    exactly before any conversion (numpy would turn the string "3" into
+    the number 3). The first check that some row fails raises, naming no
+    row."""
+    if not set(map(type, objs)) <= {dict}:
+        raise ParseError("expected a JSON object")
+    try:
+        frames, labels, scores, bboxes = zip(*map(_FIELDS, objs)) if objs else [()] * 4
+    except KeyError as exc:
+        raise ParseError(f"malformed detection record: no key {exc}") from None
+    if not set(map(type, frames)) <= {int}:
+        raise ParseError("frame index must be an integer")
+    if not set(map(type, labels)) <= {str}:
+        raise ParseError("class must be a string")
+    if not set(map(type, scores)) <= {int, float}:
+        raise ParseError("score must be a number")
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}
+            and set(map(type, values := list(chain.from_iterable(bboxes))))
+            <= {int, float}):
+        raise ParseError("bbox must be a list of four numbers")
+    return Detections(frames, values, scores, labels)
 
-    At least as strict as `_detection_from_line`, field by field: element
-    types are checked exactly before any conversion (numpy would turn the
-    string "3" into the number 3), then the ranges as arrays.
-    """
-    if not lines:
-        return Detections(np.zeros(0, np.int64), np.zeros((0, 4), np.int64),
-                          np.zeros(0, np.float64), ())
-    objs, ends = zip(*map(_raw_decode, lines))
-    if ends != tuple(map(len, lines)) or set(map(type, objs)) != {dict}:
-        return None
-    frames, labels, scores, bboxes = zip(*map(_FIELDS, objs))
-    if (set(map(type, frames)) != {int} or set(map(type, labels)) != {str}
-            or not set(map(type, scores)) <= {int, float}
-            or set(map(type, bboxes)) != {list} or set(map(len, bboxes)) != {4}):
-        return None
-    values = list(chain.from_iterable(bboxes))
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    frame = np.array(frames, dtype=np.int64)
-    score = np.array(scores, dtype=np.float64)
-    boxes = np.trunc(np.array(values, dtype=np.float64).reshape(-1, 4))
-    # nan fails every comparison
-    if not ((frame >= 0).all() and ((score >= 0) & (score <= 1)).all()
-            and ((boxes >= (0, 0, 1, 1)) & (boxes < MAX_COORD)).all()):
-        return None
-    return Detections(frame, boxes.astype(np.int64), score, labels)
+
+def _parse_rows(items: list, row, where) -> Detections:
+    """`_columns` of `row(item)` for every item: the one parse of detection
+    rows, for files and detector replies alike. When that fails, each item
+    is parsed alone, in order, and the first that fails raises its error
+    prefixed by `where(i)`, i its index in `items`."""
+    try:
+        return _columns(list(map(row, items)))
+    except StallwatchError:
+        for i, item in enumerate(items):
+            try:
+                _columns([row(item)])
+            except StallwatchError as exc:
+                raise prefixed(exc, where(i)) from None
+        raise
 
 
 def read_detections(path: str | Path) -> Detections:
@@ -471,34 +461,21 @@ def read_detections(path: str | Path) -> Detections:
     `InvalidBBox` naming `path:line`."""
     # text mode has already turned every line end into "\n"
     lines = list(map(str.strip, _read_text(path).split("\n")))
-    try:
-        columns = _columns(list(filter(None, lines)))
-    except (ValueError, RecursionError, KeyError, OverflowError):
-        columns = None
-    if columns is not None:
-        return columns
-    for lineno, line in enumerate(lines, start=1):
-        if line:
-            _detection_from_line(line, f"{path}:{lineno}")
-    raise AssertionError(f"{path}: the column checks rejected a valid row")
-
-
-def detection_to_obj(det: Detection) -> dict:
-    return {
-        "frame": det.frame_index,
-        "class": det.class_label,
-        "score": det.score,
-        "bbox": [det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h],
-    }
+    numbers = [n for n, line in enumerate(lines, start=1) if line]
+    return _parse_rows([lines[n - 1] for n in numbers], _json_line,
+                       lambda i: f"{path}:{numbers[i]}")
 
 
 # `json.dumps(obj, sort_keys=True)` without building an encoder per row
 _encode_row = json.JSONEncoder(sort_keys=True).encode
 
 
-def write_detections(detections: list[Detection], path: str | Path) -> None:
+def write_detections(detections: Detections, path: str | Path) -> None:
+    rows = zip(detections.frame.tolist(), detections.labels,
+               detections.score.tolist(), detections.boxes.tolist())
     write_atomic(path, "".join(
-        _encode_row(detection_to_obj(det)) + "\n" for det in detections).encode())
+        _encode_row({"frame": f, "class": label, "score": s, "bbox": box}) + "\n"
+        for f, label, s, box in rows).encode())
 
 
 # ---------------------------------------------------------------------------

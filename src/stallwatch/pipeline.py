@@ -16,8 +16,8 @@ writes predictions.csv from the videos that finished.
 
 events.json is the one artifact read back, when the video's `stamp` file
 matches `_video_stamp` (the config less `jobs`, meta.json,
-foreground.jsonl and scene.json; not the frames nor a precomputed
-detector's .det.jsonl, see README). Every chain run removes the stamp
+foreground.jsonl, scene.json and a precomputed detector's .det.jsonl
+files; not the frames, see README). Every chain run removes the stamp
 first; through decide, it writes the stamp after events.json.
 
 Output layout, per corpus:
@@ -56,7 +56,7 @@ from .detector import (
 from .errors import DetectorTimeout, MissingMetadata, StallwatchError, prefixed
 from .media import (
     AnomalyEvent,
-    Detection,
+    Detections,
     open_sequence,
     read_detections,
     read_ground_truth,
@@ -76,16 +76,24 @@ def corpus_video_dirs(corpus_dir: Path) -> list[Path]:
     return sorted(p for p in videos.iterdir() if p.is_dir())
 
 
+def _detection_dir(cfg: PipelineConfig, video_dir: Path, out_vid: Path) -> Path:
+    """Where a precomputed detector reads the video's .det.jsonl files:
+    `<detector.directory>/<video dir name>`, else beside its backgrounds."""
+    if cfg.detector.directory:
+        return Path(cfg.detector.directory) / video_dir.name
+    return out_vid / "backgrounds"
+
+
 def make_detector(cfg: PipelineConfig, video_dir: Path,
-                  bg_dir: Path) -> DetectorHandle:
+                  out_vid: Path) -> DetectorHandle:
     classes = cfg.vehicle_classes
     det = cfg.detector
     if det.kind == "oracle":
         scene = synth.load_scene(video_dir / synth.SCENE_FILE)
         return OracleDetector(scene=scene, vehicle_classes=classes)
     if det.kind == "precomputed":
-        directory = Path(det.directory) if det.directory else bg_dir
-        return PrecomputedDetector(directory=directory, vehicle_classes=classes)
+        return PrecomputedDetector(directory=_detection_dir(cfg, video_dir, out_vid),
+                                   vehicle_classes=classes)
     return ExternalProcessDetector(list(det.command), timeout=det.timeout,
                                    vehicle_classes=classes)
 
@@ -147,8 +155,8 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     write_frame(road.to_frame(), out_vid / "mask.pgm")
     yield road
 
-    per_window: list[tuple[float, list[Detection]]] = []
-    with make_detector(cfg, video_dir, bg_dir) as handle:
+    per_window: list[tuple[float, Detections]] = []
+    with make_detector(cfg, video_dir, out_vid) as handle:
         for path, bg in bgs:
             try:
                 dets = handle.detect(path, bg.frame)
@@ -157,7 +165,7 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
             except Exception as exc:
                 logger.warning("%s: detector failed on window at %.1fs: %s",
                                seq.video_id, bg.window_start, exc)
-                dets = []
+                dets = Detections()
             per_window.append((bg.window_start, dets))
     yield per_window
 
@@ -181,13 +189,21 @@ def _read(path: Path) -> bytes:
         return b""
 
 
-def _video_stamp(video_dir: Path, cfg_hash: str) -> bytes:
+def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
+                 cfg_hash: str) -> bytes:
     """The sha256, in hex, of `cfg_hash` (the config's, less `jobs`) and of
-    the video's small input files, a missing one read as empty."""
+    the video's small input files, a missing one read as empty; then, for
+    a precomputed detector, of each of the video's .det.jsonl files in
+    name order, its name first."""
     h = hashlib.sha256(cfg_hash.encode())
-    for name in ("meta.json", synth.FOREGROUND_FILE, synth.SCENE_FILE):
-        data = _read(video_dir / name)
-        h.update(b"%d\n" % len(data))
+    files = [(b"", video_dir / name)
+             for name in ("meta.json", synth.FOREGROUND_FILE, synth.SCENE_FILE)]
+    if cfg.detector.kind == "precomputed":
+        files += [(path.name.encode() + b"\n", path) for path in sorted(
+            _detection_dir(cfg, video_dir, out_vid).glob("*.det.jsonl"))]
+    for name, path in files:
+        data = _read(path)
+        h.update(name + b"%d\n" % len(data))
         h.update(data)
     return h.hexdigest().encode() + b"\n"
 
@@ -226,7 +242,7 @@ def _events_or_failure(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                        ) -> tuple[list[AnomalyEvent], bytes] | VideoFailure:
     """`process_video`'s events and the video's stamp, or, for a
     `StallwatchError`, the video's failure."""
-    stamp = _video_stamp(video_dir, cfg_hash)
+    stamp = _video_stamp(video_dir, out_vid, cfg, cfg_hash)
     try:
         return process_video(video_dir, out_vid, cfg, stamp, through), stamp
     except StallwatchError as exc:

@@ -46,7 +46,7 @@ from .media import (
     FRAMES_PER_FILE,
     SEGMENT_NAME,
     BBox,
-    Detection,
+    Detections,
     Frame,
     GroundTruthEntry,
     frame_record,
@@ -334,7 +334,8 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     base = _base_canvas(spec, rng)
     buffers = FrameBuffers(spec.width, spec.height)
 
-    foreground: list[Detection] = []
+    parked = [(p.bbox, p.class_label) for p in spec.offroad_parked]
+    frames, boxes, labels = [], [], []  # the foreground's columns
     n = spec.frame_count
     drawn = drawn_boxes(spec, np.arange(n) / spec.fps)
     for first in range(0, n, FRAMES_PER_FILE):
@@ -342,13 +343,14 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
             for i in range(first, min(first + FRAMES_PER_FILE, n)):
                 render_frame(spec, base, drawn[i], rng, buffers)
                 segment.write(buffers.record)
-                foreground += [Detection(i, v.class_label, 1.0, box)
-                               for box, v in drawn[i]]
-                foreground += [Detection(i, p.class_label, 1.0, p.bbox)
-                               for p in spec.offroad_parked]
+                shown = [(box, v.class_label) for box, v in drawn[i]] + parked
+                frames += [i] * len(shown)
+                boxes += [(box.x, box.y, box.w, box.h) for box, _ in shown]
+                labels += [label for _, label in shown]
 
     write_sequence_meta(out, spec.video_id, spec.fps, n, spec.width, spec.height)
-    write_detections(foreground, out / FOREGROUND_FILE)
+    write_detections(Detections(frames, boxes, [1.0] * len(frames), labels),
+                     out / FOREGROUND_FILE)
     write_json(out / SCENE_FILE, spec)
 
     return [

@@ -1,13 +1,15 @@
 import shutil
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from stallwatch.background import FrameStack
 from stallwatch.media import (
     FRAMES_PER_FILE,
     SEGMENT_NAME,
-    Detection,
+    BBox,
     Detections,
     Frame,
     frame_record,
@@ -21,6 +23,12 @@ def rng():
 
 def make_frame(values) -> Frame:
     return Frame(np.asarray(values, dtype=np.uint8))
+
+
+def stacked(frames: list[Frame]) -> FrameStack:
+    """`frames` copied into the rows of one `FrameStack`, the input
+    `median_frame` takes; the frames themselves are left untouched."""
+    return FrameStack(np.stack([f.pixels for f in frames]))
 
 
 def frame_bytes(frame: Frame) -> bytes:
@@ -38,14 +46,29 @@ def write_segments(directory, frames: list[Frame]) -> None:
             map(frame_bytes, frames[first:first + FRAMES_PER_FILE])))
 
 
-def columns(dets: list[Detection]) -> Detections:
-    """Detection rows as the columns `read_detections` returns."""
-    return Detections(
-        np.array([d.frame_index for d in dets], dtype=np.int64),
-        np.array([[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets],
-                 dtype=np.int64).reshape(-1, 4),
-        np.array([d.score for d in dets], dtype=np.float64),
-        tuple(d.class_label for d in dets))
+@dataclass(frozen=True)
+class Row:
+    """One detected object on one frame: a row of `Detections`, the form
+    the tests' per-row oracles work on."""
+
+    frame_index: int
+    class_label: str
+    score: float
+    bbox: BBox
+
+
+def columns(rows: list[Row]) -> Detections:
+    """`rows` as the columns every detector and reader returns."""
+    return Detections([r.frame_index for r in rows],
+                      [(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in rows],
+                      [r.score for r in rows], [r.class_label for r in rows])
+
+
+def rows_of(dets: Detections) -> list[Row]:
+    """The rows of `dets`, in order."""
+    return [Row(f, label, s, BBox(*box)) for f, label, s, box in zip(
+        dets.frame.tolist(), dets.labels, dets.score.tolist(),
+        dets.boxes.tolist())]
 
 
 @pytest.fixture(scope="session")

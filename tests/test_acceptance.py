@@ -19,7 +19,6 @@ from stallwatch.config import PipelineConfig
 from stallwatch.media import (
     AnomalyEvent,
     BBox,
-    Detection,
     Frame,
     GroundTruthEntry,
     read_detections,
@@ -29,12 +28,13 @@ from stallwatch.media import (
     write_frame,
     write_ground_truth,
 )
-from stallwatch.background import median_frame
+from stallwatch.background import FrameStack, median_frame
 from stallwatch.pipeline import run_all
 from stallwatch.scoring import _match_one_video, s4
 from stallwatch.sorting import DEFAULT_K1K2, LightingClass
 from stallwatch.synth import CORPUS_PRESETS
 
+from conftest import Row, columns, rows_of
 from mask_calibration import calibrate_mask_params
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_median_oracle(report_line):
         h, w = rng.integers(1, 9, size=2)
         n = int(rng.integers(1, 26))
         stack = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
-        got = median_frame([Frame(s) for s in stack]).pixels
+        got = median_frame(FrameStack(stack.copy())).pixels
         # brute force: sort each pixel column, take the lower middle
         want = np.sort(stack, axis=0)[(n - 1) // 2]
         if not np.array_equal(got, want):
@@ -153,14 +153,13 @@ def _fuzz_round_trips(tmp_path, rng) -> int:
         failures += read_frame(tmp_path / "f.pgm") != frame
 
         dets = [
-            Detection(int(rng.integers(0, 1000)), "car",
-                      float(rng.uniform(0, 1)),
-                      BBox(int(rng.integers(0, 50)), int(rng.integers(0, 50)),
-                           int(rng.integers(1, 30)), int(rng.integers(1, 30))))
+            Row(int(rng.integers(0, 1000)), "car", float(rng.uniform(0, 1)),
+                BBox(int(rng.integers(0, 50)), int(rng.integers(0, 50)),
+                     int(rng.integers(1, 30)), int(rng.integers(1, 30))))
             for _ in range(rng.integers(0, 8))
         ]
-        write_detections(dets, tmp_path / "d.jsonl")
-        failures += read_detections(tmp_path / "d.jsonl").rows() != dets
+        write_detections(columns(dets), tmp_path / "d.jsonl")
+        failures += rows_of(read_detections(tmp_path / "d.jsonl")) != dets
 
         starts = np.sort(rng.uniform(0, 250, size=rng.integers(0, 5)))
         gts = [GroundTruthEntry(f"v{j}", float(s), float(s) + 10.0)

@@ -15,15 +15,15 @@ from stallwatch.anomaly import (
     merge_candidates,
     support_profile,
 )
-from stallwatch.media import MAX_COORD, AnomalyEvent, BBox, Detection
+from stallwatch.media import MAX_COORD, AnomalyEvent, BBox
 from stallwatch.roadmask import Mask
 
-from conftest import columns
+from conftest import Row, columns
 
 
 def det(x, y, w=16, h=6, score=1.0, frame=0, label="car"):
-    return Detection(frame_index=frame, class_label=label, score=score,
-                     bbox=BBox(x, y, w, h))
+    return Row(frame_index=frame, class_label=label, score=score,
+               bbox=BBox(x, y, w, h))
 
 
 def full_mask(w=320, h=240):
@@ -65,14 +65,14 @@ class TestExtract:
         good = det(10, 10, 16, 6)
         low_score = det(40, 10, 16, 6, score=0.4)
         tiny = det(70, 10, 5, 5)  # 25 px < 0.001 * 76800
-        cands = extract_candidates([(0.0, [good, low_score, tiny])], mask,
-                                   params, frame_area, min_overlap=0.2)
+        cands = extract_candidates([(0.0, columns([good, low_score, tiny]))],
+                                   mask, params, frame_area, min_overlap=0.2)
         assert [c.bbox for c in cands] == [good.bbox]
 
     def test_off_road_rejected(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:130, :] = True
-        cands = extract_candidates([(0.0, [det(10, 10), det(10, 110)])],
+        cands = extract_candidates([(0.0, columns([det(10, 10), det(10, 110)]))],
                                    Mask(bits), DecisionParams(), 320 * 240,
                                    min_overlap=0.2)
         assert [c.bbox for c in cands] == [BBox(10, 110, 16, 6)]
@@ -122,8 +122,7 @@ class TestSupport:
 
 
 def loop_support_profile(cand, foreground, iou_support):
-    """support_profile as an `iou` loop over `Detection` rows; kept as the
-    oracle."""
+    """support_profile as an `iou` loop over `Row`s; kept as the oracle."""
     frames = sorted({
         d.frame_index for d in foreground
         if iou(cand.bbox, d.bbox) >= iou_support
@@ -236,7 +235,8 @@ class TestDecide:
         100-130."""
         road = np.zeros((240, 320), dtype=bool)
         road[100:130, :] = True
-        per_window = [(0.0, [det(10, y, score=0.9)]), (30.0, [det(10, y)])]
+        per_window = [(0.0, columns([det(10, y, score=0.9)])),
+                      (30.0, columns([det(10, y)]))]
         foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
         return detect_anomalies(Mask(road), per_window, foreground,
                                 DecisionParams(), min_overlap=0.2, fps=self.fps,

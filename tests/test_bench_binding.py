@@ -14,7 +14,7 @@ import pytest
 
 from stallwatch import pipeline, synth
 from stallwatch.config import PipelineConfig
-from stallwatch.media import read_detections
+from stallwatch.media import read_detections, read_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,17 +29,18 @@ def load_tracer():
 
 @pytest.fixture(scope="module")
 def traced_spans(mini_corpus, tmp_path_factory):
-    """The tracer module and the spans of one traced run_all."""
+    """The tracer module, the spans of one traced run_all and its output
+    directory."""
     tracer = load_tracer()
     spans = tracer.Tracer()
+    out = tmp_path_factory.mktemp("traced") / "out"
     with tracer.installed(spans):
-        pipeline.run_all(mini_corpus, tmp_path_factory.mktemp("traced") / "out",
-                         PipelineConfig())
-    return tracer, spans.spans
+        pipeline.run_all(mini_corpus, out, PipelineConfig())
+    return tracer, spans.spans, out
 
 
 def test_traced_run_all_reports_every_layer_metric(mini_corpus, traced_spans):
-    tracer, spans = traced_spans
+    tracer, spans, _ = traced_spans
     metrics = tracer.layer_metrics(spans)
 
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
@@ -59,7 +60,7 @@ def test_road_mask_time_stays_in_its_metric(traced_spans):
     # roadmask.adaptive_road_mask.s sums the self times of the mask step and
     # local_stats; a public helper they called would be a span of its own,
     # and its time would leave the metric
-    tracer, spans = traced_spans
+    tracer, spans, _ = traced_spans
     inside = set()
     for span in spans:
         outer = span.parent
@@ -69,3 +70,19 @@ def test_road_mask_time_stays_in_its_metric(traced_spans):
             inside.add(span.name)
     assert inside <= {"roadmask.local_stats"}
     assert tracer.layer_metrics(spans)["roadmask.adaptive_road_mask.s"] > 0
+
+
+def test_detector_counters_match_an_untraced_run(mini_corpus, traced_spans):
+    # one detector call per background window, and the rows it returns,
+    # counted by `len` of each call's `Detections`
+    tracer, spans, out = traced_spans
+    metrics = tracer.layer_metrics(spans)
+    (video_dir,) = pipeline.corpus_video_dirs(mini_corpus)
+    out_vid = out / video_dir.name
+    index = json.loads((out_vid / "backgrounds" / "index.json").read_text())
+    paths = [out_vid / "backgrounds" / w["file"] for w in index["windows"]]
+    with pipeline.make_detector(PipelineConfig(), video_dir, out_vid) as handle:
+        rows = sum(len(handle.detect(path, read_frame(path))) for path in paths)
+    assert rows > 0
+    assert metrics["detector.detect.calls"] == len(paths) == 2
+    assert metrics["detector.detect.detections"] == rows

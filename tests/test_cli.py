@@ -20,7 +20,9 @@ from stallwatch.cli import (
     EXIT_USAGE,
     run,
 )
-from stallwatch.media import read_predictions
+from stallwatch.media import read_predictions, write_detections
+
+from conftest import Row, columns
 
 
 class TestExitCodes:
@@ -311,6 +313,64 @@ class TestStamp:
         assert answers() == filled
         assert json.loads(capsys.readouterr().out)["input_hash"] == \
                first["input_hash"]
+
+
+def stall_windows(mini_corpus: Path, directory: Path, stall: bool = True) -> None:
+    """A precomputed detection file in `directory` for each background
+    window of the mini corpus's video, holding its stall box if `stall`."""
+    scene = synth.load_scene(
+        mini_corpus / "videos" / "mini_day_stall" / synth.SCENE_FILE)
+    (box, _, label), = synth.static_boxes(scene)
+    directory.mkdir(parents=True)
+    for window in ("bg_0", "bg_30000"):
+        write_detections(columns([Row(0, label, 1.0, box)] * stall),
+                         directory / f"{window}.det.jsonl")
+
+
+def precomputed_config(tmp_path: Path, directory: Path | None) -> Path:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": {
+        "kind": "precomputed", "directory": directory and str(directory)}}))
+    return cfg
+
+
+class TestPrecomputed:
+    def test_each_video_reads_its_own_directory(self, mini_corpus, tmp_path,
+                                                capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        stall_windows(mini_corpus, tmp_path / "dets" / "a")
+        stall_windows(mini_corpus, tmp_path / "dets" / "b", stall=False)
+        cfg = precomputed_config(tmp_path, tmp_path / "dets")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "detect", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_OK
+        events = {v: json.loads((out / v / "events.json").read_text()) for v in "ab"}
+        assert (len(events["a"]), events["b"]) == (1, [])
+
+    @pytest.mark.parametrize("edit", [
+        lambda path: write_detections(columns([]), path),
+        lambda path: path.rename(path.with_name("bg_1.det.jsonl")),
+    ], ids=["emptied", "renamed"])
+    @pytest.mark.parametrize("configured", [True, False],
+                             ids=["directory", "beside-backgrounds"])
+    def test_edited_detection_file_is_recomputed(self, mini_corpus, tmp_path,
+                                                 capsys, edit, configured):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        dirs = ([tmp_path / "dets" / "mini_day_stall"] if configured else
+                [root / "mini_day_stall" / "backgrounds" for root in (out, fresh)])
+        for directory in dirs:
+            stall_windows(mini_corpus, directory)
+        cfg = precomputed_config(tmp_path, tmp_path / "dets" if configured else None)
+        detect = ["--config", str(cfg), "detect", "--corpus", str(corpus), "--out"]
+        assert run(detect + [str(out)]) == EXIT_OK
+        assert len(read_predictions(out / "predictions.csv")) == 1
+        for directory in dirs:
+            edit(directory / "bg_0.det.jsonl")
+        for root in (out, fresh):
+            assert run(detect + [str(root)]) == EXIT_OK
+        assert read_predictions(out / "predictions.csv") == []
+        assert tree_digests(out) == tree_digests(fresh)
 
 
 def stall_detector(tmp_path: Path, corpus: Path, hangs: str) -> Path:

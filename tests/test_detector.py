@@ -16,9 +16,11 @@ from stallwatch.errors import (
     MissingDetections,
     ProtocolError,
 )
-from stallwatch.media import BBox, Detection, Frame, write_detections
+from stallwatch.media import BBox, Frame, write_detections
 from stallwatch.sorting import LightingClass
 from stallwatch.synth import RoadBand, SceneSpec, VehicleSpec
+
+from conftest import Row, columns, rows_of
 
 # The precomputed and external detectors read the path, not the pixels.
 BLANK = Frame(np.zeros((60, 100), dtype=np.uint8))
@@ -43,14 +45,13 @@ class TestOracle:
         img[20:40, :] = 70
         img[box.y:box.y2, box.x:box.x2] = 25
         dets = OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img))
-        assert [d.bbox for d in dets] == [box]
-        assert dets[0].class_label == "car"
+        assert rows_of(dets) == [Row(0, "car", 1.0, box)]
 
     def test_absent_stall_not_reported(self):
         scene = stall_scene()
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[20:40, :] = 70
-        assert OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img)) == []
+        assert len(OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img))) == 0
 
     def test_class_filter(self):
         scene = stall_scene()
@@ -58,50 +59,45 @@ class TestOracle:
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[box.y:box.y2, box.x:box.x2] = 25
         det = OracleDetector(scene=scene, vehicle_classes=frozenset({"bus"}))
-        assert det.detect("bg_0.pgm", Frame(img)) == []
+        assert len(det.detect("bg_0.pgm", Frame(img))) == 0
 
 
 class TestPrecomputed:
-    def test_reads_sidecar_file(self, tmp_path):
-        dets = [Detection(0, "car", 0.9, BBox(1, 2, 3, 4))]
-        write_detections(dets, tmp_path / "bg_0.det.jsonl")
-        handle = PrecomputedDetector()
-        assert handle.detect(tmp_path / "bg_0.pgm", BLANK) == dets
-
     def test_configured_directory(self, tmp_path):
         side = tmp_path / "dets"
         side.mkdir()
-        dets = [Detection(0, "truck", 0.8, BBox(5, 5, 10, 10))]
-        write_detections(dets, side / "bg_0.det.jsonl")
+        dets = [Row(0, "truck", 0.8, BBox(5, 5, 10, 10))]
+        write_detections(columns(dets), side / "bg_0.det.jsonl")
         handle = PrecomputedDetector(directory=side)
-        assert handle.detect(tmp_path / "bg_0.pgm", BLANK) == dets
+        assert rows_of(handle.detect(tmp_path / "bg_0.pgm", BLANK)) == dets
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingDetections):
-            PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
+            PrecomputedDetector(tmp_path).detect(tmp_path / "bg_0.pgm", BLANK)
 
     def test_non_vehicle_classes_dropped(self, tmp_path):
-        dets = [Detection(0, "person", 0.9, BBox(1, 1, 2, 2)),
-                Detection(0, "car", 0.9, BBox(4, 4, 2, 2))]
-        write_detections(dets, tmp_path / "bg_0.det.jsonl")
-        out = PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
-        assert [d.class_label for d in out] == ["car"]
+        dets = [Row(0, "person", 0.9, BBox(1, 1, 2, 2)),
+                Row(0, "car", 0.9, BBox(4, 4, 2, 2))]
+        write_detections(columns(dets), tmp_path / "bg_0.det.jsonl")
+        out = PrecomputedDetector(tmp_path).detect(tmp_path / "bg_0.pgm", BLANK)
+        assert rows_of(out) == dets[1:]
 
     @pytest.mark.parametrize("box", [BBox(90, 10, 20, 6), BBox(10, 55, 6, 20)])
     def test_box_outside_frame_names_box_and_image(self, tmp_path, box):
         # the first box touches the bottom-right corner: inside
-        dets = [Detection(0, "car", 0.9, BBox(84, 54, 16, 6)),
-                Detection(0, "car", 0.9, box)]
-        write_detections(dets, tmp_path / "bg_0.det.jsonl")
+        dets = [Row(0, "car", 0.9, BBox(84, 54, 16, 6)),
+                Row(0, "car", 0.9, box)]
+        write_detections(columns(dets), tmp_path / "bg_0.det.jsonl")
         want = (rf"bg_0\.pgm: box \[{box.x}, {box.y}, {box.w}, {box.h}\] "
                 r"lies outside the 100x60 image")
         with pytest.raises(DetectionOutOfFrame, match=want):
-            PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK)
+            PrecomputedDetector(tmp_path).detect(tmp_path / "bg_0.pgm", BLANK)
 
     def test_out_of_frame_box_of_other_class_dropped(self, tmp_path):
-        dets = [Detection(0, "person", 0.9, BBox(90, 10, 20, 6))]
-        write_detections(dets, tmp_path / "bg_0.det.jsonl")
-        assert PrecomputedDetector().detect(tmp_path / "bg_0.pgm", BLANK) == []
+        dets = [Row(0, "person", 0.9, BBox(90, 10, 20, 6))]
+        write_detections(columns(dets), tmp_path / "bg_0.det.jsonl")
+        assert len(PrecomputedDetector(tmp_path).detect(tmp_path / "bg_0.pgm",
+                                                        BLANK)) == 0
 
 
 def child_script(tmp_path, body: str) -> list[str]:
@@ -127,7 +123,7 @@ class TestExternal:
         with ExternalProcessDetector(child_script(tmp_path, ECHO_DETECTOR),
                                      timeout=10.0) as handle:
             dets = handle.detect("/some/frame.pgm", BLANK)
-        assert dets == [Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]
+        assert rows_of(dets) == [Row(0, "car", 0.9, BBox(10, 10, 20, 20))]
 
     def test_timeout(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -159,8 +155,9 @@ class TestExternal:
                 print(json.dumps({"detections": dets}), flush=True)
         """) + [str(tmp_path / "hung")]
         with ExternalProcessDetector(cmd, timeout=0.5) as handle:
-            got = [handle.detect(f"/some/frame{i}.pgm", BLANK) for i in range(3)]
-        assert got == [[Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]] * 3
+            got = [rows_of(handle.detect(f"/some/frame{i}.pgm", BLANK))
+                   for i in range(3)]
+        assert got == [[Row(0, "car", 0.9, BBox(10, 10, 20, 20))]] * 3
 
     def test_timeout_after_the_restart_is_raised(self, tmp_path):
         starts = tmp_path / "starts"
@@ -212,7 +209,7 @@ class TestExternal:
             with pytest.raises(ProtocolError, match="invalid response line"):
                 handle.detect("/some/frame0.pgm", BLANK)
             assert time.monotonic() - start < 1.0
-            assert handle.detect("/some/frame1.pgm", BLANK) == []
+            assert len(handle.detect("/some/frame1.pgm", BLANK)) == 0
 
     def test_reply_nested_too_deep_fails_that_request_only(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -227,7 +224,7 @@ class TestExternal:
         with ExternalProcessDetector(cmd, timeout=3.0) as handle:
             with pytest.raises(ProtocolError, match="invalid response line"):
                 handle.detect("/some/frame0.pgm", BLANK)
-            assert handle.detect("/some/frame1.pgm", BLANK) == []
+            assert len(handle.detect("/some/frame1.pgm", BLANK)) == 0
 
     def test_bad_handshake(self, tmp_path):
         cmd = child_script(tmp_path, """
@@ -266,6 +263,29 @@ class TestExternal:
                 handle.detect(f"/some/frame{request}.pgm", BLANK)
             assert time.monotonic() - start < 1.0
         handle.close()
+
+    def test_bad_reply_row_fails_that_request_naming_it(self, tmp_path):
+        # reply rows are checked as a detection file's rows are; the first
+        # bad one is named, and the next request is answered
+        cmd = child_script(tmp_path, """
+            import json, sys
+            good = {"class": "car", "score": 0.9, "bbox": [10.5, 10, 20, 20]}
+            bad = {"class": "car", "score": 7.0, "bbox": [1, 1, 2, 2]}
+            replies = [[good, bad, 3], [good, good, 3, bad], [good]]
+            for line in sys.stdin:
+                if "ping" in json.loads(line):
+                    print(json.dumps({"ready": True}), flush=True)
+                else:
+                    print(json.dumps({"detections": replies.pop(0)}), flush=True)
+        """)
+        with ExternalProcessDetector(cmd, timeout=10.0) as handle:
+            with pytest.raises(ProtocolError, match=r"response\[1\]: score"):
+                handle.detect("/some/frame0.pgm", BLANK)
+            with pytest.raises(ProtocolError,
+                               match=r"response\[2\]: expected a JSON object"):
+                handle.detect("/some/frame1.pgm", BLANK)
+            dets = handle.detect("/some/frame2.pgm", BLANK)
+        assert rows_of(dets) == [Row(0, "car", 0.9, BBox(10, 10, 20, 20))]
 
     def test_malformed_detection_record(self, tmp_path):
         cmd = child_script(tmp_path, """

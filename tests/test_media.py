@@ -25,9 +25,10 @@ from stallwatch.errors import (
 )
 from stallwatch.media import (
     MAX_COORD,
+    MAX_FRAME,
     AnomalyEvent,
     BBox,
-    Detection,
+    Detections,
     Frame,
     GroundTruthEntry,
     SequenceMeta,
@@ -40,10 +41,11 @@ from stallwatch.media import (
     write_ground_truth,
     write_predictions,
     write_sequence_meta,
-    _detection_from_obj,
+    _parse_rows,
 )
 
-from conftest import frame_bytes, make_frame, write_segments
+from conftest import (Row, columns, frame_bytes, make_frame, rows_of,
+                      write_segments)
 
 
 # the header `write_frame` writes, for positive sides
@@ -372,7 +374,7 @@ class TestDetections:
         path = tmp_path / "d.jsonl"
         path.write_text('{"frame":0,"class":"car","score":0.9,"bbox":[10,10,20,20]}\n')
         dets = read_detections(path)
-        assert dets.rows() == [Detection(0, "car", 0.9, BBox(10, 10, 20, 20))]
+        assert rows_of(dets) == [Row(0, "car", 0.9, BBox(10, 10, 20, 20))]
 
     def test_score_out_of_range(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -389,7 +391,7 @@ class TestDetections:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")
-        assert read_detections(path).rows() == []
+        assert rows_of(read_detections(path)) == []
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -405,10 +407,10 @@ class TestDetections:
     ))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, tmp_path_factory, rows):
-        dets = [Detection(f, c, s, BBox(x, y, w, h)) for f, c, s, x, y, w, h in rows]
+        dets = [Row(f, c, s, BBox(x, y, w, h)) for f, c, s, x, y, w, h in rows]
         path = tmp_path_factory.mktemp("rt") / "d.jsonl"
-        write_detections(dets, path)
-        assert read_detections(path).rows() == dets
+        write_detections(columns(dets), path)
+        assert rows_of(read_detections(path)) == dets
 
     def test_fuzzed_lines_total(self, tmp_path, rng):
         for _ in range(100):
@@ -496,15 +498,15 @@ class TestDetectionRows:
     def test_float_box_truncates_toward_zero(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(row_text(bbox="[-0.5, 2.9, 3.99, 1.0]") + "\n")
-        assert read_detections(path).rows() == [
-            Detection(0, "car", 0.5, BBox(0, 2, 3, 1))]
+        assert rows_of(read_detections(path)) == [
+            Row(0, "car", 0.5, BBox(0, 2, 3, 1))]
 
     def test_integer_score_is_float(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(row_text(score="1") + "\r\n" + row_text(score="0"))
         dets = read_detections(path)
         assert dets.score.dtype == np.float64
-        assert [d.score for d in dets.rows()] == [1.0, 0.0]
+        assert [d.score for d in rows_of(dets)] == [1.0, 0.0]
 
     def test_columns(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -527,16 +529,93 @@ class TestDetectionRows:
         assert len(dets) == 0 and dets.boxes.shape == (0, 4)
 
     def test_validator_shared_with_detector_replies(self):
-        obj = {"frame": 0, "class": "car", "score": True, "bbox": [1, 1, 2, 2]}
-        with pytest.raises(ParseError, match="^response\\[0\\]: score"):
-            _detection_from_obj(obj, "response[0]")
+        # the external detector parses its replies' rows with `_parse_rows`
+        objs = [json.loads(ROW), {"frame": 0, "class": "car", "score": True,
+                                  "bbox": [1, 1, 2, 2]}]
+        with pytest.raises(ParseError, match="^response\\[1\\]: score"):
+            _parse_rows(objs, lambda obj: obj, "response[{}]".format)
 
 
-def loop_read_detections(path) -> list[Detection]:
-    """read_detections as a per-line loop building one `Detection` per row,
-    with `json.loads`; kept as the oracle. Row validity is
-    `_detection_from_obj`, shared with the column parser."""
-    out: list[Detection] = []
+class TestDetectionsColumns:
+    """`Detections` checks every range rule, whoever builds it."""
+
+    def test_sequences_converted(self):
+        dets = Detections([3], [2.5, -0.5, 1.9, 7], [1], ["car"])
+        assert rows_of(dets) == [Row(3, "car", 1.0, BBox(2, 0, 1, 7))]
+        assert (dets.frame.dtype, dets.boxes.dtype, dets.score.dtype) == \
+            (np.int64, np.int64, np.float64)
+        assert dets.labels == ("car",)
+
+    def test_empty(self):
+        dets = Detections()
+        assert len(dets) == 0 and dets.boxes.shape == (0, 4)
+        assert dets.frame.shape == dets.score.shape == (0,)
+
+    @pytest.mark.parametrize("frame, box, score, error", [
+        (-1, [1, 2, 3, 4], 0.5, ParseError),
+        (MAX_FRAME + 1, [1, 2, 3, 4], 0.5, ParseError),
+        (0, [1, 2, 3, 4], 1.5, ParseError),
+        (0, [1, 2, 3, 4], float("nan"), ParseError),
+        (0, [1, 2, 3, 4], 10**400, ParseError),
+        (0, [-1, 2, 3, 4], 0.5, InvalidBBox),
+        (0, [1, 2, 0.9, 4], 0.5, InvalidBBox),
+        (0, [1, 2, 3, MAX_COORD], 0.5, InvalidBBox),
+        (0, [1, float("inf"), 3, 4], 0.5, InvalidBBox),
+        (0, [1, 2, 3, 10**400], 0.5, InvalidBBox),
+    ])
+    def test_range_rules(self, frame, box, score, error):
+        Detections([0, 0], [1, 2, 3, 4] * 2, [0.5, 0.5], ["car"] * 2)  # valid
+        with pytest.raises(error):
+            Detections([0, frame], [1, 2, 3, 4] + box, [0.5, score], ["car"] * 2)
+
+    def test_select(self):
+        dets = Detections([1, 2, 3], [[i, i, 1, 1] for i in range(3)],
+                          [0.1, 0.2, 0.3], ["a", "b", "c"])
+        kept = dets.select([True, False, True])
+        assert rows_of(kept) == [rows_of(dets)[0], rows_of(dets)[2]]
+        assert len(dets.select([False] * 3)) == 0
+
+
+def row_from_obj(obj: dict, where: str) -> Row:
+    """One decoded detection object as a `Row`, every rule of a valid row
+    checked field by field; errors name `where`.
+
+    bool is not a number here, and box values must be finite; float box
+    values truncate toward zero.
+    """
+    try:
+        frame_index = obj["frame"]
+        class_label = obj["class"]
+        score = obj["score"]
+        box = obj["bbox"]
+    except KeyError as exc:
+        raise ParseError(f"{where}: malformed detection record: {exc!r}") from exc
+    if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME:
+        raise ParseError(f"{where}: frame index {frame_index!r} must be an "
+                         f"integer in [0, {MAX_FRAME}]")
+    if type(class_label) is not str:
+        raise ParseError(f"{where}: class {class_label!r} must be a string")
+    if type(score) not in (int, float) or not 0 <= score <= 1:
+        raise ParseError(f"{where}: score {score!r} outside [0, 1]")
+    if type(box) is not list or len(box) != 4 \
+            or not all(type(v) in (int, float) for v in box):
+        raise ParseError(f"{where}: bbox {box!r} must be a list of four numbers")
+    # also false for nan and infinities
+    if not all(abs(v) < MAX_COORD for v in box):
+        raise InvalidBBox(f"{where}: box values {box!r} must be finite and "
+                          f"below {MAX_COORD}")
+    x, y, w, h = map(int, box)
+    if x < 0 or y < 0 or w <= 0 or h <= 0:
+        raise InvalidBBox(f"{where}: box {[x, y, w, h]} has a negative origin "
+                          "or a side that is not positive")
+    return Row(frame_index, class_label, float(score), BBox(x, y, w, h))
+
+
+def loop_read_detections(path) -> list[Row]:
+    """read_detections as a per-line loop building one `Row` per row, with
+    `json.loads` and `row_from_obj`; kept as the oracle, sharing no code
+    with the program's parser."""
+    out: list[Row] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -549,7 +628,7 @@ def loop_read_detections(path) -> list[Detection]:
                 raise ParseError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(f"{where}: expected a JSON object")
-            out.append(_detection_from_obj(obj, where))
+            out.append(row_from_obj(obj, where))
     return out
 
 
@@ -561,7 +640,7 @@ def parse_outcome(read, path):
         where, _, _ = str(exc).partition(": ")
         assert where.startswith(f"{path}:"), str(exc)
         return type(exc), int(where.rpartition(":")[2])
-    return dets if isinstance(dets, list) else dets.rows()
+    return dets if isinstance(dets, list) else rows_of(dets)
 
 
 # JSON text for each field: mostly valid, with every kind of invalid value
@@ -636,7 +715,7 @@ class TestDetectionsOracle:
                        ensure_ascii=ensure_ascii) + "\n"
             for f, c, s, *box in rows), encoding="utf-8")
         dets = loop_read_detections(path)
-        assert read_detections(path).rows() == dets
+        assert rows_of(read_detections(path)) == dets
         assert len(dets) == len(rows)
 
 
@@ -689,7 +768,7 @@ ARTIFACT_WRITERS = {
     "write_ground_truth": lambda path, n: write_ground_truth(
         [GroundTruthEntry(f"v{i}", i, i + 1.5) for i in range(n)], path),
     "write_detections": lambda path, n: write_detections(
-        [Detection(i, "car", 0.5, BBox(1, 2, 3, 4)) for i in range(n)], path),
+        Detections(range(n), [(1, 2, 3, 4)] * n, [0.5] * n, ["car"] * n), path),
 }
 
 

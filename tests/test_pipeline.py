@@ -12,12 +12,13 @@ from stallwatch.config import PipelineConfig
 from stallwatch.media import (
     AnomalyEvent,
     BBox,
-    Detection,
     SequenceMeta,
     write_detections,
 )
 from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 from stallwatch.synth import ParkedVehicle, RoadBand, SceneSpec, VehicleSpec
+
+from conftest import Row, columns
 
 
 def counted(counts: Counter, name: str, fn):
@@ -97,14 +98,16 @@ class TestOutOfFrameDetection:
         `min_windows`; seen in both, it is predicted.)"""
         video = mini_corpus / "videos" / "mini_day_stall"
         (stall, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
-        stall_det = Detection(0, "car", 1.0, stall)
-        outside = Detection(0, "car", 0.9, BBox(310, 100, 20, 6))
+        stall_det = Row(0, "car", 1.0, stall)
+        outside = Row(0, "car", 0.9, BBox(310, 100, 20, 6))
 
         def run(name, first_window):
             dets = tmp_path / name / "dets"
-            dets.mkdir(parents=True)
-            write_detections(first_window, dets / "bg_0.det.jsonl")
-            write_detections([stall_det], dets / "bg_30000.det.jsonl")
+            (dets / "mini_day_stall").mkdir(parents=True)
+            write_detections(columns(first_window),
+                             dets / "mini_day_stall" / "bg_0.det.jsonl")
+            write_detections(columns([stall_det]),
+                             dets / "mini_day_stall" / "bg_30000.det.jsonl")
             cfg = PipelineConfig.from_obj(
                 {"detector": {"kind": "precomputed", "directory": str(dets)}})
             out = tmp_path / name / "out"

@@ -18,7 +18,7 @@ from stallwatch.roadmask import (
 )
 from stallwatch.sorting import LightingClass
 
-from conftest import make_frame
+from conftest import make_frame, stacked
 from mask_calibration import calibrate_mask_params
 
 
@@ -186,7 +186,7 @@ def day_background() -> Frame:
     buffers = synth.FrameBuffers(spec.width, spec.height)
     frames = [Frame(synth.render_frame(spec, base, drawn, rng, buffers).pixels.copy())
               for drawn in synth.drawn_boxes(spec, np.arange(0.0, 60.0, 6.0))]
-    return background.median_frame(frames)
+    return background.median_frame(stacked(frames))
 
 
 class TestMaskThreshold:

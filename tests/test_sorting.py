@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stallwatch.codec import decode, encode
 from stallwatch.errors import EmptyInput, InsufficientData
-from stallwatch.media import BBox, Detection
+from stallwatch.media import BBox
 from stallwatch.sorting import (
     GATE_FRACTION,
     MIN_MOVE_PX,
@@ -23,7 +23,7 @@ from stallwatch.sorting import (
     _smooth,
 )
 
-from conftest import columns
+from conftest import Row, columns
 
 
 def hist_from_masses(masses: dict[int, float]) -> Histogram:
@@ -112,11 +112,11 @@ class TestLighting:
         assert classify_lighting(Histogram(h / h.sum())) is LightingClass.DAY
 
 
-def track(points: list[tuple[int, float, float]]) -> list[Detection]:
+def track(points: list[tuple[int, float, float]]) -> list[Row]:
     """(frame, cx, cy) -> detections with 10x10 boxes centred there."""
     return [
-        Detection(frame_index=f, class_label="car", score=1.0,
-                  bbox=BBox(int(cx) - 5, int(cy) - 5, 10, 10))
+        Row(frame_index=f, class_label="car", score=1.0,
+            bbox=BBox(int(cx) - 5, int(cy) - 5, 10, 10))
         for f, cx, cy in points
     ]
 
@@ -153,7 +153,7 @@ class TestDirections:
 
 
 def loop_directions(detections, frame_width, support_fraction=0.05):
-    """estimate_directions as a per-detection loop over `Detection` rows,
+    """estimate_directions as a per-detection loop over `Row`s,
     with their box centroids; kept as the oracle."""
     by_frame = {}
     for det in detections:
@@ -192,7 +192,7 @@ def loop_directions(detections, frame_width, support_fraction=0.05):
 # sides put centroids on half pixels.
 detection_lists = st.lists(
     st.builds(
-        lambda f, x, y, w, h: Detection(f, "car", 1.0, BBox(x, y, w, h)),
+        lambda f, x, y, w, h: Row(f, "car", 1.0, BBox(x, y, w, h)),
         st.integers(0, 6),
         st.sampled_from([0, 1, 2, 4, 32, 34, 64]),
         st.sampled_from([0, 2, 4, 32]),
@@ -224,9 +224,9 @@ class TestDirectionsOracle:
 
     def test_dense_frames_with_gaps(self, rng):
         dets = [
-            Detection(int(f), "car", 1.0,
-                      BBox(int(rng.integers(0, 300)), int(rng.integers(0, 220)),
-                           int(rng.integers(2, 20)), int(rng.integers(2, 20))))
+            Row(int(f), "car", 1.0,
+                BBox(int(rng.integers(0, 300)), int(rng.integers(0, 220)),
+                     int(rng.integers(2, 20)), int(rng.integers(2, 20))))
             for f in rng.choice(400, 200, replace=False)
             for _ in range(int(rng.integers(1, 9)))
         ]

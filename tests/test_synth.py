@@ -41,6 +41,8 @@ from stallwatch.synth import (
     static_boxes,
 )
 
+from conftest import rows_of
+
 
 def small_scene(**overrides) -> SceneSpec:
     base = dict(
@@ -246,7 +248,7 @@ class TestGenerate:
         seq = open_sequence(tmp_path)
         assert seq.frame_count == 50
         assert (seq.width, seq.height) == (80, 60)
-        fg = read_detections(tmp_path / "foreground.jsonl").rows()
+        fg = rows_of(read_detections(tmp_path / "foreground.jsonl"))
         assert fg and all(d.class_label == "car" for d in fg)
         assert load_scene(tmp_path / "scene.json") == spec
 
@@ -294,7 +296,7 @@ class TestGenerate:
         spec = small_scene(noise_sigma=0.0)
         generate(spec, tmp_path)
         seq = open_sequence(tmp_path)
-        fg = read_detections(tmp_path / "foreground.jsonl").rows()
+        fg = rows_of(read_detections(tmp_path / "foreground.jsonl"))
         by_frame = {}
         for d in fg:
             by_frame.setdefault(d.frame_index, []).append(d.bbox)
