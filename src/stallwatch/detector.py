@@ -9,7 +9,8 @@ image's file and its pixels; each kind uses the one it needs:
                       an image; anchors end-to-end tests with zero detector
                       noise.
 * ``precomputed``  -- the path: reads ``<frame_stem>.det.jsonl`` from a
-                      given directory, each video's own in the pipeline.
+                      given directory (each video's own in the pipeline),
+                      else beside the frame.
 * ``external``     -- the path: a child process speaking a line protocol:
                       we write one line ``{"image": "<path>"}``, it replies
                       one line ``{"detections": [{"class": ..., "score": ...,
@@ -112,13 +113,18 @@ class OracleDetector(DetectorHandle):
 
 @dataclass
 class PrecomputedDetector(DetectorHandle):
-    """Reads `<frame_stem>.det.jsonl` from `directory`."""
+    """Reads `<frame_stem>.det.jsonl` from `directory` (or beside the frame);
+    a `directory` that is not one raises `MissingDetections`."""
 
-    directory: Path
+    directory: Path | None = None
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
+    def __post_init__(self):
+        if self.directory is not None and not self.directory.is_dir():
+            raise MissingDetections(f"no detection directory {self.directory}")
+
     def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
-        det_path = self.directory / (Path(path).stem + ".det.jsonl")
+        det_path = (self.directory or Path(path).parent) / (Path(path).stem + ".det.jsonl")
         if not det_path.is_file():
             raise MissingDetections(f"no detection file {det_path}")
         return read_detections(det_path)

@@ -97,6 +97,12 @@ class BBox:
         return self.y + self.h
 
 
+def _one_row(column, width: int) -> str:
+    """" <value>" of a column of one row's `width` values, else ""."""
+    values = np.asarray(column, dtype=object).reshape(-1).tolist()
+    return f" {values[0] if width == 1 else values}" if len(values) == width else ""
+
+
 def _array(values, dtype) -> np.ndarray | None:
     """`values` as a `dtype` array, or None for a number too large for it."""
     try:
@@ -114,7 +120,8 @@ class Detections:
     here, box values truncated toward zero, and checked against the range
     rules of a detection row. A frame index is in [0, MAX_FRAME], a score
     in [0, 1], and a box keeps `_BOX_RULE`; a number too large to convert
-    breaks its rule. The arrays are read-only."""
+    breaks its rule; the error names the value when there is one row.
+    The arrays are read-only."""
 
     frame: np.ndarray = ()   # int64, (n,)
     boxes: np.ndarray = ()   # int64, (n, 4): x, y, w, h
@@ -126,13 +133,14 @@ class Detections:
         score = _array(self.score, np.float64)
         boxes = _array(self.boxes, np.float64)
         if frame is None or not (frame >= 0).all():
-            raise ParseError(f"frame index outside [0, {MAX_FRAME}]")
+            raise ParseError(f"frame index{_one_row(self.frame, 1)} "
+                             f"outside [0, {MAX_FRAME}]")
         if score is None or not ((score >= 0) & (score <= 1)).all():
-            raise ParseError("score outside [0, 1]")
+            raise ParseError(f"score{_one_row(self.score, 1)} outside [0, 1]")
         if boxes is not None:
             boxes = np.trunc(boxes.reshape(-1, 4))
         if boxes is None or not _box_in_range(*boxes.T).all():
-            raise InvalidBBox(_BOX_RULE)
+            raise InvalidBBox(f"box values{_one_row(self.boxes, 4)}: {_BOX_RULE}")
         for name, column in (("frame", frame), ("score", score),
                              ("boxes", boxes.astype(np.int64))):
             column.flags.writeable = False

@@ -347,6 +347,21 @@ class TestPrecomputed:
         events = {v: json.loads((out / v / "events.json").read_text()) for v in "ab"}
         assert (len(events["a"]), events["b"]) == (1, [])
 
+    def test_flat_directory_fails_each_video(self, mini_corpus, tmp_path,
+                                             capsys):
+        # <directory>/bg_0.det.jsonl, not <directory>/<video_id>/bg_0.det.jsonl
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        stall_windows(mini_corpus, tmp_path / "dets")
+        cfg = precomputed_config(tmp_path, tmp_path / "dets")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "detect", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        for video in "ab":
+            assert (f"MissingDetections: {video}: detect: no detection "
+                    f"directory {tmp_path / 'dets' / video}") in err
+        assert not (out / "a" / "events.json").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda path: write_detections(columns([]), path),
         lambda path: path.rename(path.with_name("bg_1.det.jsonl")),

@@ -63,6 +63,12 @@ class TestOracle:
 
 
 class TestPrecomputed:
+    def test_reads_sidecar_file(self, tmp_path):
+        dets = [Row(0, "car", 0.9, BBox(1, 2, 3, 4))]
+        write_detections(columns(dets), tmp_path / "bg_0.det.jsonl")
+        handle = PrecomputedDetector()
+        assert rows_of(handle.detect(tmp_path / "bg_0.pgm", BLANK)) == dets
+
     def test_configured_directory(self, tmp_path):
         side = tmp_path / "dets"
         side.mkdir()
@@ -74,6 +80,10 @@ class TestPrecomputed:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingDetections):
             PrecomputedDetector(tmp_path).detect(tmp_path / "bg_0.pgm", BLANK)
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(MissingDetections, match="no detection directory"):
+            PrecomputedDetector(tmp_path / "dets")
 
     def test_non_vehicle_classes_dropped(self, tmp_path):
         dets = [Row(0, "person", 0.9, BBox(1, 1, 2, 2)),

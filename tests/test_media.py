@@ -522,6 +522,17 @@ class TestDetectionRows:
         with pytest.raises(ValueError):
             dets.boxes[0, 0] = 9
 
+    @pytest.mark.parametrize("line, message", [
+        (row_text(frame="-1"), "frame index -1 outside"),
+        (row_text(score="7.0"), "score 7.0 outside [0, 1]"),
+        (row_text(bbox="[1, 2.5, -3, 4]"), "box values [1, 2.5, -3, 4]: "),
+    ])
+    def test_range_error_names_the_value(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(ROW + "\n" + line + "\n")
+        with pytest.raises(StallwatchError, match=re.escape(f"{path}:2: {message}")):
+            read_detections(path)
+
     def test_empty_file_columns(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("\n  \n")
