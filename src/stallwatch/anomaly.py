@@ -2,11 +2,12 @@
 Anomaly confirmation: the decision tree over one video's detections.
 
 A vehicle that survives the background median is a candidate; candidates off
-the road mask are discarded as parked. The rest are confirmed by how often
-foreground detections overlap them, one vectorised IoU of each candidate
-against the foreground columns: the first and last overlapping frames
-give the event's start and end. Nothing here reads files or runs the
-detector; `pipeline.process_video` computes the inputs once per video.
+the road mask (a bool array) are discarded as parked. The rest are confirmed
+by how often foreground detections overlap them, one vectorised IoU of each
+candidate against the foreground columns: `decide` takes the candidate and
+its sorted supporting frames, whose first and last give the event's start
+and end. Nothing here reads files or runs the detector;
+`pipeline.process_video` computes the inputs once per video.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .media import AnomalyEvent, BBox, Detections
-from .roadmask import Mask, bbox_on_road
+from .roadmask import bbox_on_road
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -54,17 +55,9 @@ class Candidate:
     windows_seen: int = 1
 
 
-@dataclass(frozen=True)
-class SupportProfile:
-    """Frames where some foreground detection overlaps the candidate box."""
-
-    candidate: Candidate
-    supporting_frames: tuple[int, ...]   # sorted, unique
-
-
 def extract_candidates(
     bg_detections: list[tuple[float, Detections]],
-    mask: Mask,
+    mask: np.ndarray,
     params: DecisionParams,
     frame_area: int,
     min_overlap: float,
@@ -102,9 +95,10 @@ def merge_candidates(cands: list[Candidate], iou_merge: float) -> list[Candidate
 
 
 def support_profile(cand: Candidate, foreground: Detections,
-                    iou_support: float) -> SupportProfile:
-    """`iou` of the candidate box against every foreground row at once;
-    rows that do not overlap it have IoU 0.0."""
+                    iou_support: float) -> tuple[int, ...]:
+    """The sorted, unique frames where some foreground row overlaps the
+    candidate box with IoU >= iou_support: `iou` against every row at
+    once, rows that do not overlap it having IoU 0.0."""
     box = cand.bbox
     x, y, w, h = foreground.boxes.T
     ix = np.minimum(box.x2, x + w) - np.maximum(box.x, x)
@@ -115,20 +109,20 @@ def support_profile(cand: Candidate, foreground: Detections,
     np.divide(inter, box.area + w * h - inter, out=overlap,
               where=(ix > 0) & (iy > 0))
     frames = np.unique(foreground.frame[overlap >= iou_support])
-    return SupportProfile(candidate=cand, supporting_frames=tuple(frames.tolist()))
+    return tuple(frames.tolist())
 
 
 def decide(
     cand: Candidate,
-    profile: SupportProfile,
+    frames: tuple[int, ...],
     params: DecisionParams,
     fps: float,
     video_id: str,
     n_windows: int,
 ) -> AnomalyEvent | None:
-    """Confirmation: enough overlapping frames, dense enough, persistent
-    across windows (of the video's `n_windows`). Returns None on rejection."""
-    frames = profile.supporting_frames
+    """Confirmation: enough supporting `frames` (see `support_profile`),
+    dense enough, persistent across windows (of the video's `n_windows`).
+    Returns None on rejection."""
     if len(frames) < params.min_support_frames(fps):
         return None
     first, last = frames[0], frames[-1]
@@ -170,7 +164,7 @@ def coalesce_events(events: list[AnomalyEvent], iou_merge: float) -> list[Anomal
 
 
 def detect_anomalies(
-    road: Mask,
+    road: np.ndarray,
     per_window: list[tuple[float, Detections]],
     foreground: Detections,
     params: DecisionParams,
@@ -181,9 +175,10 @@ def detect_anomalies(
 ) -> list[AnomalyEvent]:
     """Decide one video's events from already-computed inputs.
 
-    `road` is the union of the per-window road masks, `per_window` holds
-    (window start in seconds, background detections) for every background
-    window, and `foreground` is the video's foreground detection columns.
+    `road` is the union of the per-window road masks, a bool array;
+    `per_window` holds (window start in seconds, background detections)
+    for every background window, and `foreground` is the video's
+    foreground detection columns.
     """
     cands = extract_candidates(per_window, road, params, frame_area=frame_area,
                                min_overlap=min_overlap)
@@ -191,8 +186,8 @@ def detect_anomalies(
 
     events = []
     for cand in cands:
-        profile = support_profile(cand, foreground, params.iou_support)
-        ev = decide(cand, profile, params, fps, video_id,
+        frames = support_profile(cand, foreground, params.iou_support)
+        ev = decide(cand, frames, params, fps, video_id,
                     n_windows=len(per_window))
         if ev is not None:
             events.append(ev)

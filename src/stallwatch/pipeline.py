@@ -44,6 +44,8 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import anomaly, background, scoring, sorting, synth
 from .codec import encode, read_json, write_atomic, write_json
 from .config import PipelineConfig
@@ -57,6 +59,7 @@ from .errors import DetectorTimeout, MissingMetadata, StallwatchError, prefixed
 from .media import (
     AnomalyEvent,
     Detections,
+    Frame,
     open_sequence,
     read_detections,
     read_ground_truth,
@@ -64,7 +67,7 @@ from .media import (
     write_frame,
     write_predictions,
 )
-from .roadmask import adaptive_road_mask, mask_union
+from .roadmask import adaptive_road_mask
 
 logger = logging.getLogger(__name__)
 
@@ -109,11 +112,6 @@ class BackgroundWindow:
 
 
 @dataclass(frozen=True)
-class BackgroundIndex:
-    windows: list[BackgroundWindow]
-
-
-@dataclass(frozen=True)
 class VideoFailure:
     """One entry of manifest.json's failures: a video whose chain raised."""
 
@@ -145,14 +143,14 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     bg_dir.mkdir(exist_ok=True)
     for path, bg in bgs:
         write_frame(bg.frame, path)
-    write_json(bg_dir / "index.json", BackgroundIndex([
+    write_json(bg_dir / "index.json", {"windows": [
         BackgroundWindow(path.name, bg.window_start, bg.window_end,
-                         bg.sampled_indices) for path, bg in bgs]))
+                         bg.sampled_indices) for path, bg in bgs]})
     yield bgs
 
     params = cfg.mask_params(category.lighting)
-    road = mask_union([adaptive_road_mask(bg.frame, params) for _, bg in bgs])
-    write_frame(road.to_frame(), out_vid / "mask.pgm")
+    road = np.logical_or.reduce([adaptive_road_mask(bg.frame, params) for _, bg in bgs])
+    write_frame(Frame(np.where(road, 255, 0).astype(np.uint8)), out_vid / "mask.pgm")
     yield road
 
     per_window: list[tuple[float, Detections]] = []

@@ -7,7 +7,9 @@ as road iff
     (mu - k1*sigma) / k2  <=  T  <=  (mu + k1*sigma) / (k1 + k2)
 
 applied exactly as printed in the source method; k1 and k2 come from the
-video-sorting step. Candidate boxes that do not overlap the mask are later
+video-sorting step. A mask is a 2-D bool array, True on road; the
+pipeline ORs a video's per-window masks into one and writes it as
+mask.pgm (0/255). Candidate boxes that do not overlap the mask are later
 rejected as off-road (parked) vehicles.
 
 mu and sigma come from exact integer window sums of the pixels and their
@@ -22,40 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBBox, InvalidParam
+from .errors import InvalidBBox, InvalidParam
 from .media import BBox, Frame
 
 DEFAULT_BLOCK = 31
 DEFAULT_MIN_OVERLAP = 0.2
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Binary road mask; bits is a (height, width) array of 0/1.
-
-    A bool array is kept as given; any other dtype is converted.
-    """
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"mask must be 2-D, got shape {arr.shape}")
-        if arr.dtype != np.bool_:
-            arr = arr.astype(np.uint8) != 0
-        object.__setattr__(self, "bits", arr)
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    def to_frame(self) -> Frame:
-        return Frame(np.where(self.bits, 255, 0).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -146,31 +119,21 @@ def _road_bits(t: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     return bits
 
 
-def adaptive_road_mask(background: Frame, params: MaskParams) -> Mask:
+def adaptive_road_mask(background: Frame, params: MaskParams) -> np.ndarray:
+    """The road bits of `background`, as a bool array of its shape."""
     mu, sigma = local_stats(background, params.block)
-    return Mask(_road_bits(background.pixels, mu, sigma, params.k1, params.k2))
+    return _road_bits(background.pixels, mu, sigma, params.k1, params.k2)
 
 
-def mask_union(masks: list[Mask]) -> Mask:
-    if not masks:
-        raise DimensionMismatch("union of zero masks")
-    shape = masks[0].bits.shape
-    acc = np.zeros(shape, dtype=bool)
-    for m in masks:
-        if m.bits.shape != shape:
-            raise DimensionMismatch(f"mask shapes differ: {shape} vs {m.bits.shape}")
-        acc |= m.bits
-    return Mask(acc)
-
-
-def bbox_on_road(bbox: BBox, mask: Mask, min_overlap: float = DEFAULT_MIN_OVERLAP) -> bool:
+def bbox_on_road(bbox: BBox, mask: np.ndarray, min_overlap: float = DEFAULT_MIN_OVERLAP) -> bool:
     """True iff at least min_overlap of the box area lies on road pixels."""
     if not 0.0 < min_overlap <= 1.0:
         raise InvalidParam(f"min_overlap must be in (0, 1], got {min_overlap}")
-    if bbox.x2 > mask.width or bbox.y2 > mask.height:
+    height, width = mask.shape
+    if bbox.x2 > width or bbox.y2 > height:
         raise InvalidBBox(
-            f"box ({bbox.x},{bbox.y},{bbox.w},{bbox.h}) outside {mask.width}x{mask.height} mask"
+            f"box ({bbox.x},{bbox.y},{bbox.w},{bbox.h}) outside {width}x{height} mask"
         )
-    road = int(mask.bits[bbox.y : bbox.y2, bbox.x : bbox.x2].sum())
+    road = int(mask[bbox.y : bbox.y2, bbox.x : bbox.x2].sum())
     return road / bbox.area >= min_overlap
 

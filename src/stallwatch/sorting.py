@@ -1,7 +1,7 @@
 """
 Video sorting: lighting/weather class from the average pixel histogram,
-road type from the number of distinct traffic flow directions in the
-foreground detection columns.
+a (256,) float64 array summing to 1; road type from the number of
+distinct traffic flow directions in the foreground detection columns.
 
 The class drives the per-video pipeline parameters (background window
 length here, the road-mask constants k1/k2 via `PipelineConfig.mask_params`).
@@ -51,23 +51,6 @@ DEFAULT_K1K2 = {cls: (2.0, 0.6) for cls in LightingClass}
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """256-bin average pixel-frequency distribution, normalized to sum 1."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.float64)
-        if arr.shape != (256,):
-            raise ValueError(f"histogram must have 256 bins, got {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError("histogram bins must be non-negative")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"histogram mass {arr.sum()} != 1")
-        object.__setattr__(self, "bins", arr)
-
-
-@dataclass(frozen=True)
 class VideoCategory:
     video_id: str
     lighting: LightingClass
@@ -75,8 +58,9 @@ class VideoCategory:
     background_window_s: float
 
 
-def average_histogram(seq: FrameSequence, stride: int) -> Histogram:
-    """Mean per-frame pixel-frequency distribution over every stride-th frame."""
+def average_histogram(seq: FrameSequence, stride: int) -> np.ndarray:
+    """Mean per-frame pixel-frequency distribution over every stride-th
+    frame: 256 float64 bins, normalized to sum 1."""
     if seq.frame_count == 0:
         raise EmptyInput("no frames")
     if stride < 1:
@@ -90,7 +74,7 @@ def average_histogram(seq: FrameSequence, stride: int) -> Histogram:
         total += np.bincount(pixels.ravel(), minlength=256) / pixels.size
         n += 1
     avg = total / n
-    return Histogram(avg / avg.sum())
+    return avg / avg.sum()
 
 
 def _smooth(bins: np.ndarray, radius: int) -> np.ndarray:
@@ -130,19 +114,19 @@ def _prominent_peaks(x: list[float], min_prominence: float) -> list[int]:
             >= min_prominence]
 
 
-def find_histogram_peaks(hist: Histogram) -> list[tuple[int, float]]:
+def find_histogram_peaks(hist: np.ndarray) -> list[tuple[int, float]]:
     """Local maxima of the smoothed histogram with prominence >= MIN_PROMINENCE.
 
     Returns (bin_index, smoothed_mass) pairs sorted by bin index.
     """
-    smoothed = _smooth(hist.bins, SMOOTH_RADIUS).tolist()
+    smoothed = _smooth(hist, SMOOTH_RADIUS).tolist()
     # pad so that maxima at bin 0 / 255 are still detected
     padded = [-1.0, *smoothed, -1.0]
     return [(i - 1, smoothed[i - 1])
             for i in _prominent_peaks(padded, MIN_PROMINENCE)]
 
 
-def classify_lighting(hist: Histogram) -> LightingClass:
+def classify_lighting(hist: np.ndarray) -> LightingClass:
     """Histogram-signature classifier.
 
     Night: the dominant peak sits in [0, 50]. Snow: at least two peaks whose

@@ -302,17 +302,15 @@ def render_frame(spec: SceneSpec, base: np.ndarray,
         np.take(_noise_pairs(), buffers.index, out=buffers.noise.view(np.uint64),
                 mode="wrap")
         canvas *= np.float32(spec.noise_sigma)
-        # a vehicle's pixels are its intensity plus their noise, as if it
-        # had been drawn into `base`; the last one drawn wins
-        patches = [canvas[box.y : box.y2, box.x : box.x2] + np.float32(v.intensity)
-                   for box, v in drawn]
-        canvas += base
-        for (box, _), patch in zip(drawn, patches):
-            canvas[box.y : box.y2, box.x : box.x2] = patch
-    else:
-        np.copyto(canvas, base)
-        for box, v in drawn:
-            canvas[box.y : box.y2, box.x : box.x2] = v.intensity
+    else:  # no noise and no draw: `rng` is left as it was
+        canvas.fill(0.0)
+    # a vehicle's pixels are its intensity plus their noise, as if it
+    # had been drawn into `base`; the last one drawn wins
+    patches = [canvas[box.y : box.y2, box.x : box.x2] + np.float32(v.intensity)
+               for box, v in drawn]
+    canvas += base
+    for (box, _), patch in zip(drawn, patches):
+        canvas[box.y : box.y2, box.x : box.x2] = patch
     np.rint(canvas, out=canvas)
     np.clip(canvas, 0, 255, out=canvas)
     np.copyto(buffers.pixels, canvas, casting="unsafe")

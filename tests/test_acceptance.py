@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stallwatch.anomaly import Candidate, DecisionParams, SupportProfile, decide, iou
+from stallwatch.anomaly import Candidate, DecisionParams, decide, iou
 from stallwatch.config import PipelineConfig
 from stallwatch.media import (
     AnomalyEvent,
@@ -195,7 +195,6 @@ def _gate_monotonicity_failures(rng, n=300) -> int:
                                          replace=False).tolist()))
         cand = Candidate(BBox(10, 10, 16, 6), 0.9, 0.0,
                          windows_seen=int(rng.integers(1, 6)))
-        profile = SupportProfile(candidate=cand, supporting_frames=frames)
         loose = DecisionParams()
         tight = DecisionParams(
             min_support_seconds=loose.min_support_seconds + float(rng.uniform(0, 5)),
@@ -203,8 +202,8 @@ def _gate_monotonicity_failures(rng, n=300) -> int:
                                     + float(rng.uniform(0, 0.5))),
             min_windows=loose.min_windows + int(rng.integers(0, 3)),
         )
-        accept_loose = decide(cand, profile, loose, 10.0, "v", n_windows=10)
-        accept_tight = decide(cand, profile, tight, 10.0, "v", n_windows=10)
+        accept_loose = decide(cand, frames, loose, 10.0, "v", n_windows=10)
+        accept_tight = decide(cand, frames, tight, 10.0, "v", n_windows=10)
         if accept_loose is None and accept_tight is not None:
             failures += 1
     return failures

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stallwatch.anomaly import (
     Candidate,
     DecisionParams,
-    SupportProfile,
     coalesce_events,
     decide,
     detect_anomalies,
@@ -16,7 +15,6 @@ from stallwatch.anomaly import (
     support_profile,
 )
 from stallwatch.media import MAX_COORD, AnomalyEvent, BBox
-from stallwatch.roadmask import Mask
 
 from conftest import Row, columns
 
@@ -27,7 +25,7 @@ def det(x, y, w=16, h=6, score=1.0, frame=0, label="car"):
 
 
 def full_mask(w=320, h=240):
-    return Mask(np.ones((h, w), dtype=bool))
+    return np.ones((h, w), dtype=bool)
 
 
 boxes = st.builds(BBox, st.integers(0, 300), st.integers(0, 300),
@@ -73,7 +71,7 @@ class TestExtract:
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:130, :] = True
         cands = extract_candidates([(0.0, columns([det(10, 10), det(10, 110)]))],
-                                   Mask(bits), DecisionParams(), 320 * 240,
+                                   bits, DecisionParams(), 320 * 240,
                                    min_overlap=0.2)
         assert [c.bbox for c in cands] == [BBox(10, 110, 16, 6)]
 
@@ -111,14 +109,12 @@ class TestSupport:
         cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
         fg = [det(10, 10, frame=5), det(10, 10, frame=7),
               det(200, 10, frame=6)]
-        profile = support_profile(cand, columns(fg), iou_support=0.3)
-        assert profile.supporting_frames == (5, 7)
+        assert support_profile(cand, columns(fg), iou_support=0.3) == (5, 7)
 
     def test_duplicates_deduplicated(self):
         cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
         fg = [det(10, 10, frame=5), det(11, 10, frame=5)]
-        profile = support_profile(cand, columns(fg), iou_support=0.3)
-        assert profile.supporting_frames == (5,)
+        assert support_profile(cand, columns(fg), iou_support=0.3) == (5,)
 
 
 def loop_support_profile(cand, foreground, iou_support):
@@ -127,7 +123,7 @@ def loop_support_profile(cand, foreground, iou_support):
         d.frame_index for d in foreground
         if iou(cand.bbox, d.bbox) >= iou_support
     })
-    return SupportProfile(candidate=cand, supporting_frames=tuple(frames))
+    return tuple(frames)
 
 
 # Small coordinates make equal, touching and exactly-at-threshold boxes
@@ -153,19 +149,15 @@ class TestSupportOracle:
     def test_disjoint_rows_support_at_zero(self):
         cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
         fg = [det(200, 100, frame=3), det(26, 10, frame=1)]  # far; touching
-        assert support_profile(cand, columns(fg), 0.0).supporting_frames == (1, 3)
-        assert support_profile(cand, columns(fg), 1e-12).supporting_frames == ()
+        assert support_profile(cand, columns(fg), 0.0) == (1, 3)
+        assert support_profile(cand, columns(fg), 1e-12) == ()
 
     def test_threshold_is_inclusive(self):
         # intersection 3, union 10: IoU exactly 0.3
         cand = Candidate(BBox(0, 0, 5, 1), 1.0, 0.0)
         fg = [det(2, 0, w=8, h=1, frame=4)]
         assert iou(cand.bbox, fg[0].bbox) == 0.3
-        assert support_profile(cand, columns(fg), 0.3).supporting_frames == (4,)
-
-
-def make_profile(cand, frames):
-    return SupportProfile(candidate=cand, supporting_frames=tuple(frames))
+        assert support_profile(cand, columns(fg), 0.3) == (4,)
 
 
 class TestDecide:
@@ -177,7 +169,7 @@ class TestDecide:
     def test_accept_long_dense_support(self):
         cand = self._cand()
         frames = range(1000, 2500)
-        ev = decide(cand, make_profile(cand, frames), DecisionParams(),
+        ev = decide(cand, tuple(frames), DecisionParams(),
                     self.fps, "v1", n_windows=10)
         assert ev is not None
         assert ev.start == pytest.approx(100.0)
@@ -185,27 +177,27 @@ class TestDecide:
 
     def test_too_few_frames(self):
         cand = self._cand()
-        ev = decide(cand, make_profile(cand, range(1000, 1009)),
+        ev = decide(cand, tuple(range(1000, 1009)),
                     DecisionParams(), self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_sparse_support_rejected(self):
         cand = self._cand()
         frames = range(0, 1000, 5)  # density 0.2 < 0.3
-        ev = decide(cand, make_profile(cand, frames), DecisionParams(),
+        ev = decide(cand, tuple(frames), DecisionParams(),
                     self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_single_window_sighting_rejected(self):
         cand = self._cand(windows_seen=1)
-        ev = decide(cand, make_profile(cand, range(1000, 2500)),
+        ev = decide(cand, tuple(range(1000, 2500)),
                     DecisionParams(), self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_window_floor_capped_for_short_videos(self):
         # a video with a single background window cannot show two sightings
         cand = self._cand(windows_seen=1)
-        ev = decide(cand, make_profile(cand, range(1000, 2500)),
+        ev = decide(cand, tuple(range(1000, 2500)),
                     DecisionParams(), self.fps, "v1", n_windows=1)
         assert ev is not None
 
@@ -217,14 +209,14 @@ class TestDecide:
             cand = Candidate(BBox(10, 10, 16, 6), 0.9, 0.0,
                              windows_seen=int(rng.integers(1, 6)))
             base = DecisionParams()
-            loose = decide(cand, make_profile(cand, frames), base,
+            loose = decide(cand, tuple(frames), base,
                            self.fps, "v1", n_windows=10)
             tight = DecisionParams(
                 min_support_seconds=base.min_support_seconds + float(rng.uniform(0, 5)),
                 min_support_density=min(1.0, base.min_support_density + float(rng.uniform(0, 0.5))),
                 min_windows=base.min_windows + int(rng.integers(0, 3)),
             )
-            strict = decide(cand, make_profile(cand, frames), tight,
+            strict = decide(cand, tuple(frames), tight,
                             self.fps, "v1", n_windows=10)
             if loose is None:
                 assert strict is None
@@ -238,7 +230,7 @@ class TestDecide:
         per_window = [(0.0, columns([det(10, y, score=0.9)])),
                       (30.0, columns([det(10, y)]))]
         foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
-        return detect_anomalies(Mask(road), per_window, foreground,
+        return detect_anomalies(road, per_window, foreground,
                                 DecisionParams(), min_overlap=0.2, fps=self.fps,
                                 video_id="v1", frame_area=320 * 240)
 

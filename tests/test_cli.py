@@ -8,6 +8,7 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stallwatch
@@ -20,9 +21,12 @@ from stallwatch.cli import (
     EXIT_USAGE,
     run,
 )
+from stallwatch.config import PipelineConfig
 from stallwatch.media import read_predictions, write_detections
+from stallwatch.roadmask import adaptive_road_mask
+from stallwatch.sorting import LightingClass
 
-from conftest import Row, columns
+from conftest import Row, columns, frame_bytes
 
 
 class TestExitCodes:
@@ -88,6 +92,24 @@ class TestStages:
         assert run(["mask", "--corpus", str(mini_corpus),
                     "--out", str(out)]) == EXIT_OK
         assert (out / "mini_day_stall" / "mask.pgm").is_file()
+
+    def test_mask_is_the_union_of_the_background_masks(self, mini_corpus, tmp_path):
+        # mask.pgm, as 0/255 bytes, is the OR of the road masks of the
+        # backgrounds the background stage wrote
+        out = tmp_path / "out"
+        assert run(["mask", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        out_vid = out / "mini_day_stall"
+        lighting = json.loads((out_vid / "category.json").read_text())["lighting"]
+        params = PipelineConfig().mask_params(LightingClass(lighting))
+        index = json.loads((out_vid / "backgrounds" / "index.json").read_text())
+        masks = [adaptive_road_mask(media.read_frame(out_vid / "backgrounds" / w["file"]),
+                                    params) for w in index["windows"]]
+        road = np.logical_or.reduce(masks)
+        assert len(masks) == 2 and 0.0 < road.mean() < 1.0
+        assert not all(np.array_equal(m, road) for m in masks)
+        expected = media.Frame(np.where(road, 255, 0).astype(np.uint8))
+        assert (out_vid / "mask.pgm").read_bytes() == frame_bytes(expected)
 
     @pytest.mark.parametrize("bbox", ['[1, 2, "3", 4]', "[NaN, 2, 3, 4]",
                                       "[1e400, 2, 3, 4]"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from stallwatch.sorting import (
     MIN_PROMINENCE,
     SMOOTH_RADIUS,
-    Histogram,
     _prominent_peaks,
     _smooth,
     find_histogram_peaks,
@@ -38,8 +37,8 @@ class TestPeaksOracle:
     @settings(max_examples=200, deadline=None)
     def test_histogram_peaks_equal_scipy(self, counts):
         bins = np.asarray(counts, dtype=np.float64)
-        hist = Histogram(bins / bins.sum())
-        smoothed = _smooth(hist.bins, SMOOTH_RADIUS)
+        hist = bins / bins.sum()
+        smoothed = _smooth(hist, SMOOTH_RADIUS)
         padded = np.concatenate(([-1.0], smoothed, [-1.0]))
         idx = find_peaks(padded, prominence=MIN_PROMINENCE)[0]
         assert find_histogram_peaks(hist) == [

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from stallwatch import background, synth
 from stallwatch.errors import DimensionMismatch, InvalidBBox, InvalidParam
 from stallwatch.media import BBox, Frame
-from stallwatch.roadmask import (
-    Mask,
-    MaskParams,
-    adaptive_road_mask,
-    bbox_on_road,
-    local_stats,
-    mask_union,
-)
+from stallwatch.roadmask import MaskParams, adaptive_road_mask, bbox_on_road, local_stats
 from stallwatch.sorting import LightingClass
 
 from conftest import make_frame, stacked
@@ -138,7 +131,7 @@ class TestAdaptiveMask:
         # any k1, k2 > 0 unless the image is black
         frame = make_frame(np.full((40, 40), 120))
         mask = adaptive_road_mask(frame, MaskParams(k1=2.0, k2=0.6, block=5))
-        assert not mask.bits.any()
+        assert not mask.any()
 
     def test_textured_dark_band_passes(self, rng):
         # bright surround, noisy dark band: band pixels sit inside the
@@ -147,17 +140,24 @@ class TestAdaptiveMask:
         img[20:34, :] = 90.0 + rng.normal(0, 5, size=(14, 120))
         mask = adaptive_road_mask(Frame(np.clip(img, 0, 255).astype(np.uint8)),
                                   MaskParams(k1=2.0, k2=0.6, block=31))
-        band = mask.bits[20:34, :]
-        surround = mask.bits[:14, :]
+        band = mask[20:34, :]
+        surround = mask[:14, :]
         assert band.mean() >= 0.95
         assert surround.mean() <= 0.05
+
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 17), (17, 40)])
+    def test_bool_array_of_the_frame_shape(self, rng, shape):
+        frame = Frame(rng.integers(0, 256, shape, dtype=np.uint8))
+        mask = adaptive_road_mask(frame, MaskParams(k1=1.0, k2=0.5, block=7))
+        assert isinstance(mask, np.ndarray)
+        assert mask.dtype == np.bool_ and mask.shape == shape
 
     def test_mask_deterministic(self, rng):
         frame = Frame(rng.integers(0, 256, (30, 30), dtype=np.uint8))
         params = MaskParams(k1=1.0, k2=0.5, block=7)
         a = adaptive_road_mask(frame, params)
         b = adaptive_road_mask(frame, params)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_bad_params(self):
         with pytest.raises(InvalidParam):
@@ -203,46 +203,18 @@ class TestMaskThreshold:
         for frame in (Frame(rng.integers(0, 256, (80, 120), dtype=np.uint8)),
                       Frame(rng.integers(60, 70, (80, 120), dtype=np.uint8)),
                       Frame(patched), day_background):
-            bits = adaptive_road_mask(frame, params).bits
+            bits = adaptive_road_mask(frame, params)
             assert np.array_equal(bits, oracle_mask_bits(frame, params))
 
     def test_day_background_is_part_road(self, day_background):
-        bits = adaptive_road_mask(day_background, MaskParams(k1=2.0, k2=0.6)).bits
+        bits = adaptive_road_mask(day_background, MaskParams(k1=2.0, k2=0.6))
         assert 0.05 < bits.mean() < 0.95
-
-
-class TestMaskBits:
-    def test_bool_array_kept(self):
-        bits = np.array([[True, False], [False, True]])
-        assert Mask(bits).bits is bits
-
-    def test_other_dtypes_truncate_to_uint8(self):
-        assert Mask(np.array([[0.5]])).bits.tolist() == [[False]]
-        assert Mask(np.array([[2.0, 0.0], [0.0, 1.5]])).bits.tolist() == \
-               [[True, False], [False, True]]
-
-
-class TestMaskUnion:
-    def test_union_is_or(self):
-        a = Mask(np.array([[1, 0], [0, 0]]))
-        b = Mask(np.array([[0, 0], [0, 1]]))
-        u = mask_union([a, b])
-        assert u.bits.tolist() == [[True, False], [False, True]]
-
-    def test_empty_list(self):
-        with pytest.raises(DimensionMismatch):
-            mask_union([])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mask_union([Mask(np.zeros((2, 2))), Mask(np.zeros((3, 2)))])
 
 
 class TestBBoxOnRoad:
     def setup_method(self):
-        bits = np.zeros((20, 20), dtype=bool)
-        bits[5:15, :] = True
-        self.mask = Mask(bits)
+        self.mask = np.zeros((20, 20), dtype=bool)
+        self.mask[5:15, :] = True
 
     def test_fully_on(self):
         assert bbox_on_road(BBox(2, 6, 4, 4), self.mask)
@@ -289,7 +261,7 @@ class TestCalibration:
         passing = calibrate_mask_params(scene, truth)
         assert len(passing) >= 8
         for k1, k2, recall, fpr in passing[::max(1, len(passing) // 8)]:
-            bits = adaptive_road_mask(scene, MaskParams(k1, k2)).bits
+            bits = adaptive_road_mask(scene, MaskParams(k1, k2))
             assert recall == bits[truth].sum() / truth.sum()
             assert fpr == bits[~truth].sum() / (~truth).sum()
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from stallwatch.codec import decode, encode
 from stallwatch.errors import EmptyInput, InsufficientData
-from stallwatch.media import BBox
+from stallwatch.media import BBox, open_sequence
 from stallwatch.sorting import (
     GATE_FRACTION,
     MIN_MOVE_PX,
     LightingClass,
     RoadType,
-    Histogram,
     VideoCategory,
+    average_histogram,
     background_window_for,
     classify_lighting,
     classify_road_type,
@@ -26,29 +26,20 @@ from stallwatch.sorting import (
 from conftest import Row, columns
 
 
-def hist_from_masses(masses: dict[int, float]) -> Histogram:
-    bins = np.zeros(256)
-    for b, m in masses.items():
-        bins[b] = m
-    return Histogram(bins / bins.sum())
-
-
 def gaussian_hist(center: float, sigma: float = 8.0) -> np.ndarray:
     x = np.arange(256)
     return np.exp(-0.5 * ((x - center) / sigma) ** 2)
 
 
 class TestHistogram:
-    def test_mass_must_be_one(self):
-        with pytest.raises(ValueError):
-            Histogram(np.ones(256))
-
-    def test_negative_bins_rejected(self):
-        bins = np.zeros(256)
-        bins[0] = 2.0
-        bins[1] = -1.0
-        with pytest.raises(ValueError):
-            Histogram(bins)
+    @pytest.mark.parametrize("stride", [1, 7, 30])
+    def test_average_is_a_distribution(self, mini_corpus, stride):
+        seq = open_sequence(mini_corpus / "videos" / "mini_day_stall")
+        hist = average_histogram(seq, stride)
+        assert isinstance(hist, np.ndarray)
+        assert hist.shape == (256,) and hist.dtype == np.float64
+        assert (hist >= 0).all()
+        assert abs(hist.sum() - 1.0) <= 1e-9
 
     def test_smooth_preserves_constant(self):
         bins = np.full(256, 1 / 256)
@@ -67,49 +58,49 @@ class TestHistogram:
 class TestPeaks:
     def test_single_gaussian_one_peak(self):
         h = gaussian_hist(128)
-        peaks = find_histogram_peaks(Histogram(h / h.sum()))
+        peaks = find_histogram_peaks(h / h.sum())
         assert len(peaks) == 1
         assert abs(peaks[0][0] - 128) <= 2
 
     def test_two_gaussians_two_peaks(self):
         h = gaussian_hist(60) + gaussian_hist(200)
-        peaks = find_histogram_peaks(Histogram(h / h.sum()))
+        peaks = find_histogram_peaks(h / h.sum())
         assert len(peaks) == 2
         assert abs(peaks[0][0] - 60) <= 2 and abs(peaks[1][0] - 200) <= 2
 
     def test_boundary_peak_detected(self):
         h = gaussian_hist(0, sigma=5)
-        peaks = find_histogram_peaks(Histogram(h / h.sum()))
+        peaks = find_histogram_peaks(h / h.sum())
         assert peaks and peaks[0][0] <= 3
 
     def test_tiny_ripple_suppressed(self):
         h = gaussian_hist(128) + 0.001 * gaussian_hist(30, sigma=2)
-        peaks = find_histogram_peaks(Histogram(h / h.sum()))
+        peaks = find_histogram_peaks(h / h.sum())
         assert [b for b, _ in peaks if b < 60] == []
 
 
 class TestLighting:
     def test_dark_dominant_is_night(self):
         h = gaussian_hist(20) + 0.3 * gaussian_hist(150)
-        assert classify_lighting(Histogram(h / h.sum())) is LightingClass.NIGHT
+        assert classify_lighting(h / h.sum()) is LightingClass.NIGHT
 
     def test_two_bright_peaks_is_snow(self):
         # weighted mean of peaks at 200 and 240 lands inside [200, 250]
         h = gaussian_hist(200) + gaussian_hist(240)
-        assert classify_lighting(Histogram(h / h.sum())) is LightingClass.SNOW
+        assert classify_lighting(h / h.sum()) is LightingClass.SNOW
 
     def test_midtone_single_peak_is_day(self):
         h = gaussian_hist(130)
-        assert classify_lighting(Histogram(h / h.sum())) is LightingClass.DAY
+        assert classify_lighting(h / h.sum()) is LightingClass.DAY
 
     def test_bright_unimodal_is_day(self):
         # one bright peak is not enough evidence for snow
         h = gaussian_hist(230)
-        assert classify_lighting(Histogram(h / h.sum())) is LightingClass.DAY
+        assert classify_lighting(h / h.sum()) is LightingClass.DAY
 
     def test_two_peaks_mean_below_band_is_day(self):
         h = gaussian_hist(100) + gaussian_hist(220)
-        assert classify_lighting(Histogram(h / h.sum())) is LightingClass.DAY
+        assert classify_lighting(h / h.sum()) is LightingClass.DAY
 
 
 def track(points: list[tuple[int, float, float]]) -> list[Row]:
