@@ -24,8 +24,8 @@ image's file and its pixels; each kind uses the one it needs:
 
 Each returns `Detections`, filtered to the configured vehicle classes. A
 kept box that reaches past the image's edges raises `DetectionOutOfFrame`,
-naming the box and the image; the pipeline then skips that window, like
-any detector failure but a `DetectorTimeout`.
+naming the box and the image; the pipeline then skips that window, as
+for any `StallwatchError` or `OSError` but a `DetectorTimeout`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Typed error hierarchy shared by every stage of the pipeline."""
+"""Typed error hierarchy shared by every stage of the pipeline. Raised in
+one video's chain, a `StallwatchError`, like an `OSError`, fails that video
+only (see `pipeline.process_video`)."""
 
 
 class StallwatchError(Exception):
-    """Base class for all pipeline errors. `stage` names the pipeline stage
-    that raised it, once `pipeline.process_video` has seen it go by."""
-
-    stage: str | None = None
+    """Base class for all pipeline errors."""
 
 
 # --- file formats / parsing ---

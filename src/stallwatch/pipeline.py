@@ -9,10 +9,11 @@ and mask commands stop after theirs, detect and run-all run it through
 decide. Each stage it reaches computes and writes its artifact.
 
 `run_corpus` is the one loop over a corpus's videos, for every command.
-A `StallwatchError` fails that video only: it is returned as a
-`VideoFailure` (video, stage, error), which run-all lists in
-manifest.json, and the other videos still run. Run through decide, it
-writes predictions.csv from the videos that finished.
+A `StallwatchError` or `OSError` fails that video only: `process_video`
+returns it as a `VideoFailure` (video, stage, error), which run-all lists
+in manifest.json, and the other videos still run. Any other exception is
+a bug and stops the run. Run through decide, `run_corpus` writes
+predictions.csv from the finished videos.
 
 events.json is the one artifact read back, when the video's `stamp` file
 matches `_video_stamp` (the config less `jobs`, meta.json,
@@ -55,7 +56,7 @@ from .detector import (
     OracleDetector,
     PrecomputedDetector,
 )
-from .errors import DetectorTimeout, MissingMetadata, StallwatchError, prefixed
+from .errors import DetectorTimeout, MissingMetadata, StallwatchError
 from .media import (
     AnomalyEvent,
     Detections,
@@ -160,7 +161,7 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
                 dets = handle.detect(path, bg.frame)
             except DetectorTimeout:
                 raise  # the handle has already restarted the detector once
-            except Exception as exc:
+            except (StallwatchError, OSError) as exc:
                 logger.warning("%s: detector failed on window at %.1fs: %s",
                                seq.video_id, bg.window_start, exc)
                 dets = Detections()
@@ -207,45 +208,33 @@ def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
 
 
 def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
-                  stamp: bytes, through: str = "decide"
-                  ) -> list[AnomalyEvent]:
+                  cfg_hash: str, through: str = "decide"
+                  ) -> tuple[list[AnomalyEvent], bytes] | VideoFailure:
     """Run the chain through `through`, a name of STAGES; returns the
-    accepted events, or [] when it stops before decide. `stamp` is the
-    video's `_video_stamp`: through decide, events.json is the answer when
-    the stamp file holds it, and a chain run writes it after events.json.
-    A `StallwatchError` is raised again as its own type, prefixed
-    "<video dir>: <stage>", with the stage as its `stage`."""
-    stage = "decide"
+    accepted events ([] before decide) and the video's `_video_stamp`, or
+    the video's `VideoFailure`. Through decide, events.json is the answer
+    when the stamp file holds the stamp, and a chain run writes it after
+    events.json. A `StallwatchError` or `OSError` fails the video at the
+    stage it reached (`through` before the chain starts), its error
+    "<Type>: <video dir>: <stage>: <message>"."""
+    stage = through
     stamp_path = out_vid / "stamp"
     try:
+        stamp = _video_stamp(video_dir, out_vid, cfg, cfg_hash)
         if through == "decide" and _read(stamp_path) == stamp:
             with contextlib.suppress(FileNotFoundError):
-                return read_json(out_vid / "events.json", list[AnomalyEvent])
+                return read_json(out_vid / "events.json", list[AnomalyEvent]), stamp
         stamp_path.unlink(missing_ok=True)
         chain = _chain(video_dir, out_vid, cfg)
         for stage in STAGES[:STAGES.index(through) + 1]:
             value = next(chain)
-    except StallwatchError as exc:
-        err = prefixed(exc, f"{video_dir.name}: {stage}")
-        err.stage = stage
-        raise err from None
+    except (StallwatchError, OSError) as exc:
+        return VideoFailure(video_dir.name, stage, f"{type(exc).__name__}: "
+                            f"{video_dir.name}: {stage}: {exc}")
     if through != "decide":
-        return []
+        return [], stamp
     write_atomic(stamp_path, stamp)
-    return value
-
-
-def _events_or_failure(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
-                       cfg_hash: str, through: str
-                       ) -> tuple[list[AnomalyEvent], bytes] | VideoFailure:
-    """`process_video`'s events and the video's stamp, or, for a
-    `StallwatchError`, the video's failure."""
-    stamp = _video_stamp(video_dir, out_vid, cfg, cfg_hash)
-    try:
-        return process_video(video_dir, out_vid, cfg, stamp, through), stamp
-    except StallwatchError as exc:
-        return VideoFailure(video_dir.name, exc.stage,
-                            f"{type(exc).__name__}: {exc}")
+    return value, stamp
 
 
 def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
@@ -260,9 +249,9 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
             [replace(cfg, jobs=1).content_hash()] * n, [through] * n)
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_video = list(pool.map(_events_or_failure, *args))
+            per_video = list(pool.map(process_video, *args))
     else:
-        per_video = list(map(_events_or_failure, *args))
+        per_video = list(map(process_video, *args))
     failures = [r for r in per_video if isinstance(r, VideoFailure)]
     done = [r for r in per_video if not isinstance(r, VideoFailure)]
     if through == "decide":

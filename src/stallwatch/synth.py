@@ -196,6 +196,8 @@ def load_scene(path: str | Path) -> SceneSpec:
 
 
 def _validate(spec: SceneSpec) -> None:
+    if spec.seed < 0:
+        raise InvalidSpec(f"scene seed must be non-negative, got {spec.seed}")
     if not (0 < spec.duration < math.inf and 0 < spec.fps < math.inf):
         raise InvalidSpec(f"duration and fps must be positive and finite, got "
                           f"{spec.duration} and {spec.fps}")

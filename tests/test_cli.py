@@ -22,6 +22,7 @@ from stallwatch.cli import (
     run,
 )
 from stallwatch.config import PipelineConfig
+from stallwatch.detector import OracleDetector
 from stallwatch.media import read_predictions, write_detections
 from stallwatch.roadmask import adaptive_road_mask
 from stallwatch.sorting import LightingClass
@@ -62,6 +63,13 @@ class TestExitCodes:
     def test_help(self, capsys):
         assert run(["--help"]) == EXIT_OK
         assert "stallwatch" in capsys.readouterr().out
+
+    def test_negative_seed_synthesizes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run(["--seed", "-1", "synth", "--out", str(out)]) == EXIT_FAILURE
+        assert "synth: InvalidSpec: scene seed must be non-negative" in \
+               capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDumpConfig:
@@ -337,21 +345,28 @@ class TestStamp:
                first["input_hash"]
 
 
-def stall_windows(mini_corpus: Path, directory: Path, stall: bool = True) -> None:
+def stall_windows(mini_corpus: Path, directory: Path, stall: bool = True,
+                  score: float = 1.0, size: tuple[int, int] | None = None) -> None:
     """A precomputed detection file in `directory` for each background
-    window of the mini corpus's video, holding its stall box if `stall`."""
+    window of the mini corpus's video, holding its stall box if `stall`,
+    at `score`, and `size` (w, h) wide and high if given."""
     scene = synth.load_scene(
         mini_corpus / "videos" / "mini_day_stall" / synth.SCENE_FILE)
     (box, _, label), = synth.static_boxes(scene)
+    if size is not None:
+        box = media.BBox(box.x, box.y, *size)
     directory.mkdir(parents=True)
     for window in ("bg_0", "bg_30000"):
-        write_detections(columns([Row(0, label, 1.0, box)] * stall),
+        write_detections(columns([Row(0, label, score, box)] * stall),
                          directory / f"{window}.det.jsonl")
 
 
-def precomputed_config(tmp_path: Path, directory: Path | None) -> Path:
+def precomputed_config(tmp_path: Path, directory: Path | None,
+                       decision: dict | None = None) -> Path:
+    """A config of the precomputed detector reading `directory`, with the
+    `decision` thresholds given."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"detector": {
+    cfg.write_text(json.dumps({"decision": decision or {}, "detector": {
         "kind": "precomputed", "directory": directory and str(directory)}}))
     return cfg
 
@@ -368,6 +383,25 @@ class TestPrecomputed:
                     "--out", str(out)]) == EXIT_OK
         events = {v: json.loads((out / v / "events.json").read_text()) for v in "ab"}
         assert (len(events["a"]), events["b"]) == (1, [])
+
+    # the stall box measures 16 x 6; the mini corpus's frame area is 320 x 240
+    @pytest.mark.parametrize("score, size, decision, predicted", [
+        (0.4, None, {}, 0),
+        (0.5, None, {}, 1),  # the score gate is inclusive
+        (0.4, None, {"score_min": 0.0}, 1),
+        (1.0, (8, 6), {}, 0),  # 48 px² < area_min x 76,800 = 76.8 px²
+        (1.0, (8, 6), {"area_min": 0.0}, 1),
+    ], ids=["score-0.4", "score-0.5", "score-0.4-gate-off", "8x6-box",
+            "8x6-box-gate-off"])
+    def test_score_and_area_gates(self, mini_corpus, tmp_path, capsys, score,
+                                  size, decision, predicted):
+        stall_windows(mini_corpus, tmp_path / "dets" / "mini_day_stall",
+                      score=score, size=size)
+        cfg = precomputed_config(tmp_path, tmp_path / "dets", decision)
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert len(read_predictions(out / "predictions.csv")) == predicted
 
     def test_flat_directory_fails_each_video(self, mini_corpus, tmp_path,
                                              capsys):
@@ -476,6 +510,55 @@ class TestFaultIsolation:
         assert failure["error"].startswith("MissingMetadata: bad: sort: ")
         preds = read_predictions(out / "predictions.csv")
         assert [p.video_id for p in preds] == ["mini_day_stall"]
+
+    @pytest.mark.parametrize("missing, stage", [("foreground.jsonl", "sort"),
+                                                ("scene.json", "detect")])
+    def test_video_without_an_input_file_fails_alone(
+            self, mini_corpus, tmp_path, capsys, missing, stage):
+        # scene.json is read by the oracle detector, at the detect stage
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        (corpus / "videos" / "bad" / missing).unlink()
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failure, = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["video"], failure["stage"]) == ("bad", stage)
+        assert failure["error"].startswith(f"FileNotFoundError: bad: {stage}: ")
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(alone)]) == EXIT_OK
+        assert ((out / "predictions.csv").read_bytes()
+                == (alone / "predictions.csv").read_bytes())
+
+    def test_detector_that_cannot_start_fails_each_video(self, mini_corpus,
+                                                         tmp_path, capsys):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"detector": {
+            "kind": "external", "command": [str(tmp_path / "no-such-detector")]}}))
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        manifest = json.loads(capsys.readouterr().out)
+        assert [(f["video"], f["stage"]) for f in manifest["failures"]] == \
+               [("a", "detect"), ("b", "detect")]
+        for failure in manifest["failures"]:
+            assert failure["error"].startswith(
+                f"FileNotFoundError: {failure['video']}: detect: ")
+        assert read_predictions(out / "predictions.csv") == []
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+
+    def test_detector_bug_stops_the_run(self, mini_corpus, tmp_path,
+                                        monkeypatch):
+        """An exception that is neither a `StallwatchError` nor an
+        `OSError` is a bug: it skips no window and fails no video alone."""
+        def broken(self, path, frame):
+            raise TypeError("a bug in the detector")
+
+        monkeypatch.setattr(OracleDetector, "_detect_raw", broken)
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        with pytest.raises(TypeError, match="a bug in the detector"):
+            pipeline.run_all(corpus, tmp_path / "out", PipelineConfig())
 
     @pytest.mark.parametrize("name, text, where", [
         ("foreground.jsonl", '{"frame": 1%s}\n' % ("0" * 5000), "foreground.jsonl:1: "),

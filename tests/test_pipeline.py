@@ -44,8 +44,8 @@ class TestOnePass:
 
         video_dir = mini_corpus / "videos" / "mini_day_stall"
         out_vid = tmp_path / "mini_day_stall"
-        cfg, stamp = PipelineConfig(), b"stamp\n"
-        events = pipeline.process_video(video_dir, out_vid, cfg, stamp)
+        cfg, cfg_hash = PipelineConfig(), "cfg"
+        events, stamp = pipeline.process_video(video_dir, out_vid, cfg, cfg_hash)
         index = json.loads((out_vid / "backgrounds" / "index.json").read_text())
 
         assert len(events) == 1
@@ -55,13 +55,15 @@ class TestOnePass:
 
         # a finished video is answered from events.json without opening
         # the frame sequence or parsing anything
-        assert pipeline.process_video(video_dir, out_vid, cfg, stamp) == events
+        assert pipeline.process_video(video_dir, out_vid, cfg, cfg_hash) == \
+               (events, stamp)
         assert counts == {"open": 1, "parse": 1, "mask": 2, "median": 2}
 
         # without events.json the whole chain runs again, once: nothing
         # upstream of it is read back
         (out_vid / "events.json").unlink()
-        assert pipeline.process_video(video_dir, out_vid, cfg, stamp) == events
+        assert pipeline.process_video(video_dir, out_vid, cfg, cfg_hash) == \
+               (events, stamp)
         assert counts == {"open": 2, "parse": 2, "mask": 4, "median": 4}
 
 

@@ -209,7 +209,7 @@ class TestSceneValidation:
     @pytest.mark.parametrize("field,value", [
         ("noise_sigma", math.nan), ("noise_sigma", -0.5), ("noise_sigma", math.inf),
         ("duration", math.nan), ("duration", math.inf),
-        ("fps", math.nan), ("fps", math.inf),
+        ("fps", math.nan), ("fps", math.inf), ("seed", -1),
     ])
     def test_non_finite_or_negative_value(self, tmp_path, field, value):
         with pytest.raises(InvalidSpec, match=field):
