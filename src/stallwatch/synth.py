@@ -9,31 +9,26 @@ truth) is byte-identical for a given spec and seed.
 
 `generate` works out where every vehicle is on every frame first, as one
 array per vehicle (`VehicleSpec.track`), and renders each frame into
-buffers allocated once per video (`FrameBuffers`): the frame is cast
-straight into its PGM record, which is written as it is. Per frame, only
-the noise draw allocates.
+buffers built once per video (`FrameBuffers`): the frame goes straight
+into its PGM record, which is written as it is.
 
-`corpus` renders its videos concurrently on a thread pool of the standard
-library's default size, min(32, CPUs + 4), which on a small host is one
-thread per video of a short corpus. Each video draws from its own generator
-and writes only into its own directory, and ground truth is collected in
-spec order, so the corpus is byte-identical whatever the thread scheduling.
-The per-frame numpy calls run without the GIL: the uint16 pair draw
-(`Generator.integers`), its copy to intp, the pair table `take`, the
-float32 multiply and add, `rint`, `clip` and the cast to uint8. Checked,
-not assumed, on numpy 2.4: while one thread makes one such call on a
-100-frame array (13-35 ms), a second thread running Python code is never
-stalled for more than 8 ms (the interpreter's 5 ms switch interval plus
-scheduling), where a call that holds the GIL (`sorted` on a list,
-65-95 ms) stalls it for the whole call. The threads gain little on a
-small host all the same: each frame's calls are short and memory-bound.
+A pixel is its float32 level plus its noise, `NOISE_QUANTILES[u]` scaled
+by the spec's sigma for one uniform uint8 draw `u`, rounded and clipped to
+uint8. Off-road ground and each vehicle have one constant level, so their
+pixels are a function of `u` alone: `FrameBuffers` tabulates that function
+once per level, and a frame looks those pixels up instead of computing
+them. The tables are exact: an entry is computed from the same float32
+operands by the same float32 operations as the pixel it stands for, and
+each operation rounds the same way on one value as on a whole frame. Only
+the static rectangles of the base canvas, the textured road bands and the
+parked vehicles, keep the float path, a few thousand pixels a frame.
+
+`corpus` renders its videos one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -64,25 +59,6 @@ FOREGROUND_FILE = "foreground.jsonl"
 # bounded at +-2.89.
 NOISE_QUANTILES = np.array(
     [NormalDist().inv_cdf((i + 0.5) / 256) for i in range(256)], dtype=np.float32)
-
-
-@functools.cache
-def _noise_pairs() -> np.ndarray:
-    """The noise of two pixels for each uint16 value j, as one 8-byte item:
-    float32 `NOISE_QUANTILES[j & 255]`, then `NOISE_QUANTILES[j >> 8]`
-    (512 KiB, built on first use).
-
-    numpy fills a uint8 or uint16 draw of the full range from 32-bit words,
-    low bits first, and drops the rest of the last word of each call. So
-    the low byte of uint16 draw j is uint8 draw 2j, its high byte is uint8
-    draw 2j + 1, and both draws leave the generator in the same state:
-    `render_frame` draws half as many uint16 values as it has pixels
-    (rounded up) and gets the pixels of a one-per-pixel uint8 draw.
-    """
-    pairs = np.empty((256, 256, 2), dtype=np.float32)  # [high, low, pixel]
-    pairs[:, :, 0] = NOISE_QUANTILES
-    pairs[:, :, 1] = NOISE_QUANTILES[:, None]
-    return pairs.view(np.uint64).reshape(1 << 16)
 
 
 @dataclass(frozen=True)
@@ -204,6 +180,17 @@ def _validate(spec: SceneSpec) -> None:
     if not 0 <= spec.noise_sigma < math.inf:
         raise InvalidSpec(f"noise_sigma must be non-negative and finite, got "
                           f"{spec.noise_sigma}")
+    levels = ([("offroad_intensity", spec.offroad_intensity)]
+              + [("road band intensity", b.intensity) for b in spec.bands]
+              + [("parked vehicle intensity", p.intensity) for p in spec.offroad_parked]
+              + [("vehicle intensity", v.intensity) for v in spec.vehicles])
+    for name, level in levels:
+        if not math.isfinite(level):
+            raise InvalidSpec(f"{name} must be finite, got {level}")
+    for b in spec.bands:
+        if not 0 <= b.texture_sigma < math.inf:
+            raise InvalidSpec(f"road band texture_sigma must be non-negative and "
+                              f"finite, got {b.texture_sigma}")
     for kind, rects in (("road band", spec.bands),
                         ("parked vehicle", spec.offroad_parked)):
         for r in rects:
@@ -268,55 +255,92 @@ def drawn_boxes(spec: SceneSpec,
     return drawn
 
 
+def _level_table(noise: np.ndarray, level: float) -> np.ndarray:
+    """The pixel at a constant `level` for each uint8 draw u, given the
+    float32 `noise` of each u: rint(noise[u] + level) clipped to [0, 255],
+    in float32, as uint8."""
+    return np.clip(np.rint(noise + np.float32(level)), 0, 255).astype(np.uint8)
+
+
+def _pair_table(table: np.ndarray) -> np.ndarray:
+    """The two pixels of each uint16 value j as one uint16 item: uint8
+    `table[j & 255]`, then `table[j >> 8]`.
+
+    numpy fills a uint8 or uint16 draw of the full range from 32-bit words,
+    low bits first, and drops the rest of the last word of each call. So
+    the low byte of uint16 draw j is uint8 draw 2j, its high byte is uint8
+    draw 2j + 1, and both draws leave the generator in the same state:
+    `render_frame` draws half as many uint16 values as it has pixels
+    (rounded up) and gets the pixels of a one-per-pixel uint8 draw.
+    """
+    pairs = np.empty((256, 256, 2), dtype=np.uint8)  # [high, low, pixel]
+    pairs[:, :, 0] = table
+    pairs[:, :, 1] = table[:, None]
+    return pairs.view(np.uint16).reshape(1 << 16)
+
+
 class FrameBuffers:
-    """The memory `render_frame` works in, allocated once per video: the
-    intp pair indices, the float32 canvas (its pixel count rounded up to
-    even) and the frame's PGM record (`media.frame_record`), whose pixels
-    take the finished frame. Each frame overwrites them all."""
+    """What `render_frame` works from, built once per video from its spec:
+    the base canvas (`_base_canvas`, whose band texture it draws from
+    `rng`) on each band and parked vehicle, the pixel tables of the
+    constant levels (see the module docstring), and the memory each frame
+    overwrites: the uint16 noise draw, its intp copy, the looked-up
+    off-road pixels and the frame's PGM record (`media.frame_record`),
+    whose pixels take the finished frame."""
 
-    def __init__(self, width: int, height: int):
-        n = width * height
-        self.index = np.empty((n + 1) // 2, dtype=np.intp)
-        self.noise = np.empty(n + n % 2, dtype=np.float32)
-        self.canvas = self.noise[:n].reshape(height, width)
-        self.record, self.pixels = frame_record(width, height)
+    def __init__(self, spec: SceneSpec, rng: np.random.Generator):
+        self.noisy = spec.noise_sigma > 0
+        self.noise = NOISE_QUANTILES * np.float32(spec.noise_sigma)
+        self.offroad = _pair_table(_level_table(self.noise, spec.offroad_intensity))
+        self.levels = {level: _level_table(self.noise, level)
+                       for level in {v.intensity for v in spec.vehicles}}
+        base = _base_canvas(spec, rng)
+        self.static = []  # (rows, columns, a contiguous copy of the base there)
+        for r in (*spec.bands, *spec.offroad_parked):
+            rows, cols = slice(r.y, r.y + r.h), slice(r.x, r.x + r.w)
+            self.static.append((rows, cols, base[rows, cols].copy()))
+        n = spec.width * spec.height
+        # with no noise nothing is drawn, and every pixel reads draw 0
+        self.draws = np.zeros((n + 1) // 2, dtype=np.uint16)
+        self.index = np.zeros(self.draws.size, dtype=np.intp)
+        self.pairs = np.empty(self.draws.size, dtype=np.uint16)
+        self.record, self.pixels = frame_record(spec.width, spec.height)
 
 
-def render_frame(spec: SceneSpec, base: np.ndarray,
-                 drawn: list[tuple[BBox, VehicleSpec]], rng: np.random.Generator,
-                 buffers: FrameBuffers) -> Frame:
-    """The next frame, with the vehicles `drawn` (see `drawn_boxes`) drawn
-    in, rendered into `buffers`; the frame shares `buffers.pixels`, so the
-    next call overwrites it.
+def render_frame(buffers: FrameBuffers, drawn: list[tuple[BBox, VehicleSpec]],
+                 rng: np.random.Generator) -> Frame:
+    """The next frame of the video `buffers` were built for, with the
+    vehicles `drawn` (see `drawn_boxes`) drawn in; the frame shares
+    `buffers.pixels`, so the next call overwrites it.
 
     Its pixels are those of one uint8 draw per pixel looked up in
-    `NOISE_QUANTILES`, scaled by the spec's sigma and added to `base` with
-    the vehicles drawn in, but the draw and the lookup go two pixels at a
-    time: see `_noise_pairs`.
+    `NOISE_QUANTILES`, scaled by the spec's sigma and added to the base
+    canvas with the vehicles drawn in, but the draw and the off-road lookup
+    go two pixels at a time: see `_pair_table`.
     """
-    canvas = buffers.canvas
-    if spec.noise_sigma > 0:
-        pairs = rng.integers(0, 1 << 16, size=buffers.index.size, dtype=np.uint16)
-        np.copyto(buffers.index, pairs)
-        # `take`, not indexing: 40% faster here. Given intp indices and
-        # "wrap", which cannot change a uint16 index, it gathers straight
-        # into `out`; the default "raise" copies through a second buffer
-        np.take(_noise_pairs(), buffers.index, out=buffers.noise.view(np.uint64),
-                mode="wrap")
-        canvas *= np.float32(spec.noise_sigma)
-    else:  # no noise and no draw: `rng` is left as it was
-        canvas.fill(0.0)
-    # a vehicle's pixels are its intensity plus their noise, as if it
-    # had been drawn into `base`; the last one drawn wins
-    patches = [canvas[box.y : box.y2, box.x : box.x2] + np.float32(v.intensity)
-               for box, v in drawn]
-    canvas += base
-    for (box, _), patch in zip(drawn, patches):
-        canvas[box.y : box.y2, box.x : box.x2] = patch
-    np.rint(canvas, out=canvas)
-    np.clip(canvas, 0, 255, out=canvas)
-    np.copyto(buffers.pixels, canvas, casting="unsafe")
-    return Frame(buffers.pixels)
+    pixels = buffers.pixels
+    draws = buffers.draws
+    if buffers.noisy:  # else `rng` is left as it was
+        draws = rng.integers(0, 1 << 16, size=draws.size, dtype=np.uint16)
+        np.copyto(buffers.index, draws)
+    # `take`, not indexing: 40% faster here. Given intp indices and
+    # "wrap", which cannot change a uint16 index, it gathers straight
+    # into `out`; the default "raise" copies through a second buffer
+    np.take(buffers.offroad, buffers.index, out=buffers.pairs, mode="wrap")
+    np.copyto(pixels.reshape(-1), buffers.pairs.view(np.uint8)[:pixels.size])
+    u = draws.view(np.uint8)[:pixels.size].reshape(pixels.shape)
+    for rows, cols, base in buffers.static:
+        patch = np.take(buffers.noise, u[rows, cols])
+        patch += base
+        np.rint(patch, out=patch)
+        np.clip(patch, 0, 255, out=patch)
+        np.copyto(pixels[rows, cols], patch, casting="unsafe")
+    # a vehicle's pixels are its level plus their noise, whatever it is
+    # drawn over; the last one drawn wins
+    for box, v in drawn:
+        pixels[box.y : box.y2, box.x : box.x2] = np.take(
+            buffers.levels[v.intensity], u[box.y : box.y2, box.x : box.x2])
+    return Frame(pixels)
 
 
 def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
@@ -331,8 +355,7 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
-    base = _base_canvas(spec, rng)
-    buffers = FrameBuffers(spec.width, spec.height)
+    buffers = FrameBuffers(spec, rng)
 
     parked = [(p.bbox, p.class_label) for p in spec.offroad_parked]
     frames, boxes, labels = [], [], []  # the foreground's columns
@@ -341,7 +364,7 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     for first in range(0, n, FRAMES_PER_FILE):
         with open(out / (SEGMENT_NAME % (first // FRAMES_PER_FILE)), "wb") as segment:
             for i in range(first, min(first + FRAMES_PER_FILE, n)):
-                render_frame(spec, base, drawn[i], rng, buffers)
+                render_frame(buffers, drawn[i], rng)
                 segment.write(buffers.record)
                 shown = [(box, v.class_label) for box, v in drawn[i]] + parked
                 frames += [i] * len(shown)
@@ -497,10 +520,10 @@ def corpus(out_dir: str | Path, seed: int = 0,
     """Generate the full synthetic corpus: videos/<id>/... plus gt.csv.
 
     Every spec is validated before any video is rendered, so an invalid one
-    raises InvalidSpec with no video written. The videos then render
-    concurrently, one `generate` call per video on a thread pool; an error
-    in one of them is raised here, as its own type, once every thread has
-    finished.
+    raises InvalidSpec with no video written. The videos then render one
+    after another, in spec order, in the calling thread. The first error
+    stops the run: it is raised as its own type, the videos after it are
+    not rendered and no gt.csv is written.
     """
     if specs is None:
         specs = corpus_specs(seed)
@@ -509,9 +532,7 @@ def corpus(out_dir: str | Path, seed: int = 0,
     root = Path(out_dir)
     videos = root / "videos"
     videos.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor() as pool:
-        per_video = list(pool.map(generate, specs,
-                                  [videos / spec.video_id for spec in specs]))
+    per_video = [generate(spec, videos / spec.video_id) for spec in specs]
     write_ground_truth([e for entries in per_video for e in entries],
                        root / "gt.csv")
     return root

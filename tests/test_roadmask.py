@@ -182,9 +182,8 @@ def day_background() -> Frame:
     spec = synth.make_scene("day", LightingClass.DAY, True, (0.0, 60.0), True,
                             seed=3, duration=60.0, fps=1.0)
     rng = np.random.default_rng(spec.seed)
-    base = synth._base_canvas(spec, rng)
-    buffers = synth.FrameBuffers(spec.width, spec.height)
-    frames = [Frame(synth.render_frame(spec, base, drawn, rng, buffers).pixels.copy())
+    buffers = synth.FrameBuffers(spec, rng)
+    frames = [Frame(synth.render_frame(buffers, drawn, rng).pixels.copy())
               for drawn in synth.drawn_boxes(spec, np.arange(0.0, 60.0, 6.0))]
     return background.median_frame(stacked(frames))
 

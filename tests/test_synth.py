@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stallwatch.codec import decode, encode
@@ -31,7 +31,7 @@ from stallwatch.synth import (
     SceneSpec,
     VehicleSpec,
     _base_canvas,
-    _noise_pairs,
+    _pair_table,
     corpus,
     drawn_boxes,
     generate,
@@ -64,10 +64,13 @@ def frame_times(spec: SceneSpec) -> np.ndarray:
 
 def render(spec: SceneSpec, base: np.ndarray, times, rng: np.random.Generator):
     """(frame, (box, class label) of each vehicle drawn) at each of
-    `times`, rendered as `generate` renders them; each frame is a copy."""
-    buffers = FrameBuffers(spec.width, spec.height)
+    `times`, rendered as `generate` renders them, drawing from `rng`, which
+    has drawn `base` already: the spec's base canvas, as `_base_canvas`
+    draws it from the spec's seed. Each frame is a copy."""
+    assert np.array_equal(_base_canvas(spec, np.random.default_rng(spec.seed)), base)
+    buffers = FrameBuffers(spec, np.random.default_rng(spec.seed))
     for drawn in drawn_boxes(spec, np.asarray(times, dtype=np.float64)):
-        frame = render_frame(spec, base, drawn, rng, buffers)
+        frame = render_frame(buffers, drawn, rng)
         yield Frame(frame.pixels.copy()), [(box, v.class_label) for box, v in drawn]
 
 
@@ -216,6 +219,26 @@ class TestSceneValidation:
             generate(small_scene(**{field: value}), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(offroad_intensity=math.nan), "offroad_intensity"),
+        (dict(offroad_intensity=math.inf), "offroad_intensity"),
+        (dict(bands=(RoadBand(0, 20, 80, 20, math.nan, 3.0),)), "road band intensity"),
+        (dict(offroad_parked=(ParkedVehicle(1, 1, 4, 3, -math.inf),)),
+         "parked vehicle intensity"),
+        (dict(vehicles=(VehicleSpec(width=10, height=6, intensity=math.nan, speed=6.0,
+                                    spawn=0.0, axis="h", lane=24, direction=1,
+                                    start=1.0),)), "^vehicle intensity"),
+        (dict(bands=(RoadBand(0, 20, 80, 20, 70.0, math.nan),)), "texture_sigma"),
+        (dict(bands=(RoadBand(0, 20, 80, 20, 70.0, math.inf),)), "texture_sigma"),
+        (dict(bands=(RoadBand(0, 20, 80, 20, 70.0, -1.0),)), "texture_sigma"),
+    ], ids=["offroad-nan", "offroad-inf", "band-nan", "parked-minus-inf",
+            "vehicle-nan", "texture-nan", "texture-inf", "texture-negative"])
+    def test_non_finite_level_or_texture(self, tmp_path, overrides, match):
+        specs = [small_scene(video_id="good"), small_scene(video_id="bad", **overrides)]
+        with pytest.raises(InvalidSpec, match=match):
+            corpus(tmp_path, specs=specs)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bands,parked", [
         ((RoadBand(0, 2, 12, 3, 70.0, 3.0),), ()),
         ((RoadBand(-3, 2, 5, 3, 70.0, 3.0),), ()),
@@ -361,17 +384,17 @@ def tree_bytes(root) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-class TestConcurrentCorpus:
-    def test_same_bytes_as_serial_generate(self, tmp_path):
+class TestCorpusRun:
+    def test_same_bytes_as_generate(self, tmp_path):
         specs = short_specs()
-        corpus(tmp_path / "threaded", specs=specs)
-        serial = tmp_path / "serial"
+        corpus(tmp_path / "corpus", specs=specs)
+        single = tmp_path / "single"
         for spec in specs:
-            generate(spec, serial / "videos" / spec.video_id)
-        threaded = tree_bytes(tmp_path / "threaded" / "videos")
-        assert threaded == tree_bytes(serial / "videos")
-        assert len(threaded) == sum(-(-s.frame_count // FRAMES_PER_FILE) + 3
-                                    for s in specs)
+            generate(spec, single / "videos" / spec.video_id)
+        videos = tree_bytes(tmp_path / "corpus" / "videos")
+        assert videos == tree_bytes(single / "videos")
+        assert len(videos) == sum(-(-s.frame_count // FRAMES_PER_FILE) + 3
+                                  for s in specs)
 
     def test_ground_truth_in_spec_order(self, tmp_path):
         # the first video is the longest, so it finishes last
@@ -398,15 +421,19 @@ class TestConcurrentCorpus:
         assert list((tmp_path / "videos").glob("*")) == []
         assert not (tmp_path / "gt.csv").exists()
 
-    def test_worker_error_keeps_its_type(self, tmp_path):
+    def test_first_error_stops_the_run(self, tmp_path):
+        # the second of three videos fails
         specs = short_specs()
-        (tmp_path / "videos").mkdir()
-        (tmp_path / "videos" / "night_cross").write_text("not a directory")
+        videos = tmp_path / "videos"
+        videos.mkdir()
+        (videos / "night_cross").write_text("not a directory")
         before = threading.active_count()
         with pytest.raises(FileExistsError):
             corpus(tmp_path, specs=specs)
         assert threading.active_count() == before
         assert not (tmp_path / "gt.csv").exists()
+        assert (videos / "day_stall" / "scene.json").is_file()
+        assert not (videos / "snow_parked").exists()
 
 
 class TestRenderFrame:
@@ -416,8 +443,8 @@ class TestRenderFrame:
         spec = replace(spec, vehicles=tuple(
             replace(v, class_label=("car", "truck")[k % 2])
             for k, v in enumerate(spec.vehicles)))
-        base = np.zeros((spec.height, spec.width), dtype=np.float32)
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(spec.seed)
+        base = _base_canvas(spec, rng)
         seen = 0
         for i, (_, drawn) in enumerate(render(spec, base, frame_times(spec), rng)):
             t = i / spec.fps
@@ -466,8 +493,8 @@ class TestNoiseDraw:
         assert abs(float(t.std()) - 1.0) <= 0.005
 
     def test_flat_scene_residual(self):
-        spec = small_scene(width=320, height=240, bands=(), vehicles=(),
-                           noise_sigma=1.5)
+        spec = small_scene(width=320, height=240, offroad_intensity=100.0,
+                           bands=(), vehicles=(), noise_sigma=1.5)
         base = np.full((240, 320), 100.0, dtype=np.float32)
         rng = np.random.default_rng(0)
         frames = np.stack([frame.pixels for frame, _ in
@@ -477,10 +504,11 @@ class TestNoiseDraw:
         assert abs(residual.std() / spec.noise_sigma - 1.0) <= 0.03
 
     def test_pair_table(self):
-        pairs = _noise_pairs().view(np.float32).reshape(1 << 16, 2)
+        table = np.random.default_rng(0).permutation(256).astype(np.uint8)
+        pairs = _pair_table(table).view(np.uint8).reshape(1 << 16, 2)
         j = np.arange(1 << 16)
-        assert np.array_equal(pairs[:, 0], NOISE_QUANTILES[j & 255])
-        assert np.array_equal(pairs[:, 1], NOISE_QUANTILES[j >> 8])
+        assert np.array_equal(pairs[:, 0], table[j & 255])
+        assert np.array_equal(pairs[:, 1], table[j >> 8])
 
     def test_golden_bytes(self, tmp_path):
         spec = small_scene(duration=0.4)
@@ -568,6 +596,76 @@ class TestNoiseOracle:
     def test_corpus_frame(self):
         spec = make_scene("oracle", LightingClass.SNOW, True, (1.0, 2.0), True,
                           seed=5, duration=3.0, fps=2.0)
+        ours, theirs = (np.random.default_rng(spec.seed) for _ in range(2))
+        base = _base_canvas(spec, ours)
+        _base_canvas(spec, theirs)
+        for i, (frame, _) in enumerate(render(spec, base, frame_times(spec), ours)):
+            t = i / spec.fps
+            assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def feature_scene(width: int, height: int, sigma: float) -> SceneSpec:
+    """A band crossed by an untextured one, a parked vehicle inside the
+    first band, and vehicles over both bands, at levels near 0 and 255;
+    `width` >= 4 and `height` >= 3. At sigma 1e-3 the two smallest noise
+    values are below half a float32 step at 254.5: their float32 sum with
+    the off-road level is 254.5, which rounds to even, where the exact sum
+    does not."""
+    def mover(w, h, intensity, axis, lane):
+        return VehicleSpec(width=w, height=h, intensity=intensity, speed=4.0,
+                           spawn=0.0, axis=axis, lane=lane, direction=1, start=0.0)
+    return small_scene(
+        width=width, height=height, duration=2.0, fps=4.0, noise_sigma=sigma,
+        seed=width * height, offroad_intensity=254.5,
+        bands=(RoadBand(0, 1, width, 2, 1.2, 3.0), RoadBand(1, 0, 2, height, 253.7, 0.0)),
+        offroad_parked=(ParkedVehicle(0, 1, 1, 2, 0.4),),
+        vehicles=(mover(2, 2, 0.3, "h", 1), mover(1, 2, 255.2, "v", 2)))
+
+
+LEVELS = st.one_of(st.sampled_from((-0.6, 0.0, 0.4, 0.5, 1.5, 253.5, 254.5, 255.0, 255.6)),
+                   st.floats(-4.0, 259.0))
+
+
+@st.composite
+def table_scenes(draw):
+    """Small scenes of overlapping bands, parked vehicles and movers at any
+    level, most of them near the ends of the pixel range."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+
+    def rect():
+        x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        return x, y, draw(st.integers(1, width - x)), draw(st.integers(1, height - y))
+
+    bands = [RoadBand(*rect(), draw(LEVELS), draw(st.sampled_from((0.0, 0.7, 3.0))))
+             for _ in range(draw(st.integers(0, 3)))]
+    parked = [ParkedVehicle(*rect(), draw(LEVELS)) for _ in range(draw(st.integers(0, 2)))]
+    vehicles = []
+    for _ in range(draw(st.integers(0, 3))):
+        axis = draw(st.sampled_from("hv"))
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        extent, length, cross = (width, w, height - h) if axis == "h" else (height, h, width - w)
+        vehicles.append(VehicleSpec(
+            width=w, height=h, intensity=draw(LEVELS), speed=draw(st.sampled_from((2.0, 4.0))),
+            spawn=0.0, axis=axis, lane=draw(st.integers(0, cross)),
+            direction=draw(st.sampled_from((1, -1))),
+            start=float(draw(st.integers(-length, extent)))))
+    return small_scene(
+        width=width, height=height, duration=draw(st.integers(1, 4)) / 4.0, fps=4.0,
+        offroad_intensity=draw(LEVELS), bands=tuple(bands), offroad_parked=tuple(parked),
+        vehicles=tuple(vehicles), noise_sigma=draw(st.sampled_from((0.0, 1e-3, 0.4, 1.5, 7.5))),
+        seed=draw(st.integers(0, 2**32)))
+
+
+class TestTableRenderer:
+    # pixel counts 12, 25, 30 and 35: every residue mod 4
+    @given(spec=table_scenes())
+    @example(spec=feature_scene(4, 3, 1.5))
+    @example(spec=feature_scene(5, 5, 0.0))
+    @example(spec=feature_scene(6, 5, 7.5))
+    @example(spec=feature_scene(7, 5, 1e-3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_frames_and_draws_equal_the_oracle(self, spec):
         ours, theirs = (np.random.default_rng(spec.seed) for _ in range(2))
         base = _base_canvas(spec, ours)
         _base_canvas(spec, theirs)
