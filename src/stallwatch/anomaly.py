@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import AT_LEAST_1, FRACTION, NON_NEGATIVE, POSITIVE, InvalidParam, check
 from .media import AnomalyEvent, BBox, Detections
 from .roadmask import bbox_on_road
 
@@ -31,7 +32,7 @@ def iou(a: BBox, b: BBox) -> float:
 
 @dataclass(frozen=True)
 class DecisionParams:
-    """All thresholds of the confirmation decision tree."""
+    """All thresholds of the confirmation decision tree; it checks them."""
 
     score_min: float = 0.5
     area_min: float = 0.001          # fraction of frame area
@@ -40,6 +41,12 @@ class DecisionParams:
     min_support_seconds: float = 1.0  # converted to frames at the video fps
     min_support_density: float = 0.3
     min_windows: int = 2
+
+    def __post_init__(self):
+        check(InvalidParam, self, "decision threshold ", score_min=FRACTION,
+              area_min=NON_NEGATIVE, iou_support=FRACTION, iou_merge=FRACTION,
+              min_support_seconds=POSITIVE, min_support_density=FRACTION,
+              min_windows=AT_LEAST_1)
 
     def min_support_frames(self, fps: float) -> int:
         return max(1, int(round(self.min_support_seconds * fps)))

@@ -50,8 +50,6 @@ def sample_indices(window_frames: range, fraction: float, seed: int) -> list[int
     n = len(window_frames)
     if n == 0:
         raise EmptyInput("empty frame window")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = math.ceil(fraction * n)
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=k, replace=False)

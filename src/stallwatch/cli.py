@@ -56,13 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> PipelineConfig:
+    """The config, `--seed` and `--jobs` put in by `replace`, which checks them."""
     cfg = (PipelineConfig.from_json_file(args.config) if args.config
            else PipelineConfig())
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
-    cfg.validate()
     return cfg
 
 

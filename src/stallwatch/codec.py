@@ -97,7 +97,7 @@ def decode(cls, obj, default=None):
         raise ParseError(f"expected {cls.__name__}, got {obj!r}")
     try:
         return cls(obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"bad {cls.__name__} value {obj!r}") from exc
 
 

@@ -1,19 +1,22 @@
 """
 Single JSON configuration for every tunable in the pipeline, with full
 defaults embedded so the effective config can always be dumped and audited.
+Each config type checks its fields in `__post_init__`, however it is built
+(k1, k2 and the block in `MaskParams`); the stages do not check them again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .anomaly import DecisionParams
 from .codec import decode, encode, read_json
 from .detector import TIMEOUT_S, VEHICLE_CLASSES
-from .errors import ConfigError, InvalidParam, ParseError
+from .errors import AT_LEAST_1, ConfigError, InvalidParam, ParseError, check
 from .roadmask import DEFAULT_BLOCK, DEFAULT_MIN_OVERLAP, MaskParams
 from .sorting import DEFAULT_K1K2, LightingClass
 
@@ -25,9 +28,13 @@ class DetectorConfig:
     directory: str | None = None         # precomputed: detection file dir
     timeout: float = TIMEOUT_S
 
-    def validate(self) -> None:
-        if self.kind not in ("oracle", "precomputed", "external"):
-            raise ConfigError(f"unknown detector kind {self.kind!r}")
+    def __post_init__(self):
+        # a longer timeout overflows the lock that the reply queue waits on
+        check(ConfigError, self, "detector ",
+              kind=(lambda k: k in ("oracle", "precomputed", "external"),
+                    "oracle, precomputed or external"),
+              timeout=(lambda t: 0 < t <= threading.TIMEOUT_MAX,
+                       f"in (0, {threading.TIMEOUT_MAX}]"))
         if self.kind == "external" and not self.command:
             raise ConfigError("external detector needs a command")
 
@@ -48,30 +55,17 @@ class PipelineConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     jobs: int = 1
 
-    def validate(self) -> None:
-        if not 0.0 < self.background_fraction <= 1.0:
-            raise ConfigError(f"background_fraction {self.background_fraction} outside (0, 1]")
-        if self.histogram_stride < 1:
-            raise ConfigError("histogram_stride must be >= 1")
-        if not 0.0 < self.mask_min_overlap <= 1.0:
-            raise ConfigError(f"mask_min_overlap {self.mask_min_overlap} outside (0, 1]")
+    def __post_init__(self):
+        share = (lambda v: 0 < v <= 1, "in (0, 1]")
+        check(ConfigError, self, background_fraction=share, mask_min_overlap=share,
+              histogram_stride=AT_LEAST_1, jobs=AT_LEAST_1)
         for cls in LightingClass:
             if cls.value not in self.k1k2:
                 raise ConfigError(f"k1k2 missing class {cls.value!r}")
             try:  # MaskParams checks k1, k2 and mask_block
                 self.mask_params(cls)
-            except InvalidParam as exc:
-                raise ConfigError(f"{cls.value} road mask: {exc}") from exc
-        d = self.decision
-        for name in ("score_min", "iou_support", "iou_merge", "min_support_density"):
-            v = getattr(d, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"decision.{name} {v} outside [0, 1]")
-        if d.area_min < 0 or d.min_windows < 1 or d.min_support_seconds <= 0:
-            raise ConfigError("bad decision-tree thresholds")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        self.detector.validate()
+            except (InvalidParam, ValueError) as exc:  # ValueError: not a pair
+                raise ConfigError(f"k1k2 {cls.value!r} or mask_block: {exc}") from exc
 
     def mask_params(self, lighting: LightingClass) -> MaskParams:
         k1, k2 = self.k1k2[lighting.value]
@@ -84,12 +78,10 @@ class PipelineConfig:
         unknown = sorted(_unknown_keys(obj, encode(cls())))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            cfg = decode(cls, obj, default=cls())
-            cfg.validate()
-        except (ParseError, TypeError, ValueError) as exc:
+        try:  # a nested type's own rule raises InvalidParam
+            return decode(cls, obj, default=cls())
+        except (ParseError, InvalidParam) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        return cfg
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import read_json, write_atomic, write_json
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, check
 from .errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -164,8 +165,7 @@ class GroundTruthEntry:
     end: float
 
     def __post_init__(self):
-        if self.start < 0:
-            raise InvalidInterval(f"start {self.start} < 0")
+        check(InvalidInterval, self, start=NON_NEGATIVE, end=FINITE)
         if self.end <= self.start:
             raise InvalidInterval(f"end {self.end} must exceed start {self.start}")
 
@@ -321,6 +321,9 @@ class SequenceMeta:
     width: int
     height: int
 
+    def __post_init__(self):
+        check(ParseError, self, fps=POSITIVE, frame_count=NON_NEGATIVE)
+
 
 @dataclass(frozen=True)
 class FrameSequence(SequenceMeta):
@@ -366,10 +369,6 @@ def open_sequence(dir_path: str | Path) -> FrameSequence:
     if not meta_path.is_file():
         raise MissingMetadata(f"no meta.json in {directory}")
     meta = read_json(meta_path, SequenceMeta)
-    if meta.fps <= 0:
-        raise ParseError(f"fps must be positive, got {meta.fps}")
-    if meta.frame_count < 0:
-        raise ParseError(f"negative frame_count {meta.frame_count}")
     # one directory listing instead of a lookup per segment
     with os.scandir(directory) as entries:
         files = {entry.name: entry for entry in entries if entry.is_file()}
@@ -494,9 +493,9 @@ GT_HEADER = ["video_id", "start_seconds", "end_seconds"]
 PRED_HEADER = GT_HEADER + ["confidence"]
 
 
-def _csv_rows(path: str | Path, header: list[str]):
-    """(first field, the other fields as floats) of each non-blank row of
-    a CSV file that starts with `header`; errors name `path:line`."""
+def _csv_rows(path: str | Path, header: list[str], record):
+    """`record(first field, *the other fields as floats)` of each non-blank
+    row of a CSV file that starts with `header`; errors name `path:line`."""
     reader = csv.reader(io.StringIO(_read_text(path)))
     first = next(reader, None)
     if first is None or [h.strip() for h in first] != header:
@@ -508,15 +507,16 @@ def _csv_rows(path: str | Path, header: list[str]):
             raise ParseError(f"{path}:{lineno}: expected {len(header)} "
                              f"fields, got {len(row)}")
         try:
-            values = [float(v) for v in row[1:]]
+            item = record(row[0], *[float(v) for v in row[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-        yield row[0], values
+        except StallwatchError as exc:
+            raise prefixed(exc, f"{path}:{lineno}") from None
+        yield item
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    return [GroundTruthEntry(video_id, start, end)
-            for video_id, (start, end) in _csv_rows(path, GT_HEADER)]
+    return list(_csv_rows(path, GT_HEADER, GroundTruthEntry))
 
 
 def _write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -535,8 +535,8 @@ def write_ground_truth(entries: list[GroundTruthEntry], path: str | Path) -> Non
 
 def read_predictions(path: str | Path) -> list[AnomalyEvent]:
     """Predictions CSV; boxes are not carried, a 1x1 placeholder is used."""
-    return [AnomalyEvent(video_id, start, end, BBox(0, 0, 1, 1), conf)
-            for video_id, (start, end, conf) in _csv_rows(path, PRED_HEADER)]
+    return list(_csv_rows(path, PRED_HEADER, lambda video_id, start, end, conf:
+                          AnomalyEvent(video_id, start, end, BBox(0, 0, 1, 1), conf)))
 
 
 def write_predictions(events: list[AnomalyEvent], path: str | Path) -> None:

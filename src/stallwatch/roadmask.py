@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBBox, InvalidParam
+from .errors import POSITIVE, InvalidBBox, InvalidParam, check
 from .media import BBox, Frame
 
 DEFAULT_BLOCK = 31
@@ -38,10 +38,8 @@ class MaskParams:
     block: int = DEFAULT_BLOCK
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise InvalidParam(f"k1 and k2 must be positive, got ({self.k1}, {self.k2})")
-        if self.block < 3 or self.block % 2 == 0:
-            raise InvalidParam(f"block must be odd and >= 3, got {self.block}")
+        check(InvalidParam, self, k1=POSITIVE, k2=POSITIVE,
+              block=(lambda b: b >= 3 and b % 2 == 1, "odd and >= 3"))
 
 
 def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,8 +50,6 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
     sit in a flat buffer with block // 2 zero rows and columns on each side.
     Sums are uint32 while block**2 * 255**2 < 2**32 (block <= 257), else uint64.
     """
-    if block % 2 == 0 or block < 1:
-        raise InvalidParam(f"block must be odd and >= 1, got {block}")
     h, w = frame.pixels.shape
     if block > min(h, w):
         raise InvalidParam(f"block {block} exceeds image side {min(h, w)}")
@@ -127,8 +123,6 @@ def adaptive_road_mask(background: Frame, params: MaskParams) -> np.ndarray:
 
 def bbox_on_road(bbox: BBox, mask: np.ndarray, min_overlap: float = DEFAULT_MIN_OVERLAP) -> bool:
     """True iff at least min_overlap of the box area lies on road pixels."""
-    if not 0.0 < min_overlap <= 1.0:
-        raise InvalidParam(f"min_overlap must be in (0, 1], got {min_overlap}")
     height, width = mask.shape
     if bbox.x2 > width or bbox.y2 > height:
         raise InvalidBBox(

@@ -63,8 +63,6 @@ def average_histogram(seq: FrameSequence, stride: int) -> np.ndarray:
     frame: 256 float64 bins, normalized to sum 1."""
     if seq.frame_count == 0:
         raise EmptyInput("no frames")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     total = np.zeros(256, dtype=np.float64)
     n = 0
     # every frame is read into this one buffer

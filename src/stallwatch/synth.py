@@ -23,12 +23,15 @@ each operation rounds the same way on one value as on a whole frame. Only
 the static rectangles of the base canvas, the textured road bands and the
 parked vehicles, keep the float path, a few thousand pixels a frame.
 
+Each spec type checks its rules in `__post_init__`, raising `InvalidSpec`,
+so a spec is valid however it was built; `load_scene`'s error names the
+file. `generate` and `corpus` check nothing.
+
 `corpus` renders its videos one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -36,7 +39,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .codec import read_json, write_json
-from .errors import InvalidSpec
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, InvalidSpec, check
 from .media import (
     FRAMES_PER_FILE,
     SEGMENT_NAME,
@@ -70,6 +73,10 @@ class RoadBand:
     intensity: float
     texture_sigma: float
 
+    def __post_init__(self):
+        check(InvalidSpec, self, "road band ", x=NON_NEGATIVE, y=NON_NEGATIVE,
+              w=POSITIVE, h=POSITIVE, intensity=FINITE, texture_sigma=NON_NEGATIVE)
+
 
 @dataclass(frozen=True)
 class ParkedVehicle:
@@ -79,6 +86,10 @@ class ParkedVehicle:
     h: int
     intensity: float
     class_label: str = field(default="car", metadata={"key": "class"})
+
+    def __post_init__(self):
+        check(InvalidSpec, self, "parked vehicle ", x=NON_NEGATIVE, y=NON_NEGATIVE,
+              w=POSITIVE, h=POSITIVE, intensity=FINITE)
 
     @property
     def bbox(self) -> BBox:
@@ -104,6 +115,14 @@ class VehicleSpec:
     start: float
     stall: tuple[float, float] | None = None
     class_label: str = field(default="car", metadata={"key": "class"})
+
+    def __post_init__(self):
+        check(InvalidSpec, self, "vehicle ", width=POSITIVE, height=POSITIVE,
+              intensity=FINITE, speed=POSITIVE, spawn=FINITE,
+              axis=(lambda a: a in ("h", "v"), "'h' or 'v'"),
+              direction=(lambda d: d in (1, -1), "+1 or -1"), start=FINITE,
+              stall=(lambda s: s is None or 0 <= s[0] < s[1],
+                     "None or (s0, s1) with 0 <= s0 < s1"))
 
     def moving_coord(self, t: float | np.ndarray) -> float | np.ndarray:
         """Position along the travel axis at time t, a float or a float64
@@ -149,6 +168,8 @@ class VehicleSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """One video's scene; it checks its parts against its frame and duration."""
+
     video_id: str
     duration: float
     fps: float
@@ -162,6 +183,27 @@ class SceneSpec:
     noise_sigma: float = 1.5
     seed: int = 0
 
+    def __post_init__(self):
+        check(InvalidSpec, self, "scene ", seed=NON_NEGATIVE, duration=POSITIVE,
+              fps=POSITIVE, noise_sigma=NON_NEGATIVE, offroad_intensity=FINITE)
+        frame = f"the {self.width}x{self.height} frame"
+        for name, rects in (("bands", self.bands), ("offroad_parked", self.offroad_parked)):
+            for r in rects:
+                if r.x + r.w > self.width or r.y + r.h > self.height:
+                    raise InvalidSpec(f"{name}: {r.w}x{r.h} at ({r.x}, {r.y}) "
+                                      f"not fully inside {frame}")
+        for v in self.vehicles:
+            if v.width > self.width or v.height > self.height:
+                raise InvalidSpec(f"vehicles: {v.width}x{v.height} larger than {frame}")
+            if v.stall is not None and (v.stall[1] > self.duration or v.stall_box(
+                    self.width, self.height) is None):
+                raise InvalidSpec(f"vehicles: stall {v.stall} must end by {self.duration}"
+                                  f" s, the stalled vehicle fully inside {frame}")
+        if self.lighting is LightingClass.NIGHT and self.offroad_intensity > 50:
+            raise InvalidSpec("night scene offroad_intensity must stay in the 0-50 range")
+        if self.lighting is LightingClass.SNOW and self.offroad_intensity < 200:
+            raise InvalidSpec("snow scene offroad_intensity must sit in the 200-250 range")
+
     @property
     def frame_count(self) -> int:
         return int(round(self.duration * self.fps))
@@ -169,53 +211,6 @@ class SceneSpec:
 
 def load_scene(path: str | Path) -> SceneSpec:
     return read_json(path, SceneSpec)
-
-
-def _validate(spec: SceneSpec) -> None:
-    if spec.seed < 0:
-        raise InvalidSpec(f"scene seed must be non-negative, got {spec.seed}")
-    if not (0 < spec.duration < math.inf and 0 < spec.fps < math.inf):
-        raise InvalidSpec(f"duration and fps must be positive and finite, got "
-                          f"{spec.duration} and {spec.fps}")
-    if not 0 <= spec.noise_sigma < math.inf:
-        raise InvalidSpec(f"noise_sigma must be non-negative and finite, got "
-                          f"{spec.noise_sigma}")
-    levels = ([("offroad_intensity", spec.offroad_intensity)]
-              + [("road band intensity", b.intensity) for b in spec.bands]
-              + [("parked vehicle intensity", p.intensity) for p in spec.offroad_parked]
-              + [("vehicle intensity", v.intensity) for v in spec.vehicles])
-    for name, level in levels:
-        if not math.isfinite(level):
-            raise InvalidSpec(f"{name} must be finite, got {level}")
-    for b in spec.bands:
-        if not 0 <= b.texture_sigma < math.inf:
-            raise InvalidSpec(f"road band texture_sigma must be non-negative and "
-                              f"finite, got {b.texture_sigma}")
-    for kind, rects in (("road band", spec.bands),
-                        ("parked vehicle", spec.offroad_parked)):
-        for r in rects:
-            if not (r.w > 0 and r.h > 0 and 0 <= r.x and r.x + r.w <= spec.width
-                    and 0 <= r.y and r.y + r.h <= spec.height):
-                raise InvalidSpec(f"{kind} {r.w}x{r.h} at ({r.x}, {r.y}) empty or "
-                                  f"not fully inside the {spec.width}x{spec.height} "
-                                  f"frame")
-    for v in spec.vehicles:
-        if not (0 < v.width <= spec.width and 0 < v.height <= spec.height):
-            raise InvalidSpec(f"vehicle {v.width}x{v.height} empty or larger than frame")
-        if v.axis not in ("h", "v"):
-            raise InvalidSpec(f"vehicle axis must be 'h' or 'v', got {v.axis!r}")
-        if v.speed <= 0:
-            raise InvalidSpec("vehicle speed must be positive")
-        if v.stall is not None:
-            s0, s1 = v.stall
-            if not (0 <= s0 < s1 <= spec.duration):
-                raise InvalidSpec(f"stall ({s0}, {s1}) outside video duration")
-            if v.stall_box(spec.width, spec.height) is None:
-                raise InvalidSpec("stalled vehicle not fully inside frame")
-    if spec.lighting is LightingClass.NIGHT and spec.offroad_intensity > 50:
-        raise InvalidSpec("night scene baseline must stay in the 0-50 range")
-    if spec.lighting is LightingClass.SNOW and spec.offroad_intensity < 200:
-        raise InvalidSpec("snow scene baseline must sit in the 200-250 range")
 
 
 def static_boxes(spec: SceneSpec) -> list[tuple[BBox, float, str]]:
@@ -351,7 +346,6 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     (oracle detections for every visible vehicle on every frame, score 1.0)
     and scene.json.
     """
-    _validate(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
@@ -519,16 +513,15 @@ def corpus(out_dir: str | Path, seed: int = 0,
            specs: list[SceneSpec] | None = None) -> Path:
     """Generate the full synthetic corpus: videos/<id>/... plus gt.csv.
 
-    Every spec is validated before any video is rendered, so an invalid one
-    raises InvalidSpec with no video written. The videos then render one
-    after another, in spec order, in the calling thread. The first error
-    stops the run: it is raised as its own type, the videos after it are
-    not rendered and no gt.csv is written.
+    A spec checks itself when it is built, so every spec given is valid;
+    with `specs` None, an invalid `seed` raises InvalidSpec before any
+    directory is made. The videos render one after another, in spec
+    order, in the calling thread. The first error stops the run: it is
+    raised as its own type, the videos after it are not rendered and no
+    gt.csv is written.
     """
     if specs is None:
         specs = corpus_specs(seed)
-    for spec in specs:
-        _validate(spec)
     root = Path(out_dir)
     videos = root / "videos"
     videos.mkdir(parents=True, exist_ok=True)

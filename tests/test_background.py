@@ -54,10 +54,6 @@ class TestSampling:
         with pytest.raises(EmptyInput):
             sample_indices(range(0), 0.10, seed=0)
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            sample_indices(range(10), 0.0, seed=0)
-
     @given(st.integers(1, 500), st.floats(0.01, 1.0), st.integers(0, 2**31))
     @settings(max_examples=100, deadline=None)
     def test_count_property(self, n, fraction, seed):

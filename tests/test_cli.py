@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -530,6 +531,34 @@ class TestFaultIsolation:
         assert ((out / "predictions.csv").read_bytes()
                 == (alone / "predictions.csv").read_bytes())
 
+    @pytest.mark.parametrize("name, edit, stage, words", [
+        ("meta.json", lambda obj: obj.update(fps=math.nan), "sort",
+         "fps must be positive and finite, got nan"),
+        # the last vehicle is the stalled one: the oracle would never find it
+        ("scene.json", lambda obj: obj["vehicles"][-1].update(intensity=math.nan),
+         "detect", "vehicle intensity must be finite, got nan"),
+    ], ids=["nan-fps", "nan-stall-intensity"])
+    def test_file_that_breaks_its_rules_fails_alone(
+            self, mini_corpus, tmp_path, capsys, name, edit, stage, words):
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus",
+                               ("bad", "mini_day_stall"))
+        path = corpus / "videos" / "bad" / name
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        printed = capsys.readouterr()
+        error = f"ParseError: bad: {stage}: {path}: {words}"
+        assert json.loads(printed.out)["failures"] == [
+            {"video": "bad", "stage": stage, "error": error}]
+        assert f"run-all: {error}" in printed.err
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(alone)]) == EXIT_OK
+        assert ((out / "predictions.csv").read_bytes()
+                == (alone / "predictions.csv").read_bytes())
+
     def test_detector_that_cannot_start_fails_each_video(self, mini_corpus,
                                                          tmp_path, capsys):
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
@@ -729,12 +758,34 @@ class TestFaultIsolation:
         assert manifest["score"]["tp"] == 1
 
 
+class TestHardNegatives:
+    def test_stop_shorter_than_a_window_gives_no_prediction(self, tmp_path,
+                                                            capsys):
+        """A 5 s stop inside one 30 s background window is erased by that
+        window's median: no candidate, no prediction. A stall across both
+        windows of a video beside it is still predicted."""
+        specs = [synth.make_scene(name, LightingClass.DAY, False, stall, False,
+                                  seed=seed, duration=60.0, fps=2.0)
+                 for name, stall, seed in (("short_stop", (35.0, 40.0), 21),
+                                           ("stall", (10.0, 50.0), 22))]
+        corpus = synth.corpus(tmp_path / "corpus", specs=specs)
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        categories = [json.loads((out / name / "category.json").read_text())
+                      for name in ("short_stop", "stall")]
+        assert [c["background_window_s"] for c in categories] == [30.0, 30.0]
+        assert json.loads((out / "short_stop" / "events.json").read_text()) == []
+        preds = read_predictions(out / "predictions.csv")
+        assert [p.video_id for p in preds] == ["stall"]
+        assert 10.0 <= preds[0].start < 11.0
+
+
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: a fresh interpreter importing the CLI
     and building its config has no scipy module loaded."""
     code = ("import sys, stallwatch.cli\n"
             "from stallwatch.config import PipelineConfig\n"
-            "PipelineConfig().validate()\n"
+            "PipelineConfig.from_obj({})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(stallwatch.__file__).resolve().parents[1])
     env = {**os.environ,

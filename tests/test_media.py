@@ -36,6 +36,7 @@ from stallwatch.media import (
     read_detections,
     read_frame,
     read_ground_truth,
+    read_predictions,
     write_detections,
     write_frame,
     write_ground_truth,
@@ -440,6 +441,14 @@ class TestReadJson:
         with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
             read_json(path, SequenceMeta)
 
+    def test_infinite_integer(self, tmp_path):
+        # json reads 1e400 as inf, and int(inf) raises OverflowError
+        path = tmp_path / "meta.json"
+        path.write_text('{"video_id": "v1", "fps": 5, "frame_count": 1e400, '
+                        '"width": 2, "height": 2}')
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad int value inf")):
+            read_json(path, SequenceMeta)
+
 
 class TestDetectionRows:
     """Every malformed row raises a typed error naming its file and line."""
@@ -741,6 +750,21 @@ class TestGroundTruth:
         path.write_text("video_id,start_seconds,end_seconds\nv1,300,120\n")
         with pytest.raises(InvalidInterval):
             read_ground_truth(path)
+
+    def test_inverted_interval_names_the_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("video_id,start_seconds,end_seconds\nv1,1,2\n\nv2,5,3\n")
+        with pytest.raises(InvalidInterval) as error:
+            read_ground_truth(path)
+        assert str(error.value) == f"{path}:4: end 3.0 must exceed start 5.0"
+
+    def test_inverted_prediction_names_the_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("video_id,start_seconds,end_seconds,confidence\n"
+                        "v1,1,2,0.5\nv2,5,3,0.5\n")
+        with pytest.raises(InvalidInterval) as error:
+            read_predictions(path)
+        assert str(error.value) == f"{path}:3: bad event interval [5.0, 3.0]"
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "gt.csv"
