@@ -7,8 +7,9 @@ background index, events, score, manifest, scene, meta and the run config.
 a dataclass with ``JSON_ARRAY = True`` (``BBox``) becomes the list of its
 values; an ``Enum`` becomes its value; tuples and lists become lists.
 
-`decode` follows the target's type hints: it coerces int, float and str,
-looks enums up by value, accepts null for ``X | None`` and recurses into
+`decode` follows the target's type hints: an int takes a JSON integer, a
+float an integer or a float, a str a string (and a bool none of them);
+it looks enums up by value, accepts null for ``X | None`` and recurses into
 lists, tuples and dataclasses. A key missing from the object keeps the
 value of ``default``, else the dataclass default; a ``dict`` field merges
 over its default, and a ``dict[str, V]`` field decodes each value as
@@ -61,6 +62,10 @@ def encode(value):
     return value
 
 
+# the JSON values a field of each scalar type takes: a bool is none of them
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 @functools.cache
 def _dispatch(cls) -> tuple[object, tuple, bool]:
     """(origin, arguments, is a dataclass) of a type hint."""
@@ -95,9 +100,11 @@ def decode(cls, obj, default=None):
         return {**(default or {}), **obj}
     if isinstance(obj, (list, dict)):
         raise ParseError(f"expected {cls.__name__}, got {obj!r}")
+    if cls in _JSON_TYPES and type(obj) not in _JSON_TYPES[cls]:
+        raise ParseError(f"bad {cls.__name__} value {obj!r}")
     try:
         return cls(obj)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ParseError(f"bad {cls.__name__} value {obj!r}") from exc
 
 

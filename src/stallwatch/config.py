@@ -29,7 +29,8 @@ class DetectorConfig:
     timeout: float = TIMEOUT_S
 
     def __post_init__(self):
-        # a longer timeout overflows the lock that the reply queue waits on
+        # a finite deadline; the bridge polls for a reply an hour at most
+        # at a time, so each timeout up to TIMEOUT_MAX is honoured
         check(ConfigError, self, "detector ",
               kind=(lambda k: k in ("oracle", "precomputed", "external"),
                     "oracle, precomputed or external"),

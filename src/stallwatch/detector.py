@@ -17,10 +17,10 @@ image's file and its pixels; each kind uses the one it needs:
                       "bbox": [x, y, w, h]}, ...]}``, each row checked as a
                       detection file's row is. On startup the bridge
                       sends ``{"ping": 1}`` and expects ``{"ready": true}``.
-                      A request unanswered within the timeout kills the
-                      child; it is started again, once, and the request
-                      retried. If that fails too, `DetectorTimeout` is
-                      raised, and the pipeline fails the video.
+                      A reply is read in the calling thread; one not read
+                      within the timeout kills the child. It is started
+                      again, once, and the request retried; if that fails
+                      too, `DetectorTimeout` is raised: the video fails.
 
 Each returns `Detections`, filtered to the configured vehicle classes. A
 kept box that reaches past the image's edges raises `DetectionOutOfFrame`,
@@ -33,9 +33,10 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import queue
+import os
+import select
 import subprocess
-import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,13 +49,13 @@ from .errors import (
     ProtocolError,
     StallwatchError,
 )
-from .media import Detections, Frame, _parse_rows, read_detections
-from .synth import SceneSpec, static_boxes
+from .media import BBox, Detections, Frame, _parse_rows, read_detections
 
 # also the config's defaults (`vehicle_classes`, `detector.timeout`)
 VEHICLE_CLASSES = ("car", "truck", "bus")
 TIMEOUT_S = 30.0
 ORACLE_MATCH_TOLERANCE = 6.0
+POLL_CAP_S = 3600.0  # one wait for a reply; a poll cannot wait past ~24.8 days
 
 logger = logging.getLogger(__name__)
 
@@ -90,19 +91,20 @@ class DetectorHandle:
 
 @dataclass
 class OracleDetector(DetectorHandle):
-    """Reports a scene's stationary rectangles present in a given image.
+    """Reports which of a scene's stationary rectangles, its `static_boxes`
+    as (box, intensity, class), are present in a given image.
 
     A stationary box counts as present when the image patch matches the
     vehicle's intensity to within a small tolerance; moving vehicles are
     erased by the background median and therefore never match.
     """
 
-    scene: SceneSpec
+    static_boxes: list[tuple[BBox, float, str]]
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
         found = []
-        for box, intensity, label in static_boxes(self.scene):
+        for box, intensity, label in self.static_boxes:
             patch = frame.pixels[box.y : box.y2, box.x : box.x2].astype(np.float64)
             if np.abs(patch - intensity).mean() <= ORACLE_MATCH_TOLERANCE:
                 found.append((box, label))
@@ -141,14 +143,12 @@ class ExternalProcessDetector(DetectorHandle):
         self._start()
 
     def _start(self) -> None:
-        """Start the child, with a reader thread and line queue of its own,
-        and shake hands with it; a failed handshake closes the child."""
+        """Start the child and shake hands; a failed handshake closes it."""
         self._proc = subprocess.Popen(
             self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
-        self._reader = threading.Thread(
-            target=_pump, args=(self._proc.stdout, self._lines), daemon=True)
-        self._reader.start()
+        self._output = select.poll()
+        self._output.register(self._proc.stdout, select.POLLIN)
+        self._pending = bytearray()  # read past the last line returned
         try:
             reply = self._roundtrip({"ping": 1})
             if reply.get("ready") is not True:
@@ -163,14 +163,7 @@ class ExternalProcessDetector(DetectorHandle):
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:  # ValueError: closed by `close`
             raise ProtocolError(f"detector process is gone: {exc}") from exc
-        try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            self.close()
-            raise DetectorTimeout(f"no response within {self.timeout}s")
-        if line is None:
-            self._lines.put(None)  # the output stays closed for later requests
-            raise ProtocolError("detector process closed its output")
+        line = self._read_line(time.monotonic() + self.timeout)
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
@@ -178,6 +171,27 @@ class ExternalProcessDetector(DetectorHandle):
         if not isinstance(obj, dict):
             raise ProtocolError("response must be a JSON object")
         return obj
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The child's next line of output, read unbuffered, waiting in
+        polls of at most `POLL_CAP_S` until `deadline`; at the end of the
+        output, its last unterminated line, then `ProtocolError`."""
+        while (end := self._pending.find(b"\n") + 1) == 0:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                self.close()
+                raise DetectorTimeout(f"no response within {self.timeout}s")
+            if self._output.poll(min(left, POLL_CAP_S) * 1000):
+                chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
+                if not chunk:  # the end of the output, which stays ended
+                    end = len(self._pending)
+                    break
+                self._pending += chunk
+        line = bytes(self._pending[:end])
+        del self._pending[:end]
+        if not line:
+            raise ProtocolError("detector process closed its output")
+        return line
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
         request = {"image": str(path)}
@@ -203,7 +217,8 @@ class ExternalProcessDetector(DetectorHandle):
             raise ProtocolError(f"malformed detection: {exc}") from exc
 
     def close(self) -> None:
-        """Reap the child and join the reader thread, which closes its output."""
+        """Terminate and reap the child, then close both pipes; a grandchild
+        that holds the output open is not waited for."""
         with contextlib.suppress(OSError):  # input a dead child never read
             self._proc.stdin.close()
         self._proc.terminate()  # a no-op once the child is reaped
@@ -212,14 +227,4 @@ class ExternalProcessDetector(DetectorHandle):
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(timeout=5)  # a grandchild may hold the output open
-
-
-def _pump(lines, out: queue.Queue) -> None:
-    """Put each raw line of a child's output on `out`, then always None; close it."""
-    try:
-        with lines:
-            for line in lines:
-                out.put(line)
-    finally:
-        out.put(None)
+        self._proc.stdout.close()

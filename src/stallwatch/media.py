@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -181,7 +182,7 @@ class AnomalyEvent:
     confidence: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start < self.end):
+        if not (0.0 <= self.start < self.end < math.inf):
             raise InvalidInterval(f"bad event interval [{self.start}, {self.end}]")
         if not (0.0 <= self.confidence <= 1.0):
             raise InvalidInterval(f"confidence {self.confidence} outside [0, 1]")

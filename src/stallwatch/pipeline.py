@@ -94,7 +94,7 @@ def make_detector(cfg: PipelineConfig, video_dir: Path,
     det = cfg.detector
     if det.kind == "oracle":
         scene = synth.load_scene(video_dir / synth.SCENE_FILE)
-        return OracleDetector(scene=scene, vehicle_classes=classes)
+        return OracleDetector(synth.static_boxes(scene), vehicle_classes=classes)
     if det.kind == "precomputed":
         return PrecomputedDetector(directory=_detection_dir(cfg, video_dir, out_vid),
                                    vehicle_classes=classes)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stallwatch
-from stallwatch import media, pipeline, synth
+from stallwatch import anomaly, media, pipeline, synth
 from stallwatch.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -60,6 +60,17 @@ class TestExitCodes:
         assert run(["score", "--pred", str(pred), "--gt",
                     str(mini_corpus / "gt.csv"), "--out", str(report)]) == EXIT_OK
         assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_score_rejects_an_infinite_end(self, mini_corpus, tmp_path, capsys):
+        # an infinite end would be written to score.json as Infinity, which
+        # is not JSON
+        pred, report = tmp_path / "pred.csv", tmp_path / "score.json"
+        pred.write_text("video_id,start_seconds,end_seconds,confidence\n"
+                        "v1,1,inf,0.5\n")
+        assert run(["score", "--pred", str(pred), "--gt",
+                    str(mini_corpus / "gt.csv"), "--out", str(report)]) == EXIT_FAILURE
+        assert f"{pred}:2: bad event interval [1.0, inf]" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_help(self, capsys):
         assert run(["--help"]) == EXIT_OK
@@ -778,6 +789,43 @@ class TestHardNegatives:
         preds = read_predictions(out / "predictions.csv")
         assert [p.video_id for p in preds] == ["stall"]
         assert 10.0 <= preds[0].start < 11.0
+
+    def test_occluded_stall_gives_no_prediction(self, mini_corpus, tmp_path,
+                                                capsys):
+        """The foreground rows that support the stall box are kept on every
+        4th of their frames only, as if traffic passed in front of it: a
+        support density of 0.25, under `min_support_density` 0.3, gives no
+        prediction. With that gate at 0.2 the stall is predicted."""
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        video = corpus / "videos" / "mini_day_stall"
+        (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
+        iou_support = PipelineConfig().decision.iou_support
+        rows = [json.loads(line) for line in
+                (video / "foreground.jsonl").read_text().splitlines()]
+        supports = [anomaly.iou(media.BBox(*row["bbox"]), box) >= iou_support
+                    for row in rows]
+        kept = sorted({row["frame"] for row, s in zip(rows, supports) if s})[::4]
+        media.write_detections(columns([
+            Row(row["frame"], row["class"], row["score"], media.BBox(*row["bbox"]))
+            for row, s in zip(rows, supports) if not s or row["frame"] in kept]),
+            video / "foreground.jsonl")
+        frames = anomaly.support_profile(
+            anomaly.Candidate(box, 1.0, 0.0),
+            media.read_detections(video / "foreground.jsonl"), iou_support)
+        assert list(frames) == kept
+        assert 0.25 <= len(frames) / (frames[-1] - frames[0] + 1) < 0.3
+
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert read_predictions(out / "predictions.csv") == []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"decision": {"min_support_density": 0.2}}))
+        low = tmp_path / "low"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(corpus),
+                    "--out", str(low)]) == EXIT_OK
+        preds = read_predictions(low / "predictions.csv")
+        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        assert preds[0].start == pytest.approx(10.0, abs=2.0)
 
 
 def test_cli_import_loads_no_scipy():

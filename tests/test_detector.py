@@ -1,5 +1,9 @@
+import os
+import shlex
+import signal
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -18,7 +22,7 @@ from stallwatch.errors import (
 )
 from stallwatch.media import BBox, Frame, write_detections
 from stallwatch.sorting import LightingClass
-from stallwatch.synth import RoadBand, SceneSpec, VehicleSpec
+from stallwatch.synth import RoadBand, SceneSpec, VehicleSpec, static_boxes
 
 from conftest import Row, columns, rows_of
 
@@ -44,21 +48,24 @@ class TestOracle:
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[20:40, :] = 70
         img[box.y:box.y2, box.x:box.x2] = 25
-        dets = OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img))
+        dets = OracleDetector(static_boxes=static_boxes(scene)).detect(
+            "bg_0.pgm", Frame(img))
         assert rows_of(dets) == [Row(0, "car", 1.0, box)]
 
     def test_absent_stall_not_reported(self):
         scene = stall_scene()
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[20:40, :] = 70
-        assert len(OracleDetector(scene=scene).detect("bg_0.pgm", Frame(img))) == 0
+        assert len(OracleDetector(static_boxes=static_boxes(scene)).detect(
+            "bg_0.pgm", Frame(img))) == 0
 
     def test_class_filter(self):
         scene = stall_scene()
         box = scene.vehicles[0].stall_box(100, 60)
         img = np.full((60, 100), 190, dtype=np.uint8)
         img[box.y:box.y2, box.x:box.x2] = 25
-        det = OracleDetector(scene=scene, vehicle_classes=frozenset({"bus"}))
+        det = OracleDetector(static_boxes=static_boxes(scene),
+                             vehicle_classes=frozenset({"bus"}))
         assert len(det.detect("bg_0.pgm", Frame(img))) == 0
 
 
@@ -311,3 +318,37 @@ class TestExternal:
         with ExternalProcessDetector(cmd, timeout=10.0) as handle:
             with pytest.raises(ProtocolError):
                 handle.detect("/some/frame.pgm", BLANK)
+
+    def test_makes_no_thread(self, tmp_path):
+        before = threading.active_count()
+        with ExternalProcessDetector(child_script(tmp_path, ECHO_DETECTOR),
+                                     timeout=10.0) as handle:
+            handle.detect("/some/frame.pgm", BLANK)
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_close_does_not_wait_for_a_grandchild_holding_the_output(self, tmp_path):
+        # the shell leaves a `sleep` behind that inherits the child's output,
+        # so that the output does not end when the child does
+        pid_file = tmp_path / "sleep.pid"
+        python, script = child_script(tmp_path, ECHO_DETECTOR)
+        cmd = ["sh", "-c", f"sleep 30 & echo $! > {shlex.quote(str(pid_file))}; "
+                           f"exec {shlex.quote(python)} {shlex.quote(script)}"]
+        before = threading.active_count()
+        handle = ExternalProcessDetector(cmd, timeout=10.0)
+        try:
+            assert len(handle.detect("/some/frame.pgm", BLANK)) == 1
+            start = time.monotonic()
+            handle.close()
+            assert time.monotonic() - start < 1.0
+            assert threading.active_count() == before
+        finally:
+            handle.close()
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+    def test_longest_timeout(self, tmp_path):
+        # a single poll cannot wait this long; the bridge polls in steps
+        with ExternalProcessDetector(child_script(tmp_path, ECHO_DETECTOR),
+                                     timeout=threading.TIMEOUT_MAX) as handle:
+            dets = handle.detect("/some/frame.pgm", BLANK)
+        assert rows_of(dets) == [Row(0, "car", 0.9, BBox(10, 10, 20, 20))]

@@ -8,6 +8,11 @@ constructor, `dataclasses.replace` on the owner, and the reader of the
 file that holds `top` (`PipelineConfig.from_obj`, `load_scene`,
 `open_sequence`, `read_ground_truth`). Config cases also go through the
 CLI's `--config`, which exits 2.
+
+Each case of TYPE_RULES is a JSON value of the wrong type for its field,
+which only the JSON readers and `--config` are given: an int field takes
+a JSON integer, a float field an integer or a float, a str field a
+string, and a bool is none of these.
 """
 
 import csv
@@ -169,6 +174,28 @@ RULES = [
 ]
 IDS = [case[0] for case in RULES]
 
+# (id, top, path to the owner, changes, words of the error)
+TYPE_RULES = [
+    ("stride-1.5", CONFIG, (), dict(histogram_stride=1.5), "bad int value 1.5"),
+    ("mask-block-true", CONFIG, (), dict(mask_block=True), "bad int value True"),
+    ("min-windows-2.9", CONFIG, ("decision",), dict(min_windows=2.9),
+     "bad int value 2.9"),
+    ("timeout-string", CONFIG, ("detector",), dict(timeout="30"),
+     "bad float value '30'"),
+    ("frame-count-10.7", META, (), dict(frame_count=10.7), "bad int value 10.7"),
+    ("width-8.0", META, (), dict(width=8.0), "bad int value 8.0"),
+    ("meta-fps-string", META, (), dict(fps="5"), "bad float value '5'"),
+    ("video-id-number", META, (), dict(video_id=7), "bad str value 7"),
+    ("scene-seed-true", SCENE, (), dict(seed=True), "bad int value True"),
+    ("scene-fps-false", SCENE, (), dict(fps=False), "bad float value False"),
+    ("band-x-2.0", SCENE, ("bands", 0), dict(x=2.0), "bad int value 2.0"),
+    ("direction-1.5", SCENE, ("vehicles", 0), dict(direction=1.5),
+     "bad int value 1.5"),
+    ("axis-number", SCENE, ("vehicles", 0), dict(axis=1), "bad str value 1"),
+]
+FILE_CASES = [case for case in RULES if not isinstance(case[1], MaskParams)] + TYPE_RULES
+CONFIG_CASES = [case for case in RULES + TYPE_RULES if case[1] is CONFIG]
+
 
 def owner_of(top, path):
     for key in path:
@@ -206,9 +233,6 @@ def read_back(tmp_path, top, obj):
     raise AssertionError(f"no file holds a {type(top).__name__}")
 
 
-FILE_RULES = [case for case in RULES if not isinstance(case[1], MaskParams)]
-
-
 class TestEveryRoute:
     @pytest.mark.parametrize("name, top, path, changes, words", RULES, ids=IDS)
     def test_constructor(self, name, top, path, changes, words):
@@ -222,8 +246,8 @@ class TestEveryRoute:
         with pytest.raises(StallwatchError, match=words):
             replace(owner_of(top, path), **changes)
 
-    @pytest.mark.parametrize("name, top, path, changes, words", FILE_RULES,
-                             ids=[case[0] for case in FILE_RULES])
+    @pytest.mark.parametrize("name, top, path, changes, words", FILE_CASES,
+                             ids=[case[0] for case in FILE_CASES])
     def test_file(self, tmp_path, name, top, path, changes, words):
         obj = with_changes_in_json(top, path, changes)
         with pytest.raises(StallwatchError, match=words) as error:
@@ -236,9 +260,8 @@ class TestEveryRoute:
             assert error.type is ParseError
             assert str(tmp_path) in str(error.value)
 
-    @pytest.mark.parametrize("name, top, path, changes, words",
-                             [case for case in RULES if case[1] is CONFIG],
-                             ids=[case[0] for case in RULES if case[1] is CONFIG])
+    @pytest.mark.parametrize("name, top, path, changes, words", CONFIG_CASES,
+                             ids=[case[0] for case in CONFIG_CASES])
     def test_cli_config(self, tmp_path, capsys, name, top, path, changes, words):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(with_changes_in_json(top, path, changes)))
