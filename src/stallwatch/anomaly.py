@@ -66,17 +66,16 @@ def extract_candidates(
     bg_detections: list[tuple[float, Detections]],
     mask: np.ndarray,
     params: DecisionParams,
-    frame_area: int,
     min_overlap: float,
 ) -> list[Candidate]:
-    """Gate background detections on score, area and road-mask overlap."""
+    """Gate detections on score, area (a share of the mask's) and road overlap."""
     out: list[Candidate] = []
     for window_start, dets in bg_detections:
         for box, score in zip(dets.boxes.tolist(), dets.score.tolist()):
             bbox = BBox(*box)
             if score < params.score_min:
                 continue
-            if bbox.area < params.area_min * frame_area:
+            if bbox.area < params.area_min * mask.size:
                 continue
             if not bbox_on_road(bbox, mask, min_overlap):
                 continue
@@ -178,17 +177,15 @@ def detect_anomalies(
     min_overlap: float,
     fps: float,
     video_id: str,
-    frame_area: int,
 ) -> list[AnomalyEvent]:
     """Decide one video's events from already-computed inputs.
 
-    `road` is the union of the per-window road masks, a bool array;
-    `per_window` holds (window start in seconds, background detections)
-    for every background window, and `foreground` is the video's
-    foreground detection columns.
+    `road` is the union of the per-window road masks, a bool array of the
+    frame's shape; `per_window` holds (window start in seconds, background
+    detections) for every background window, and `foreground` is the
+    video's foreground detection columns.
     """
-    cands = extract_candidates(per_window, road, params, frame_area=frame_area,
-                               min_overlap=min_overlap)
+    cands = extract_candidates(per_window, road, params, min_overlap=min_overlap)
     cands = merge_candidates(cands, params.iou_merge)
 
     events = []

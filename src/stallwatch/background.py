@@ -3,6 +3,7 @@ Background estimation: per-window pixel-wise median of randomly sampled frames.
 
 Moving traffic is erased by the median; anything stationary for most of a
 window (including a stalled vehicle) survives into the background image.
+`background_stream` pairs each window's image with its index.json record.
 
 The median is selected by a comparator network of `np.minimum` and
 `np.maximum` calls on whole frame rows: Batcher's odd-even merge sort,
@@ -32,10 +33,12 @@ MIN_PARTIAL_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
-class BackgroundFrame:
-    frame: Frame
-    window_start: float
-    window_end: float
+class BackgroundWindow:
+    """One entry of backgrounds/index.json: a window's file, span and samples."""
+
+    file: str
+    window_start_s: float
+    window_end_s: float
     sampled_indices: list[int]
 
 
@@ -168,8 +171,8 @@ def background_stream(
     category: VideoCategory,
     fraction: float,
     seed: int,
-) -> list[BackgroundFrame]:
-    """One background image per window of ``category.background_window_s`` seconds."""
+) -> list[tuple[BackgroundWindow, Frame]]:
+    """(record, background) per window of ``category.background_window_s`` s."""
     if seq.duration < 1.0:
         raise VideoTooShort(f"duration {seq.duration:.3f}s < 1s")
     windows = window_bounds(seq.frame_count, seq.fps, category.background_window_s)
@@ -178,16 +181,12 @@ def background_stream(
                for start, end in windows]
     # every window's sampled frames are read into the first rows of one block
     block = np.empty((max(map(len, samples)), seq.height, seq.width), dtype=np.uint8)
-    out: list[BackgroundFrame] = []
+    out = []
     for (start, end), indices in zip(windows, samples):
         for row, i in zip(block, indices):
             seq.frame(i, out=row)
-        out.append(
-            BackgroundFrame(
-                frame=median_frame(FrameStack(block[:len(indices)])),
-                window_start=seq.timestamp(start),
-                window_end=seq.timestamp(end),
-                sampled_indices=indices,
-            )
-        )
+        start_s = seq.timestamp(start)
+        window = BackgroundWindow(f"bg_{int(round(start_s * 1000))}.pgm", start_s,
+                                  seq.timestamp(end), indices)
+        out.append((window, median_frame(FrameStack(block[:len(indices)]))))
     return out

@@ -25,7 +25,8 @@ image's file and its pixels; each kind uses the one it needs:
 Each returns `Detections`, filtered to the configured vehicle classes. A
 kept box that reaches past the image's edges raises `DetectionOutOfFrame`,
 naming the box and the image; the pipeline then skips that window, as
-for any `StallwatchError` or `OSError` but a `DetectorTimeout`.
+for any `StallwatchError` or `OSError` but a `DetectorTimeout`, unless
+it fails on every window: the video then fails with the last window's.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ VEHICLE_CLASSES = ("car", "truck", "bus")
 TIMEOUT_S = 30.0
 ORACLE_MATCH_TOLERANCE = 6.0
 POLL_CAP_S = 3600.0  # one wait for a reply; a poll cannot wait past ~24.8 days
+DETECTIONS_SUFFIX = ".det.jsonl"  # of a frame's precomputed detection file
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +128,8 @@ class PrecomputedDetector(DetectorHandle):
             raise MissingDetections(f"no detection directory {self.directory}")
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
-        det_path = (self.directory or Path(path).parent) / (Path(path).stem + ".det.jsonl")
+        name = Path(path).stem + DETECTIONS_SUFFIX
+        det_path = (self.directory or Path(path).parent) / name
         if not det_path.is_file():
             raise MissingDetections(f"no detection file {det_path}")
         return read_detections(det_path)

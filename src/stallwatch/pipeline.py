@@ -2,8 +2,8 @@
 Corpus orchestration: one per-video stage chain, then predictions and score.
 
 `_chain` computes one value per name of STAGES: sort (category.json),
-background (each window's background with its file), mask (mask.pgm),
-detect (detector output per window) and decide (events.json).
+background (each window's index.json record and image), mask (mask.pgm),
+detect (detections per window; fails if all windows fail), decide (events.json).
 `process_video` runs it up to a given stage; the CLI's sort, background
 and mask commands stop after theirs, detect and run-all run it through
 decide. Each stage it reaches computes and writes its artifact.
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import hashlib
 import logging
 import time
@@ -51,6 +52,7 @@ from . import anomaly, background, scoring, sorting, synth
 from .codec import encode, read_json, write_atomic, write_json
 from .config import PipelineConfig
 from .detector import (
+    DETECTIONS_SUFFIX,
     DetectorHandle,
     ExternalProcessDetector,
     OracleDetector,
@@ -103,16 +105,6 @@ def make_detector(cfg: PipelineConfig, video_dir: Path,
 
 
 @dataclass(frozen=True)
-class BackgroundWindow:
-    """One entry of backgrounds/index.json."""
-
-    file: str
-    window_start_s: float
-    window_end_s: float
-    sampled_indices: list[int]
-
-
-@dataclass(frozen=True)
 class VideoFailure:
     """One entry of manifest.json's failures: a video whose chain raised."""
 
@@ -136,36 +128,35 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     write_json(out_vid / "category.json", category)
     yield category
 
-    # (path, background) per window
     bg_dir = out_vid / "backgrounds"
-    bgs = [(bg_dir / f"bg_{int(round(bg.window_start * 1000))}.pgm", bg)
-           for bg in background.background_stream(
-               seq, category, fraction=cfg.background_fraction, seed=cfg.seed)]
+    bgs = background.background_stream(seq, category, cfg.background_fraction, cfg.seed)
     bg_dir.mkdir(exist_ok=True)
-    for path, bg in bgs:
-        write_frame(bg.frame, path)
-    write_json(bg_dir / "index.json", {"windows": [
-        BackgroundWindow(path.name, bg.window_start, bg.window_end,
-                         bg.sampled_indices) for path, bg in bgs]})
+    for window, frame in bgs:
+        write_frame(frame, bg_dir / window.file)
+    write_json(bg_dir / "index.json", {"windows": [window for window, _ in bgs]})
     yield bgs
 
     params = cfg.mask_params(category.lighting)
-    road = np.logical_or.reduce([adaptive_road_mask(bg.frame, params) for _, bg in bgs])
+    road = np.logical_or.reduce([adaptive_road_mask(frame, params) for _, frame in bgs])
     write_frame(Frame(np.where(road, 255, 0).astype(np.uint8)), out_vid / "mask.pgm")
     yield road
 
     per_window: list[tuple[float, Detections]] = []
+    skipped = 0
     with make_detector(cfg, video_dir, out_vid) as handle:
-        for path, bg in bgs:
+        for window, frame in bgs:
             try:
-                dets = handle.detect(path, bg.frame)
+                dets = handle.detect(bg_dir / window.file, frame)
             except DetectorTimeout:
                 raise  # the handle has already restarted the detector once
             except (StallwatchError, OSError) as exc:
+                skipped += 1
+                if skipped == len(bgs):
+                    raise  # the detector failed on every window
                 logger.warning("%s: detector failed on window at %.1fs: %s",
-                               seq.video_id, bg.window_start, exc)
+                               seq.video_id, window.window_start_s, exc)
                 dets = Detections()
-            per_window.append((bg.window_start, dets))
+            per_window.append((window.window_start_s, dets))
     yield per_window
 
     events = anomaly.detect_anomalies(
@@ -174,7 +165,6 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
         min_overlap=cfg.mask_min_overlap,
         fps=seq.fps,
         video_id=seq.video_id,
-        frame_area=seq.width * seq.height,
     )
     write_json(out_vid / "events.json", events)
     yield events
@@ -199,7 +189,7 @@ def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
              for name in ("meta.json", synth.FOREGROUND_FILE, synth.SCENE_FILE)]
     if cfg.detector.kind == "precomputed":
         files += [(path.name.encode() + b"\n", path) for path in sorted(
-            _detection_dir(cfg, video_dir, out_vid).glob("*.det.jsonl"))]
+            _detection_dir(cfg, video_dir, out_vid).glob("*" + DETECTIONS_SUFFIX))]
     for name, path in files:
         data = _read(path)
         h.update(name + b"%d\n" % len(data))
@@ -244,14 +234,15 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
     videos that failed and the stamps of those that finished. Run through
     decide, it writes predictions.csv from the videos that finished."""
     dirs = corpus_video_dirs(corpus_dir)
-    n = len(dirs)
-    args = (dirs, [out_dir / d.name for d in dirs], [cfg] * n,
-            [replace(cfg, jobs=1).content_hash()] * n, [through] * n)
+    args = (dirs, [out_dir / d.name for d in dirs])
+    # built per call, so that it binds the process_video this module holds now
+    video = functools.partial(process_video, cfg=cfg, through=through,
+                              cfg_hash=replace(cfg, jobs=1).content_hash())
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_video = list(pool.map(process_video, *args))
+            per_video = list(pool.map(video, *args))
     else:
-        per_video = list(map(process_video, *args))
+        per_video = list(map(video, *args))
     failures = [r for r in per_video if isinstance(r, VideoFailure)]
     done = [r for r in per_video if not isinstance(r, VideoFailure)]
     if through == "decide":

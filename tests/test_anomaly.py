@@ -59,20 +59,25 @@ class TestExtract:
     def test_gates(self):
         params = DecisionParams()
         mask = full_mask()
-        frame_area = 320 * 240
         good = det(10, 10, 16, 6)
         low_score = det(40, 10, 16, 6, score=0.4)
         tiny = det(70, 10, 5, 5)  # 25 px < 0.001 * 76800
         cands = extract_candidates([(0.0, columns([good, low_score, tiny]))],
-                                   mask, params, frame_area, min_overlap=0.2)
+                                   mask, params, min_overlap=0.2)
         assert [c.bbox for c in cands] == [good.bbox]
+        # the area gate is a share of the mask's size: 9 px >= 0.001 * 4800,
+        # but 9 px < 0.001 * 76800
+        box = columns([det(10, 10, 3, 3)])
+        small = extract_candidates([(0.0, box)], full_mask(80, 60), params,
+                                   min_overlap=0.2)
+        assert [c.bbox for c in small] == [BBox(10, 10, 3, 3)]
+        assert extract_candidates([(0.0, box)], mask, params, min_overlap=0.2) == []
 
     def test_off_road_rejected(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:130, :] = True
         cands = extract_candidates([(0.0, columns([det(10, 10), det(10, 110)]))],
-                                   bits, DecisionParams(), 320 * 240,
-                                   min_overlap=0.2)
+                                   bits, DecisionParams(), min_overlap=0.2)
         assert [c.bbox for c in cands] == [BBox(10, 110, 16, 6)]
 
 
@@ -232,7 +237,7 @@ class TestDecide:
         foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
         return detect_anomalies(road, per_window, foreground,
                                 DecisionParams(), min_overlap=0.2, fps=self.fps,
-                                video_id="v1", frame_area=320 * 240)
+                                video_id="v1")
 
     def test_detect_anomalies_on_road_event(self):
         events = self._video(y=110)

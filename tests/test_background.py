@@ -185,9 +185,10 @@ class TestStream:
         seq = self._sequence(tmp_path, values, fps=10.0)
         cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 1.0)
         bgs = background_stream(seq, cat, fraction=1.0, seed=0)
-        assert [len(bg.sampled_indices) for bg in bgs] == [10, 5]
-        assert bgs[0].frame == Frame(np.full((3, 4), 255, dtype=np.uint8))
-        assert bgs[1].frame == Frame(np.zeros((3, 4), dtype=np.uint8))
+        assert [len(window.sampled_indices) for window, _ in bgs] == [10, 5]
+        (_, first), (_, tail) = bgs
+        assert first == Frame(np.full((3, 4), 255, dtype=np.uint8))
+        assert tail == Frame(np.zeros((3, 4), dtype=np.uint8))
 
     def test_each_window_equals_median_of_its_frames(self, tmp_path, rng):
         values = rng.integers(0, 256, 47).tolist()
@@ -195,6 +196,6 @@ class TestStream:
         cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 2.0)
         bgs = background_stream(seq, cat, fraction=0.5, seed=3)
         assert len(bgs) == 3
-        for bg in bgs:
-            assert bg.frame == median_frame(
-                stacked([seq.frame(i) for i in bg.sampled_indices]))
+        for window, frame in bgs:
+            assert frame == median_frame(
+                stacked([seq.frame(i) for i in window.sampled_indices]))

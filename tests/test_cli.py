@@ -768,6 +768,36 @@ class TestFaultIsolation:
         assert [p.video_id for p in preds] == ["mini_day_stall"]
         assert manifest["score"]["tp"] == 1
 
+    def test_detector_failing_every_window_fails_the_video(self, mini_corpus,
+                                                           tmp_path, capsys):
+        """A detector whose every reply breaks the protocol fails the video
+        at detect with the last window's error; it does not skip every
+        window and finish with no events."""
+        script = tmp_path / "detector.py"
+        script.write_text(textwrap.dedent("""
+            import json, sys
+            for line in sys.stdin:
+                if "ping" in json.loads(line):
+                    print(json.dumps({"ready": True}), flush=True)
+                    continue
+                row = {"class": "car", "score": 2.0, "bbox": [0, 0, 4, 4]}
+                print(json.dumps({"detections": [row]}), flush=True)
+        """))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"detector": {
+            "kind": "external", "command": [sys.executable, str(script)]}}))
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        printed = capsys.readouterr()
+        error = ("ProtocolError: mini_day_stall: detect: malformed detection: "
+                 "response[0]: score 2.0 outside [0, 1]")
+        assert json.loads(printed.out)["failures"] == [
+            {"video": "mini_day_stall", "stage": "detect", "error": error}]
+        assert f"run-all: {error}" in printed.err
+        assert not (out / "mini_day_stall" / "events.json").exists()
+        assert read_predictions(out / "predictions.csv") == []
+
 
 class TestHardNegatives:
     def test_stop_shorter_than_a_window_gives_no_prediction(self, tmp_path,

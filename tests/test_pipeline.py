@@ -155,7 +155,7 @@ GOLDEN = {
         '    "confidence": 1.0,\n    "end": 19.9,\n    "start": 10.0,\n'
         '    "video_id": "v1"\n  }\n]\n'),
     "index": (
-        {"windows": [pipeline.BackgroundWindow("bg_0.pgm", 0.0, 30.0, [3, 17])]},
+        {"windows": [background.BackgroundWindow("bg_0.pgm", 0.0, 30.0, [3, 17])]},
         '{\n  "windows": [\n    {\n      "file": "bg_0.pgm",\n'
         '      "sampled_indices": [\n        3,\n        17\n      ],\n'
         '      "window_end_s": 30.0,\n      "window_start_s": 0.0\n    }\n  ]\n}\n'),
@@ -200,7 +200,7 @@ GOLDEN = {
 
 # what the GOLDEN values that are not dataclasses are read back as
 READ_AS = {"events": list[AnomalyEvent],
-           "index": dict[str, list[pipeline.BackgroundWindow]]}
+           "index": dict[str, list[background.BackgroundWindow]]}
 
 
 class TestFormats:
