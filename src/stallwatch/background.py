@@ -9,8 +9,9 @@ The median is selected by a comparator network of `np.minimum` and
 `np.maximum` calls on whole frame rows: Batcher's odd-even merge sort,
 cut to the window's n samples and pruned to what the middle output needs.
 Its plan is built on first use for each n and cached for the process.
-It works in place, so the rows of a `FrameStack` handed to `median_frame`
-are scratch; `background_stream` refills its block for every window.
+It works in place, so the frames handed to `median_frame` are scratch;
+`background_stream` reads each window's frames into the rows of one
+block, which it refills for every window.
 """
 
 from __future__ import annotations
@@ -59,23 +60,6 @@ def sample_indices(window_frames: range, fraction: float, seed: int) -> list[int
     return sorted(window_frames[int(i)] for i in picks)
 
 
-class FrameStack(Sequence[Frame]):
-    """Frames of one shape held as the rows of one (n, height, width) uint8
-    array, `pixels`. `median_frame` selects in place on those rows, without
-    stacking a copy, and leaves them overwritten."""
-
-    __slots__ = ("pixels",)
-
-    def __init__(self, pixels: np.ndarray):
-        self.pixels = pixels
-
-    def __len__(self) -> int:
-        return len(self.pixels)
-
-    def __getitem__(self, index: int) -> Frame:
-        return Frame(self.pixels[index])
-
-
 def _batcher_pairs(size: int) -> list[tuple[int, int]]:
     """Comparators (i, j), i < j, of Batcher's odd-even merge sort of
     `size` wires, a power of two, in the order they run: each leaves the
@@ -120,7 +104,7 @@ def _median_plan(n: int) -> tuple[list[tuple], int]:
     return ops, row[(n - 1) // 2]
 
 
-def median_frame(frames: FrameStack) -> Frame:
+def median_frame(frames: Sequence[Frame]) -> Frame:
     """Per-pixel median; even counts take the lower-middle order statistic.
 
     The lower-middle rule keeps every output pixel an 8-bit value that was
@@ -133,21 +117,23 @@ def median_frame(frames: FrameStack) -> Frame:
     hold +inf, so the rest sorts n wires), less every comparator the
     output wire (n - 1) // 2 does not depend on; a kept comparator computes
     only the side, min or max, that a later one reads. Its plan is built once per n,
-    on first use, and cached (`_median_plan`). It runs in place on the
-    stack's rows and one spare row, and the result row is copied out.
+    on first use, and cached (`_median_plan`). It runs in place on each
+    frame's pixels, flattened (a view of C-contiguous pixels), and one
+    spare row, and the result row is copied out.
 
-    The stack's rows are scratch: they are overwritten, and their values
-    are not kept.
+    The frames are scratch: their pixels are overwritten, and their values
+    are not kept. So they must be of one shape, writable, and share no
+    memory.
     """
-    if not len(frames):
+    if not frames:
         raise EmptyInput("median of zero frames")
-    stack = frames.pixels
-    n = len(stack)
-    ops, result = _median_plan(n)
-    rows = [*stack.reshape(n, -1), np.empty(stack[0].size, dtype=np.uint8)]
+    shape = frames[0].pixels.shape
+    ops, result = _median_plan(len(frames))
+    rows = [f.pixels.reshape(-1) for f in frames]
+    rows.append(np.empty_like(rows[0]))
     for f, a, b, out in ops:
         f(rows[a], rows[b], out=rows[out])
-    return Frame(rows[result].reshape(stack.shape[1:]).copy())
+    return Frame(rows[result].reshape(shape).copy())
 
 
 def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[int, int]]:
@@ -183,10 +169,9 @@ def background_stream(
     block = np.empty((max(map(len, samples)), seq.height, seq.width), dtype=np.uint8)
     out = []
     for (start, end), indices in zip(windows, samples):
-        for row, i in zip(block, indices):
-            seq.frame(i, out=row)
+        frames = [seq.frame(i, out=row) for row, i in zip(block, indices)]
         start_s = seq.timestamp(start)
         window = BackgroundWindow(f"bg_{int(round(start_s * 1000))}.pgm", start_s,
                                   seq.timestamp(end), indices)
-        out.append((window, median_frame(FrameStack(block[:len(indices)]))))
+        out.append((window, median_frame(frames)))
     return out

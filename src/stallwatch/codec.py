@@ -19,8 +19,8 @@ rejects unknown keys itself before decoding. A value that does not fit
 its type raises `ParseError`.
 
 `dumps` is the one on-disk format: sorted keys, indent 2, final newline.
-`write_json` replaces its file atomically, through `write_atomic`, which
-`media.write_frame` also uses.
+`write_json` replaces its file atomically, through `write_atomic`, the one
+way the program writes a file.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import os
 import types
 import typing
+from collections.abc import Iterable
 from dataclasses import MISSING, Field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -134,17 +135,18 @@ def dumps(value) -> str:
     return json.dumps(encode(value), sort_keys=True, indent=2) + "\n"
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write `data` to a new file beside `path`, then rename it over `path`:
-    a reader, or the next run, sees the old file or the new one, never a
-    torn one. If the write fails, the new file is removed and the error
-    raised. The rename is not synced to disk, so a power cut may still lose
-    it."""
+def write_atomic(path: str | Path, data: bytes | Iterable) -> None:
+    """Write `data`, bytes or an iterable of buffers each written as it is
+    taken, to a new file beside `path`, then rename it over `path`: a
+    reader, or the next run, sees the old file or the new one, never a
+    torn one. If the write fails, also while the iterable is taken, the new
+    file is removed and the error raised. The rename is not synced to disk,
+    so a power cut may still lose it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

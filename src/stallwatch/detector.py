@@ -117,19 +117,18 @@ class OracleDetector(DetectorHandle):
 
 @dataclass
 class PrecomputedDetector(DetectorHandle):
-    """Reads `<frame_stem>.det.jsonl` from `directory` (or beside the frame);
-    a `directory` that is not one raises `MissingDetections`."""
+    """Reads `<frame_stem>.det.jsonl` from `directory`; a `directory` that
+    is not one raises `MissingDetections`."""
 
-    directory: Path | None = None
+    directory: Path
     vehicle_classes: tuple[str, ...] = VEHICLE_CLASSES
 
     def __post_init__(self):
-        if self.directory is not None and not self.directory.is_dir():
+        if not self.directory.is_dir():
             raise MissingDetections(f"no detection directory {self.directory}")
 
     def _detect_raw(self, path: str | Path, frame: Frame) -> Detections:
-        name = Path(path).stem + DETECTIONS_SUFFIX
-        det_path = (self.directory or Path(path).parent) / name
+        det_path = self.directory / (Path(path).stem + DETECTIONS_SUFFIX)
         if not det_path.is_file():
             raise MissingDetections(f"no detection file {det_path}")
         return read_detections(det_path)

@@ -10,7 +10,8 @@ Every reader validates its input and raises a typed error from
 A video's frames are stored FRAMES_PER_FILE to a file: segment k,
 `frames_%06d.pgm` formatted with k, is a multi-image PGM holding frames
 FRAMES_PER_FILE * k onwards, so every frame sits at a fixed byte offset
-of its segment.
+of its segment. `write_sequence` writes that format and `open_sequence`
+reads it; every file here is written through `codec.write_atomic`.
 Creating a file costs about as much as rendering a 320x240 frame, so one
 file per frame doubled the cost of writing a video. Segments stay small
 (1.2 MB at 320x240) because a whole-file read of a corpus file, such as
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import read_json, write_atomic, write_json
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, check
+from .errors import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, check
 from .errors import (
     DimensionMismatch,
     InvalidBBox,
@@ -198,9 +199,7 @@ class Frame:
         if arr.ndim != 2:
             raise DimensionMismatch(f"frame must be 2-D, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if arr.min(initial=0) < 0 or arr.max(initial=0) > 255:
-                raise ParseError("pixel values outside [0, 255]")
-            arr = arr.astype(np.uint8)
+            raise InvalidParam(f"frame must be uint8, got {arr.dtype}")
         self.pixels = arr
 
     @property
@@ -234,16 +233,6 @@ def write_frame(frame: Frame, path: str | Path) -> None:
     """`frame` as one PGM image, the whole file at `path`, replaced
     atomically (`codec.write_atomic`)."""
     write_atomic(path, _header(frame.width, frame.height) + frame.pixels.tobytes())
-
-
-def frame_record(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """A buffer for one `width` x `height` image as `write_frame` writes
-    it, its header filled in, and the (height, width) view of its pixels.
-    For each frame, fill the view, then write the whole buffer."""
-    header = _header(width, height)
-    record = np.empty(len(header) + width * height, dtype=np.uint8)
-    record[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    return record, record[len(header):].reshape(height, width)
 
 
 # the longest header of a frame whose sides fit in a file (each below 2**63)
@@ -323,7 +312,8 @@ class SequenceMeta:
     height: int
 
     def __post_init__(self):
-        check(ParseError, self, fps=POSITIVE, frame_count=NON_NEGATIVE)
+        check(ParseError, self, fps=POSITIVE, frame_count=NON_NEGATIVE,
+              width=AT_LEAST_1, height=AT_LEAST_1)
 
 
 @dataclass(frozen=True)
@@ -385,10 +375,35 @@ def open_sequence(dir_path: str | Path) -> FrameSequence:
     return seq
 
 
-def write_sequence_meta(directory: str | Path, video_id: str, fps: float,
-                        frame_count: int, width: int, height: int) -> None:
-    write_json(Path(directory, "meta.json"),
-               SequenceMeta(video_id, fps, frame_count, width, height))
+def _records(meta: SequenceMeta, frames, first: int):
+    """The header and the pixels of each frame of the segment that starts
+    at frame `first`, taken from the iterator `frames` as they are asked for."""
+    header = _header(meta.width, meta.height)
+    for i in range(first, min(first + FRAMES_PER_FILE, meta.frame_count)):
+        frame = next(frames, None)
+        if frame is None:
+            raise InvalidParam(f"{meta.video_id}: frame {i} of {meta.frame_count} not given")
+        if frame.pixels.shape != (meta.height, meta.width):
+            raise DimensionMismatch(f"{meta.video_id}: frame {i} is {frame.width}x"
+                                    f"{frame.height}, not {meta.width}x{meta.height}")
+        yield header
+        yield np.ascontiguousarray(frame.pixels)  # a file writes no other array
+
+
+def write_sequence(directory: str | Path, meta: SequenceMeta, frames) -> None:
+    """The frame directory that `open_sequence` reads back: each frame the
+    iterable `frames` yields, written to its segment as it is taken, then
+    `meta` as meta.json, each file through `write_atomic`. A frame not of
+    `meta`'s size raises `DimensionMismatch`, and a count of frames not
+    `meta.frame_count` `InvalidParam`; only whole segments and no meta.json
+    are left then."""
+    frames = iter(frames)
+    for first in range(0, meta.frame_count, FRAMES_PER_FILE):
+        write_atomic(Path(directory, SEGMENT_NAME % (first // FRAMES_PER_FILE)),
+                     _records(meta, frames, first))
+    if next(frames, None) is not None:
+        raise InvalidParam(f"{meta.video_id}: more than {meta.frame_count} frames given")
+    write_json(Path(directory, "meta.json"), meta)
 
 
 # ---------------------------------------------------------------------------

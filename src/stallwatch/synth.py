@@ -9,8 +9,8 @@ truth) is byte-identical for a given spec and seed.
 
 `generate` works out where every vehicle is on every frame first, as one
 array per vehicle (`VehicleSpec.track`), and renders each frame into
-buffers built once per video (`FrameBuffers`): the frame goes straight
-into its PGM record, which is written as it is.
+buffers built once per video (`FrameBuffers`). `media.write_sequence`
+writes each frame to its segment as it is rendered.
 
 A pixel is its float32 level plus its noise, `NOISE_QUANTILES[u]` scaled
 by the spec's sigma for one uniform uint8 draw `u`, rounded and clipped to
@@ -39,18 +39,16 @@ from statistics import NormalDist
 import numpy as np
 
 from .codec import read_json, write_json
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, InvalidSpec, check
+from .errors import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, InvalidSpec, check
 from .media import (
-    FRAMES_PER_FILE,
-    SEGMENT_NAME,
     BBox,
     Detections,
     Frame,
     GroundTruthEntry,
-    frame_record,
+    SequenceMeta,
     write_detections,
     write_ground_truth,
-    write_sequence_meta,
+    write_sequence,
 )
 from .sorting import LightingClass
 
@@ -185,7 +183,8 @@ class SceneSpec:
 
     def __post_init__(self):
         check(InvalidSpec, self, "scene ", seed=NON_NEGATIVE, duration=POSITIVE,
-              fps=POSITIVE, noise_sigma=NON_NEGATIVE, offroad_intensity=FINITE)
+              fps=POSITIVE, noise_sigma=NON_NEGATIVE, offroad_intensity=FINITE,
+              width=AT_LEAST_1, height=AT_LEAST_1)
         frame = f"the {self.width}x{self.height} frame"
         for name, rects in (("bands", self.bands), ("offroad_parked", self.offroad_parked)):
             for r in rects:
@@ -280,8 +279,7 @@ class FrameBuffers:
     `rng`) on each band and parked vehicle, the pixel tables of the
     constant levels (see the module docstring), and the memory each frame
     overwrites: the uint16 noise draw, its intp copy, the looked-up
-    off-road pixels and the frame's PGM record (`media.frame_record`),
-    whose pixels take the finished frame."""
+    off-road pixels and the pixels of the finished frame."""
 
     def __init__(self, spec: SceneSpec, rng: np.random.Generator):
         self.noisy = spec.noise_sigma > 0
@@ -299,7 +297,7 @@ class FrameBuffers:
         self.draws = np.zeros((n + 1) // 2, dtype=np.uint16)
         self.index = np.zeros(self.draws.size, dtype=np.intp)
         self.pairs = np.empty(self.draws.size, dtype=np.uint16)
-        self.record, self.pixels = frame_record(spec.width, spec.height)
+        self.pixels = np.empty((spec.height, spec.width), dtype=np.uint8)
 
 
 def render_frame(buffers: FrameBuffers, drawn: list[tuple[BBox, VehicleSpec]],
@@ -341,40 +339,32 @@ def render_frame(buffers: FrameBuffers, drawn: list[tuple[BBox, VehicleSpec]],
 def generate(spec: SceneSpec, out_dir: str | Path) -> list[GroundTruthEntry]:
     """Render a scene to a frame directory; returns its ground-truth stalls.
 
-    Writes meta.json, the frames in segment files frames_NNNNNN.pgm of
-    FRAMES_PER_FILE frames each (see `stallwatch.media`), foreground.jsonl
-    (oracle detections for every visible vehicle on every frame, score 1.0)
-    and scene.json.
+    Writes the frames and meta.json (`media.write_sequence`),
+    foreground.jsonl (oracle detections for every visible vehicle on every
+    frame, score 1.0) and scene.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     buffers = FrameBuffers(spec, rng)
+    n = spec.frame_count
+    drawn = drawn_boxes(spec, np.arange(n) / spec.fps)
+    write_sequence(out, SequenceMeta(spec.video_id, spec.fps, n, spec.width, spec.height),
+                   (render_frame(buffers, vehicles, rng) for vehicles in drawn))
 
     parked = [(p.bbox, p.class_label) for p in spec.offroad_parked]
     frames, boxes, labels = [], [], []  # the foreground's columns
-    n = spec.frame_count
-    drawn = drawn_boxes(spec, np.arange(n) / spec.fps)
-    for first in range(0, n, FRAMES_PER_FILE):
-        with open(out / (SEGMENT_NAME % (first // FRAMES_PER_FILE)), "wb") as segment:
-            for i in range(first, min(first + FRAMES_PER_FILE, n)):
-                render_frame(buffers, drawn[i], rng)
-                segment.write(buffers.record)
-                shown = [(box, v.class_label) for box, v in drawn[i]] + parked
-                frames += [i] * len(shown)
-                boxes += [(box.x, box.y, box.w, box.h) for box, _ in shown]
-                labels += [label for _, label in shown]
-
-    write_sequence_meta(out, spec.video_id, spec.fps, n, spec.width, spec.height)
+    for i, vehicles in enumerate(drawn):
+        shown = [(box, v.class_label) for box, v in vehicles] + parked
+        frames += [i] * len(shown)
+        boxes += [(box.x, box.y, box.w, box.h) for box, _ in shown]
+        labels += [label for _, label in shown]
     write_detections(Detections(frames, boxes, [1.0] * len(frames), labels),
                      out / FOREGROUND_FILE)
     write_json(out / SCENE_FILE, spec)
 
-    return [
-        GroundTruthEntry(video_id=spec.video_id, start=v.stall[0], end=v.stall[1])
-        for v in spec.vehicles
-        if v.stall is not None
-    ]
+    return [GroundTruthEntry(spec.video_id, *v.stall)
+            for v in spec.vehicles if v.stall is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from stallwatch.background import FrameStack
-from stallwatch.media import (
-    FRAMES_PER_FILE,
-    SEGMENT_NAME,
-    BBox,
-    Detections,
-    Frame,
-    frame_record,
-)
+from stallwatch.media import BBox, Detections, Frame
 
 
 @pytest.fixture
@@ -25,25 +17,17 @@ def make_frame(values) -> Frame:
     return Frame(np.asarray(values, dtype=np.uint8))
 
 
-def stacked(frames: list[Frame]) -> FrameStack:
-    """`frames` copied into the rows of one `FrameStack`, the input
-    `median_frame` takes; the frames themselves are left untouched."""
-    return FrameStack(np.stack([f.pixels for f in frames]))
+def scratch(frames: list[Frame]) -> list[Frame]:
+    """Copies of `frames`, each in its own memory: the input `median_frame`
+    overwrites; the frames themselves are left untouched."""
+    return [Frame(f.pixels.copy()) for f in frames]
 
 
 def frame_bytes(frame: Frame) -> bytes:
-    """`frame` as the one PGM record a segment holds of it."""
-    record, pixels = frame_record(frame.width, frame.height)
-    pixels[...] = frame.pixels
-    return record.tobytes()
-
-
-def write_segments(directory, frames: list[Frame]) -> None:
-    """`frames` as the segment files of a frame directory."""
-    for first in range(0, len(frames), FRAMES_PER_FILE):
-        name = SEGMENT_NAME % (first // FRAMES_PER_FILE)
-        (directory / name).write_bytes(b"".join(
-            map(frame_bytes, frames[first:first + FRAMES_PER_FILE])))
+    """`frame` as the one PGM record a segment holds of it: the expected
+    bytes of a record, and the parts of a file a test builds malformed on
+    purpose (well-formed videos are written by `media.write_sequence`)."""
+    return f"P5\n{frame.width} {frame.height}\n255\n".encode() + frame.pixels.tobytes()
 
 
 @dataclass(frozen=True)

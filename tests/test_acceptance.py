@@ -28,7 +28,7 @@ from stallwatch.media import (
     write_frame,
     write_ground_truth,
 )
-from stallwatch.background import FrameStack, median_frame
+from stallwatch.background import median_frame
 from stallwatch.pipeline import run_all
 from stallwatch.scoring import _match_one_video, s4
 from stallwatch.sorting import DEFAULT_K1K2, LightingClass
@@ -101,7 +101,7 @@ def test_criterion_3_median_oracle(report_line):
         h, w = rng.integers(1, 9, size=2)
         n = int(rng.integers(1, 26))
         stack = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
-        got = median_frame(FrameStack(stack.copy())).pixels
+        got = median_frame(list(map(Frame, stack.copy()))).pixels
         # brute force: sort each pixel column, take the lower middle
         want = np.sort(stack, axis=0)[(n - 1) // 2]
         if not np.array_equal(got, want):

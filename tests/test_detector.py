@@ -71,16 +71,22 @@ class TestOracle:
 
 class TestPrecomputed:
     def test_reads_sidecar_file(self, tmp_path):
+        # the detections of a frame may sit beside it: the directory is then
+        # the frame's own
         dets = [Row(0, "car", 0.9, BBox(1, 2, 3, 4))]
         write_detections(columns(dets), tmp_path / "bg_0.det.jsonl")
-        handle = PrecomputedDetector()
+        handle = PrecomputedDetector(directory=tmp_path)
         assert rows_of(handle.detect(tmp_path / "bg_0.pgm", BLANK)) == dets
 
     def test_configured_directory(self, tmp_path):
+        # `<frame stem>.det.jsonl` is read from the directory, not from
+        # beside the frame
         side = tmp_path / "dets"
         side.mkdir()
         dets = [Row(0, "truck", 0.8, BBox(5, 5, 10, 10))]
         write_detections(columns(dets), side / "bg_0.det.jsonl")
+        write_detections(columns([Row(0, "car", 0.9, BBox(1, 2, 3, 4))]),
+                         tmp_path / "bg_0.det.jsonl")
         handle = PrecomputedDetector(directory=side)
         assert rows_of(handle.detect(tmp_path / "bg_0.pgm", BLANK)) == dets
 

@@ -41,12 +41,11 @@ from stallwatch.media import (
     write_frame,
     write_ground_truth,
     write_predictions,
-    write_sequence_meta,
+    write_sequence,
     _parse_rows,
 )
 
-from conftest import (Row, columns, frame_bytes, make_frame, rows_of,
-                      write_segments)
+from conftest import Row, columns, frame_bytes, make_frame, rows_of
 
 
 # the header `write_frame` writes, for positive sides
@@ -230,14 +229,18 @@ class TestPGM:
 
     def test_read_at_offset(self, tmp_path):
         frames = [make_frame(np.full((2, 3), v)) for v in (5, 6, 7)]
-        path = tmp_path / "s.pgm"
-        path.write_bytes(b"".join(map(frame_bytes, frames)))
+        write_sequence(tmp_path, SequenceMeta("v", 1.0, 3, 3, 2), frames)
+        path = tmp_path / "frames_000000.pgm"
         record = len(b"P5\n3 2\n255\n") + 6
         assert path.stat().st_size == 3 * record
         out = np.zeros((2, 3), dtype=np.uint8)
         assert read_frame(path, out, record) == frames[1]
         assert np.array_equal(out, frames[1].pixels)
         assert read_frame(path, offset=2 * record) == frames[2]
+
+    def test_frame_takes_only_uint8(self):
+        with pytest.raises(InvalidParam, match="frame must be uint8, got float64"):
+            Frame(np.zeros((2, 3)))
 
     def test_read_without_buffer_is_read_only(self, tmp_path):
         path = tmp_path / "f.pgm"
@@ -252,9 +255,8 @@ class TestSequence:
     def _write(self, directory, count, fps=30.0, w=2, h=2):
         """A sequence whose frame i is filled with i % 256."""
         directory.mkdir(exist_ok=True)
-        write_sequence_meta(directory, "v1", fps, count, w, h)
-        write_segments(directory, [make_frame(np.full((h, w), i % 256))
-                                   for i in range(count)])
+        write_sequence(directory, SequenceMeta("v1", fps, count, w, h),
+                       [make_frame(np.full((h, w), i % 256)) for i in range(count)])
 
     def test_timestamps(self, tmp_path):
         self._write(tmp_path, 3)
@@ -333,8 +335,9 @@ class TestSequence:
 
     def test_dimension_mismatch_at_access(self, tmp_path):
         self._write(tmp_path, 2)
-        write_segments(tmp_path, [make_frame(np.zeros((2, 2))),
-                                  make_frame(np.zeros((3, 3)))])
+        (tmp_path / "frames_000000.pgm").write_bytes(
+            frame_bytes(make_frame(np.zeros((2, 2))))
+            + frame_bytes(make_frame(np.zeros((3, 3)))))
         seq = open_sequence(tmp_path)
         seq.frame(0)
         with pytest.raises(DimensionMismatch, match=r"^frame 1: .*frame is 3x3, "
@@ -368,6 +371,55 @@ class TestSequence:
         with pytest.raises(ParseError) as info:
             seq.frame(5)
         assert str(info.value) == f"frame 5: {segment} at byte 75: {error}"
+
+
+class TestWriteSequence:
+    @staticmethod
+    def frames(count):
+        """Frame i of `count`, filled with i, each yielded in the one buffer
+        as a renderer yields them."""
+        pixels = np.empty((2, 3), dtype=np.uint8)
+        for i in range(count):
+            pixels.fill(i)
+            yield Frame(pixels)
+
+    def test_round_trip_of_frames_sharing_a_buffer(self, tmp_path):
+        write_sequence(tmp_path, SequenceMeta("v", 5.0, 40, 3, 2), self.frames(40))
+        seq = open_sequence(tmp_path)
+        assert [seq.frame(i) for i in range(40)] == [
+            make_frame(np.full((2, 3), i)) for i in range(40)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "frames_000000.pgm", "frames_000001.pgm", "frames_000002.pgm", "meta.json"]
+
+    @pytest.mark.parametrize("given, error, whole", [
+        (0, "frame 0 of 19 not given", 0),
+        (16, "frame 16 of 19 not given", 1),
+        (18, "frame 18 of 19 not given", 1),
+        (20, "more than 19 frames given", 2),
+        (33, "more than 19 frames given", 2)])
+    def test_count_must_be_meta_frame_count(self, tmp_path, given, error, whole):
+        with pytest.raises(InvalidParam, match=f"^v: {error}$"):
+            write_sequence(tmp_path, SequenceMeta("v", 5.0, 19, 3, 2), self.frames(given))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"frames_{k:06d}.pgm" for k in range(whole)]
+
+    def test_frame_of_another_size(self, tmp_path):
+        frames = [make_frame(np.zeros((2, 3)))] * 17 + [make_frame(np.zeros((3, 2)))]
+        with pytest.raises(DimensionMismatch, match=r"^v: frame 17 is 2x3, not 3x2$"):
+            write_sequence(tmp_path, SequenceMeta("v", 5.0, 18, 3, 2), frames)
+        assert [p.name for p in tmp_path.iterdir()] == ["frames_000000.pgm"]
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[:, ::2], lambda a: a.T, lambda a: a[::-1]],
+        ids=["strided", "fortran", "reversed"])
+    def test_non_contiguous_frame(self, tmp_path, rng, make):
+        pixels = make(rng.integers(0, 256, (4, 6), dtype=np.uint8))
+        assert not pixels.flags.c_contiguous
+        frame = Frame(pixels)
+        write_sequence(tmp_path, SequenceMeta("v", 5.0, 1, frame.width, frame.height),
+                       [frame])
+        assert (tmp_path / "frames_000000.pgm").read_bytes() == frame_bytes(frame)
+        assert open_sequence(tmp_path).frame(0) == frame
 
 
 class TestDetections:
@@ -795,6 +847,8 @@ def file_size_limit(limit: int):
 # each writes an artifact whose size grows with n
 ARTIFACT_WRITERS = {
     "write_atomic": lambda path, n: write_atomic(path, bytes(range(256)) * n),
+    "write_atomic-chunks": lambda path, n: write_atomic(
+        path, (bytes(range(256)) for _ in range(n))),
     "write_json": lambda path, n: write_json(path, {"values": list(range(n))}),
     "write_frame": lambda path, n: write_frame(make_frame(np.full((n, 8), 7)), path),
     "write_predictions": lambda path, n: write_predictions(
@@ -808,9 +862,9 @@ ARTIFACT_WRITERS = {
 
 
 # (module, outermost function) where a file may be opened for writing: the
-# one atomic write path, and synth.generate's frame segments, whose length
-# open_sequence checks
-WRITE_SITES = {("codec", "write_atomic"), ("synth", "generate")}
+# one atomic write path, which every artifact, frame segments included,
+# goes through
+WRITE_SITES = {("codec", "write_atomic")}
 OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 

@@ -11,7 +11,7 @@ from stallwatch.media import BBox, Frame
 from stallwatch.roadmask import MaskParams, adaptive_road_mask, bbox_on_road, local_stats
 from stallwatch.sorting import LightingClass
 
-from conftest import make_frame, stacked
+from conftest import make_frame, scratch
 from mask_calibration import calibrate_mask_params
 
 
@@ -175,7 +175,7 @@ def day_background() -> Frame:
     buffers = synth.FrameBuffers(spec, rng)
     frames = [Frame(synth.render_frame(buffers, drawn, rng).pixels.copy())
               for drawn in synth.drawn_boxes(spec, np.arange(0.0, 60.0, 6.0))]
-    return background.median_frame(stacked(frames))
+    return background.median_frame(scratch(frames))
 
 
 class TestMaskThreshold:

@@ -108,6 +108,8 @@ RULES = [
     ("fps-nan", META, (), dict(fps=NAN), "fps"),
     ("fps-inf", META, (), dict(fps=INF), "fps"),
     ("frame-count-negative", META, (), dict(frame_count=-1), "frame_count"),
+    ("width-minus-320", META, (), dict(width=-320), "width"),
+    ("height-0", META, (), dict(height=0), "height"),
     # GroundTruthEntry
     ("gt-start-negative", GT, (), dict(start=-1.0), "start"),
     ("gt-start-nan", GT, (), dict(start=NAN), "start"),
@@ -121,6 +123,9 @@ RULES = [
     ("duration-inf", SCENE, (), dict(duration=INF), "duration"),
     ("scene-fps-nan", SCENE, (), dict(fps=NAN), "fps"),
     ("scene-fps-inf", SCENE, (), dict(fps=INF), "fps"),
+    ("scene-width-minus-5", SCENE, (), dict(width=-5), "scene width"),
+    ("scene-width-0", SCENE, (), dict(width=0), "scene width"),
+    ("scene-height-0", SCENE, (), dict(height=0), "scene height"),
     ("noise-nan", SCENE, (), dict(noise_sigma=NAN), "noise_sigma"),
     ("noise-negative", SCENE, (), dict(noise_sigma=-0.5), "noise_sigma"),
     ("noise-inf", SCENE, (), dict(noise_sigma=INF), "noise_sigma"),

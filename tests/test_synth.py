@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stallwatch import synth
 from stallwatch.codec import decode, encode
 from stallwatch.media import (
     FRAMES_PER_FILE,
@@ -232,6 +233,28 @@ class TestGenerate:
             own = frames[k * FRAMES_PER_FILE:(k + 1) * FRAMES_PER_FILE]
             assert (tmp_path / name).read_bytes() == b"".join(
                 b"P5\n80 60\n255\n" + frame.pixels.tobytes() for frame in own)
+
+    def test_render_failing_mid_video_leaves_only_whole_segments(self, tmp_path,
+                                                                 monkeypatch):
+        # a render that raises at frame 21 of 40 leaves segment 0 whole,
+        # no part of segment 1 (frames 16 to 31), no temporary file and no
+        # meta.json
+        spec = small_scene(duration=8.0)
+        generate(spec, tmp_path / "whole")
+        rendered = []
+
+        def failing_at_21(*args):
+            if len(rendered) == 21:
+                raise RuntimeError("render failed at frame 21")
+            rendered.append(None)
+            return render_frame(*args)
+
+        monkeypatch.setattr(synth, "render_frame", failing_at_21)
+        with pytest.raises(RuntimeError, match="frame 21"):
+            generate(spec, tmp_path / "failed")
+        assert [p.name for p in (tmp_path / "failed").iterdir()] == ["frames_000000.pgm"]
+        assert (tmp_path / "failed" / "frames_000000.pgm").read_bytes() == (
+            tmp_path / "whole" / "frames_000000.pgm").read_bytes()
 
     def test_ground_truth_matches_stalls(self, tmp_path):
         spec = small_scene(vehicles=(VehicleSpec(
