@@ -15,11 +15,11 @@ in manifest.json, and the other videos still run. Any other exception is
 a bug and stops the run. Run through decide, `run_corpus` writes
 predictions.csv from the finished videos.
 
-events.json is the one artifact read back, when the video's `stamp` file
-matches `_video_stamp` (the config less `jobs`, meta.json,
-foreground.jsonl, scene.json and a precomputed detector's .det.jsonl
-files; not the frames, see README). Every chain run removes the stamp
-first; through decide, it writes the stamp after events.json.
+events.json is the one artifact read back: when the video's `stamp` file
+matches `_video_stamp` (the config less `jobs`, meta.json, foreground.jsonl,
+scene.json and a precomputed detector's .det.jsonl files; not the frames,
+see README), unless it is missing or damaged. Every chain run removes the
+stamp first; through decide, it writes the stamp after events.json.
 
 Output layout, per corpus:
 
@@ -31,7 +31,7 @@ Output layout, per corpus:
       <video_id>/events.json
       <video_id>/stamp
       predictions.csv
-      score.json          (when gt.csv is available)
+      score.json          (when gt.csv has a stall or there is a prediction)
       manifest.json       (run-all only; lists the failed videos)
 """
 
@@ -58,7 +58,13 @@ from .detector import (
     OracleDetector,
     PrecomputedDetector,
 )
-from .errors import DetectorTimeout, MissingMetadata, StallwatchError
+from .errors import (
+    DetectorTimeout,
+    MissingMetadata,
+    ParseError,
+    StallwatchError,
+    UndefinedScore,
+)
 from .media import (
     AnomalyEvent,
     Detections,
@@ -203,16 +209,16 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     """Run the chain through `through`, a name of STAGES; returns the
     accepted events ([] before decide) and the video's `_video_stamp`, or
     the video's `VideoFailure`. Through decide, events.json is the answer
-    when the stamp file holds the stamp, and a chain run writes it after
-    events.json. A `StallwatchError` or `OSError` fails the video at the
-    stage it reached (`through` before the chain starts), its error
-    "<Type>: <video dir>: <stage>: <message>"."""
+    when the stamp file holds the stamp and it parses; a chain run writes
+    the stamp after events.json. A `StallwatchError` or `OSError` fails
+    the video at the stage it reached (`through` before the chain starts),
+    its error "<Type>: <video dir>: <stage>: <message>"."""
     stage = through
     stamp_path = out_vid / "stamp"
     try:
         stamp = _video_stamp(video_dir, out_vid, cfg, cfg_hash)
         if through == "decide" and _read(stamp_path) == stamp:
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(FileNotFoundError, ParseError):
                 return read_json(out_vid / "events.json", list[AnomalyEvent]), stamp
         stamp_path.unlink(missing_ok=True)
         chain = _chain(video_dir, out_vid, cfg)
@@ -278,9 +284,12 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
     report = None
     if gt_path.is_file():
         t0 = time.perf_counter()
-        report = score_corpus(out_dir / "predictions.csv", gt_path,
-                              out_dir / "score.json")
+        with contextlib.suppress(UndefinedScore):  # no stall, no prediction
+            report = score_corpus(out_dir / "predictions.csv", gt_path,
+                                  out_dir / "score.json")
         timings["score"] = time.perf_counter() - t0
+    if report is None:  # an earlier run's score.json would contradict it
+        (out_dir / "score.json").unlink(missing_ok=True)
 
     manifest = {
         "config_hash": cfg.content_hash(),

@@ -1,36 +1,21 @@
 """
-Corpus scoring: match predicted events to ground truth by start time,
-then compute F1, RMSE, NRMSE and the composite ranking score
-f1 * (1 - nrmse) with nrmse = min(rmse, 300) / 300.
+Corpus scoring in one pass: `score_report` groups events by video, pairs
+each video's with `match`, and in the same loop counts tp, fp and fn and
+collects the start errors. From those: F1, the start-time RMSE, NRMSE and
+the composite score f1 * (1 - nrmse) with nrmse = min(rmse, 300) / 300.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DuplicateGroundTruth, UndefinedScore
 from .media import AnomalyEvent, GroundTruthEntry
 
 MATCH_WINDOW_S = 10.0
 RMSE_CAP_S = 300.0
-
-
-@dataclass
-class MatchResult:
-    true_positives: list[tuple[AnomalyEvent, GroundTruthEntry, float]] = field(default_factory=list)
-    false_positives: int = 0
-    false_negatives: int = 0
-
-    @property
-    def tp(self) -> int:
-        return len(self.true_positives)
-
-    def extend(self, other: "MatchResult") -> None:
-        self.true_positives.extend(other.true_positives)
-        self.false_positives += other.false_positives
-        self.false_negatives += other.false_negatives
 
 
 @dataclass(frozen=True)
@@ -45,9 +30,12 @@ class ScoreReport:
     per_video: dict[str, dict]
 
 
-def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
-                     window: float) -> MatchResult:
-    pairs = sorted(
+def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
+          window: float = MATCH_WINDOW_S
+          ) -> list[tuple[AnomalyEvent, GroundTruthEntry, float]]:
+    """Greedy closest-first pairing of one video's predicted and true starts
+    within `window`: (prediction, truth, start error), closest pair first."""
+    candidates = sorted(
         (abs(p.start - g.start), gi, pi)
         for pi, p in enumerate(preds)
         for gi, g in enumerate(gts)
@@ -55,64 +43,13 @@ def _match_one_video(preds: list[AnomalyEvent], gts: list[GroundTruthEntry],
     )
     used_p: set[int] = set()
     used_g: set[int] = set()
-    result = MatchResult()
-    for err, gi, pi in pairs:
-        if pi in used_p or gi in used_g:
-            continue
-        used_p.add(pi)
-        used_g.add(gi)
-        result.true_positives.append((preds[pi], gts[gi], err))
-    result.false_positives = len(preds) - len(used_p)
-    result.false_negatives = len(gts) - len(used_g)
-    return result
-
-
-def _match_videos(preds: list[AnomalyEvent], gts: list[GroundTruthEntry]
-                  ) -> dict[str, MatchResult]:
-    """Per-video matches within MATCH_WINDOW_S, keyed by video id in
-    sorted order."""
-    by_video_p: dict[str, list[AnomalyEvent]] = defaultdict(list)
-    by_video_g: dict[str, list[GroundTruthEntry]] = defaultdict(list)
-    for p in preds:
-        by_video_p[p.video_id].append(p)
-    seen: set[tuple[str, float, float]] = set()
-    for g in gts:
-        key = (g.video_id, g.start, g.end)
-        if key in seen:
-            raise DuplicateGroundTruth(f"duplicate ground truth {key}")
-        seen.add(key)
-        by_video_g[g.video_id].append(g)
-
-    return {vid: _match_one_video(by_video_p[vid], by_video_g[vid], MATCH_WINDOW_S)
-            for vid in sorted(set(by_video_p) | set(by_video_g))}
-
-
-def _total(per_video: dict[str, MatchResult]) -> MatchResult:
-    total = MatchResult()
-    for result in per_video.values():
-        total.extend(result)
-    return total
-
-
-def match(preds: list[AnomalyEvent], gts: list[GroundTruthEntry]) -> MatchResult:
-    """Greedy closest-first matching of prediction and ground-truth starts,
-    per video, within MATCH_WINDOW_S."""
-    return _total(_match_videos(preds, gts))
-
-
-def f1(m: MatchResult) -> float:
-    denom = 2 * m.tp + m.false_positives + m.false_negatives
-    if denom == 0:
-        raise UndefinedScore("no predictions and no ground truth")
-    return 2 * m.tp / denom
-
-
-def rmse(m: MatchResult) -> float:
-    """Start-time RMSE over true positives; the cap value when there are none,
-    so the composite score degrades to 0 instead of being undefined."""
-    if m.tp == 0:
-        return RMSE_CAP_S
-    return math.sqrt(sum(err * err for _, _, err in m.true_positives) / m.tp)
+    pairs = []
+    for err, gi, pi in candidates:
+        if pi not in used_p and gi not in used_g:
+            used_p.add(pi)
+            used_g.add(gi)
+            pairs.append((preds[pi], gts[gi], err))
+    return pairs
 
 
 def s4(f1_val: float, rmse_val: float) -> tuple[float, float]:
@@ -123,25 +60,39 @@ def s4(f1_val: float, rmse_val: float) -> tuple[float, float]:
 
 def score_report(preds: list[AnomalyEvent],
                  gts: list[GroundTruthEntry]) -> ScoreReport:
-    by_video = _match_videos(preds, gts)
-    total = _total(by_video)
-    f1_val = f1(total)
-    rmse_val = rmse(total)
-    nrmse_val, s4_val = s4(f1_val, rmse_val)
+    """Match within MATCH_WINDOW_S per video, never across videos. With no
+    pair the RMSE is the cap, so s4 is 0; with no event, F1 is undefined."""
+    by_video: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for p in preds:
+        by_video[p.video_id][0].append(p)
+    seen: set[tuple[str, float, float]] = set()
+    for g in gts:
+        key = (g.video_id, g.start, g.end)
+        if key in seen:
+            raise DuplicateGroundTruth(f"duplicate ground truth {key}")
+        seen.add(key)
+        by_video[g.video_id][1].append(g)
 
-    per_video = {
-        vid: {
-            "tp": sub.tp,
-            "fp": sub.false_positives,
-            "fn": sub.false_negatives,
-            "start_errors": [round(err, 6) for _, _, err in sub.true_positives],
-            "end_errors": [round(abs(p.end - g.end), 6)
-                           for p, g, _ in sub.true_positives],
+    per_video: dict[str, dict] = {}
+    errors: list[float] = []
+    for vid, (vid_preds, vid_gts) in sorted(by_video.items()):
+        pairs = match(vid_preds, vid_gts)
+        per_video[vid] = {
+            "tp": len(pairs),
+            "fp": len(vid_preds) - len(pairs),
+            "fn": len(vid_gts) - len(pairs),
+            "start_errors": [round(err, 6) for _, _, err in pairs],
+            "end_errors": [round(abs(p.end - g.end), 6) for p, g, _ in pairs],
         }
-        for vid, sub in by_video.items()
-    }
-    return ScoreReport(
-        f1=f1_val, rmse=rmse_val, nrmse=nrmse_val, s4=s4_val,
-        tp=total.tp, fp=total.false_positives, fn=total.false_negatives,
-        per_video=per_video,
-    )
+        errors += [err for _, _, err in pairs]
+
+    # every event belongs to one video: the totals are the per-video sums
+    tp = len(errors)
+    fp, fn = len(preds) - tp, len(gts) - tp
+    if 2 * tp + fp + fn == 0:
+        raise UndefinedScore("no predictions and no ground truth")
+    f1_val = 2 * tp / (2 * tp + fp + fn)
+    rmse_val = math.sqrt(sum(e * e for e in errors) / tp) if tp else RMSE_CAP_S
+    nrmse_val, s4_val = s4(f1_val, rmse_val)
+    return ScoreReport(f1=f1_val, rmse=rmse_val, nrmse=nrmse_val, s4=s4_val,
+                       tp=tp, fp=fp, fn=fn, per_video=per_video)

@@ -30,7 +30,7 @@ from stallwatch.media import (
 )
 from stallwatch.background import median_frame
 from stallwatch.pipeline import run_all
-from stallwatch.scoring import _match_one_video, s4
+from stallwatch.scoring import match, s4
 from stallwatch.sorting import DEFAULT_K1K2, LightingClass
 from stallwatch.synth import CORPUS_PRESETS
 
@@ -271,10 +271,10 @@ def test_criterion_7_matcher_oracle(report_line):
         events = [AnomalyEvent("v", s, s + 1.0, BBox(0, 0, 1, 1), 0.9)
                   for s in preds]
         gts = [GroundTruthEntry("v", s, s + 1.0) for s in gt_starts]
-        got = _match_one_video(events, gts, window)
-        got_sse = sum(e * e for _, _, e in got.true_positives)
+        got = match(events, gts, window)
+        got_sse = sum(e * e for _, _, e in got)
         want_tp, want_sse = _exhaustive_best(preds, gt_starts, window)
-        if got.tp != want_tp or abs(got_sse - (want_sse or 0.0)) > 1e-9:
+        if len(got) != want_tp or abs(got_sse - (want_sse or 0.0)) > 1e-9:
             failures += 1
     report_line(7, failures == 0,
                 f"greedy matching equals exhaustive optimum on 1000 random "
