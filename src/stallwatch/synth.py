@@ -23,15 +23,25 @@ each operation rounds the same way on one value as on a whole frame. Only
 the static rectangles of the base canvas, the textured road bands and the
 parked vehicles, keep the float path, a few thousand pixels a frame.
 
+A frame's draws are numpy's uint16 draw of half as many values as it has
+pixels, but made as whole 64-bit outputs of the PCG64 generator: see
+`_draw_words`. The bytes and the generator state after every frame are
+those of the one-value-at-a-time draw, which `TestNoiseOracle`,
+`TestTableRenderer`, `TestDrawWords` and the golden digests pin.
+
 Each spec type checks its rules in `__post_init__`, raising `InvalidSpec`,
 so a spec is valid however it was built; `load_scene`'s error names the
-file. `generate` and `corpus` check nothing.
+file. A scene's `video_id` names its directory, so it must be one path
+component. `generate` checks nothing; `corpus` checks only that no two
+of its specs share a `video_id`, whose files would overwrite each other.
 
 `corpus` renders its videos one after another in the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -39,7 +49,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .codec import read_json, write_json
-from .errors import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, InvalidSpec, check
+from .errors import (AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, InvalidParam,
+                     InvalidSpec, check)
 from .media import (
     BBox,
     Detections,
@@ -60,6 +71,12 @@ FOREGROUND_FILE = "foreground.jsonl"
 # bounded at +-2.89.
 NOISE_QUANTILES = np.array(
     [NormalDist().inv_cdf((i + 0.5) / 256) for i in range(256)], dtype=np.float32)
+
+# a video id names the video's directory under videos/: one path component
+_ONE_PATH_COMPONENT = (
+    lambda v: isinstance(v, str) and v not in ("", ".", "..")
+    and not any(c in v for c in ("/", os.sep, "\0")),
+    "one path component: not empty, '.' or '..', without '/' or NUL")
 
 
 @dataclass(frozen=True)
@@ -182,8 +199,9 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check(InvalidSpec, self, "scene ", seed=NON_NEGATIVE, duration=POSITIVE,
-              fps=POSITIVE, noise_sigma=NON_NEGATIVE, offroad_intensity=FINITE,
+        check(InvalidSpec, self, "scene ", video_id=_ONE_PATH_COMPONENT,
+              seed=NON_NEGATIVE, duration=POSITIVE, fps=POSITIVE,
+              noise_sigma=NON_NEGATIVE, offroad_intensity=FINITE,
               width=AT_LEAST_1, height=AT_LEAST_1)
         frame = f"the {self.width}x{self.height} frame"
         for name, rects in (("bands", self.bands), ("offroad_parked", self.offroad_parked)):
@@ -265,7 +283,9 @@ def _pair_table(table: np.ndarray) -> np.ndarray:
     the low byte of uint16 draw j is uint8 draw 2j, its high byte is uint8
     draw 2j + 1, and both draws leave the generator in the same state:
     `render_frame` draws half as many uint16 values as it has pixels
-    (rounded up) and gets the pixels of a one-per-pixel uint8 draw.
+    (rounded up) and gets the pixels of a one-per-pixel uint8 draw. It
+    reads them from the little-endian bytes of those words, which
+    `_draw_words` stitches together.
     """
     pairs = np.empty((256, 256, 2), dtype=np.uint8)  # [high, low, pixel]
     pairs[:, :, 0] = table
@@ -278,61 +298,111 @@ class FrameBuffers:
     the base canvas (`_base_canvas`, whose band texture it draws from
     `rng`) on each band and parked vehicle, the pixel tables of the
     constant levels (see the module docstring), and the memory each frame
-    overwrites: the uint16 noise draw, its intp copy, the looked-up
-    off-road pixels and the pixels of the finished frame."""
+    overwrites: the 32-bit words of the noise draw (`words`, whose first
+    uint16 values are the frame's `draws`), their intp copy, the looked-up
+    off-road pixels and the pixels of the finished frame.
+
+    `carry` is 1 while `rng` holds the buffered high half of a 64-bit
+    output (PCG64's `has_uint32`): it is read from the generator's state
+    once, after the base canvas, and `_draw_words` keeps it from frame to
+    frame, so `rng` must draw for nothing else in between. `rng` must be
+    PCG64, the bit generator `np.random.default_rng` builds; any other
+    raises InvalidParam. MT19937, for one, puts the first 32-bit output of
+    a 64-bit one in its high half, so the stitched words would differ.
+    """
 
     def __init__(self, spec: SceneSpec, rng: np.random.Generator):
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise InvalidParam(f"frames draw from a PCG64 generator, not "
+                               f"{type(rng.bit_generator).__name__}")
         self.noisy = spec.noise_sigma > 0
         self.noise = NOISE_QUANTILES * np.float32(spec.noise_sigma)
         self.offroad = _pair_table(_level_table(self.noise, spec.offroad_intensity))
         self.levels = {level: _level_table(self.noise, level)
                        for level in {v.intensity for v in spec.vehicles}}
         base = _base_canvas(spec, rng)
+        self.carry = rng.bit_generator.state["has_uint32"]
         self.static = []  # (rows, columns, a contiguous copy of the base there)
         for r in (*spec.bands, *spec.offroad_parked):
             rows, cols = slice(r.y, r.y + r.h), slice(r.x, r.x + r.w)
             self.static.append((rows, cols, base[rows, cols].copy()))
-        n = spec.width * spec.height
+        draws = (spec.width * spec.height + 1) // 2
         # with no noise nothing is drawn, and every pixel reads draw 0
-        self.draws = np.zeros((n + 1) // 2, dtype=np.uint16)
-        self.index = np.zeros(self.draws.size, dtype=np.intp)
-        self.pairs = np.empty(self.draws.size, dtype=np.uint16)
+        self.words = np.zeros((draws + 1) // 2, dtype=np.uint32)
+        self.draws = self.words.view(np.uint16)[:draws]
+        self.index = np.zeros(draws, dtype=np.intp)
+        self.pairs = np.empty(draws, dtype=np.uint16)
         self.pixels = np.empty((spec.height, spec.width), dtype=np.uint8)
+
+
+def _draw_words(buffers: FrameBuffers, rng: np.random.Generator) -> None:
+    """Fill `buffers.words` as `rng.integers(0, 1 << 16, dtype=np.uint16)`
+    of `buffers.draws.size` values would, words and generator state alike,
+    but from whole 64-bit outputs.
+
+    That uint16 draw takes one 32-bit word per two values through PCG64's
+    `next_uint32`, which returns the low half of a 64-bit output and keeps
+    the high half for the next call (`has_uint32`, `uinteger`). So the
+    words come in three parts: a buffered half, if `buffers.carry` says
+    there is one, through a one-word uint32 draw; then the 64-bit outputs
+    of `random_raw`, whose little-endian halves are low first; then the
+    last one or two words through a uint32 draw, so the generator ends
+    with the same buffered half as the uint16 draw. `random_raw` leaves
+    the buffer alone. For a 320x240 frame on a 2-vCPU x86-64 host, its
+    outputs took 27 us, a full-range uint64 `integers` 32 us and the
+    uint16 draw 58 us.
+    """
+    words = buffers.words
+    lead = buffers.carry
+    rest = words.size - lead
+    tail = min(rest, 2 - rest % 2)  # 0 only when the buffered half was all
+    # in this order: the tail's first word would take the buffered half
+    parts = [rng.integers(0, 1 << 32, size=1, dtype=np.uint32)] if lead else []
+    parts.append(rng.bit_generator.random_raw((rest - tail) // 2).view(np.uint32))
+    parts.append(rng.integers(0, 1 << 32, size=tail, dtype=np.uint32))
+    np.concatenate(parts, out=words)
+    buffers.carry = rest % 2
 
 
 def render_frame(buffers: FrameBuffers, drawn: list[tuple[BBox, VehicleSpec]],
                  rng: np.random.Generator) -> Frame:
     """The next frame of the video `buffers` were built for, with the
-    vehicles `drawn` (see `drawn_boxes`) drawn in; the frame shares
-    `buffers.pixels`, so the next call overwrites it.
+    vehicles `drawn` (see `drawn_boxes`) drawn in, from the `rng` the
+    buffers were built with; the frame shares `buffers.pixels`, so the
+    next call overwrites it.
 
     Its pixels are those of one uint8 draw per pixel looked up in
     `NOISE_QUANTILES`, scaled by the spec's sigma and added to the base
     canvas with the vehicles drawn in, but the draw and the off-road lookup
-    go two pixels at a time: see `_pair_table`.
+    go two pixels at a time (see `_pair_table`), and the draw is made of
+    64-bit generator outputs (see `_draw_words`). The arrays' own `take`
+    and the ufuncs are called directly: `np.take` and `np.clip` would add
+    a wrapper call each, thousands per corpus.
     """
     pixels = buffers.pixels
     draws = buffers.draws
     if buffers.noisy:  # else `rng` is left as it was
-        draws = rng.integers(0, 1 << 16, size=draws.size, dtype=np.uint16)
+        _draw_words(buffers, rng)
         np.copyto(buffers.index, draws)
     # `take`, not indexing: 40% faster here. Given intp indices and
     # "wrap", which cannot change a uint16 index, it gathers straight
     # into `out`; the default "raise" copies through a second buffer
-    np.take(buffers.offroad, buffers.index, out=buffers.pairs, mode="wrap")
+    buffers.offroad.take(buffers.index, out=buffers.pairs, mode="wrap")
     np.copyto(pixels.reshape(-1), buffers.pairs.view(np.uint8)[:pixels.size])
     u = draws.view(np.uint8)[:pixels.size].reshape(pixels.shape)
     for rows, cols, base in buffers.static:
-        patch = np.take(buffers.noise, u[rows, cols])
+        patch = buffers.noise.take(u[rows, cols])
         patch += base
         np.rint(patch, out=patch)
-        np.clip(patch, 0, 255, out=patch)
+        # the pixel range, as `np.clip` would give it for finite values
+        np.maximum(patch, 0, out=patch)
+        np.minimum(patch, 255, out=patch)
         np.copyto(pixels[rows, cols], patch, casting="unsafe")
     # a vehicle's pixels are its level plus their noise, whatever it is
     # drawn over; the last one drawn wins
     for box, v in drawn:
-        pixels[box.y : box.y2, box.x : box.x2] = np.take(
-            buffers.levels[v.intensity], u[box.y : box.y2, box.x : box.x2])
+        pixels[box.y : box.y2, box.x : box.x2] = buffers.levels[v.intensity].take(
+            u[box.y : box.y2, box.x : box.x2])
     return Frame(pixels)
 
 
@@ -505,13 +575,16 @@ def corpus(out_dir: str | Path, seed: int = 0,
 
     A spec checks itself when it is built, so every spec given is valid;
     with `specs` None, an invalid `seed` raises InvalidSpec before any
-    directory is made. The videos render one after another, in spec
-    order, in the calling thread. The first error stops the run: it is
-    raised as its own type, the videos after it are not rendered and no
-    gt.csv is written.
+    directory is made, and so do two specs with one `video_id`. The
+    videos render one after another, in spec order, in the calling
+    thread. The first error stops the run: it is raised as its own type,
+    the videos after it are not rendered and no gt.csv is written.
     """
     if specs is None:
         specs = corpus_specs(seed)
+    repeated = [i for i, count in Counter(s.video_id for s in specs).items() if count > 1]
+    if repeated:
+        raise InvalidSpec(f"video ids must differ: {', '.join(map(repr, repeated))} repeat")
     root = Path(out_dir)
     videos = root / "videos"
     videos.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,8 @@ is built through every route that builds that type: the owner's
 constructor, `dataclasses.replace` on the owner, and the reader of the
 file that holds `top` (`PipelineConfig.from_obj`, `load_scene`,
 `open_sequence`, `read_ground_truth`). Config cases also go through the
-CLI's `--config`, which exits 2.
+CLI's `--config`, which exits 2, and video id cases of a scene through
+`make_scene`.
 
 Each case of TYPE_RULES is a JSON value of the wrong type for its field,
 which only the JSON readers and `--config` are given: an int field takes
@@ -25,7 +26,7 @@ import pytest
 from stallwatch.cli import EXIT_CONFIG, run
 from stallwatch.codec import encode
 from stallwatch.config import PipelineConfig
-from stallwatch.errors import ConfigError, ParseError, StallwatchError
+from stallwatch.errors import ConfigError, InvalidSpec, ParseError, StallwatchError
 from stallwatch.media import (
     GT_HEADER,
     GroundTruthEntry,
@@ -35,7 +36,14 @@ from stallwatch.media import (
 )
 from stallwatch.roadmask import MaskParams
 from stallwatch.sorting import LightingClass
-from stallwatch.synth import ParkedVehicle, RoadBand, SceneSpec, VehicleSpec, load_scene
+from stallwatch.synth import (
+    ParkedVehicle,
+    RoadBand,
+    SceneSpec,
+    VehicleSpec,
+    load_scene,
+    make_scene,
+)
 
 NAN, INF = math.nan, math.inf
 
@@ -116,7 +124,13 @@ RULES = [
     ("gt-end-nan", GT, (), dict(end=NAN), "end"),
     ("gt-end-inf", GT, (), dict(end=INF), "end"),
     ("gt-end-before-start", GT, (), dict(end=0.5), "end"),
-    # SceneSpec
+    # SceneSpec; a video id names the video's directory
+    ("video-id-empty", SCENE, (), dict(video_id=""), "video_id"),
+    ("video-id-dot", SCENE, (), dict(video_id="."), "video_id"),
+    ("video-id-dot-dot", SCENE, (), dict(video_id=".."), "video_id"),
+    ("video-id-nested", SCENE, (), dict(video_id="a/b"), "video_id"),
+    ("video-id-escaping", SCENE, (), dict(video_id="../escaped"), "video_id"),
+    ("video-id-nul", SCENE, (), dict(video_id="v\0"), "video_id"),
     ("seed-negative", SCENE, (), dict(seed=-1), "seed"),
     ("duration-0", SCENE, (), dict(duration=0.0), "duration"),
     ("duration-nan", SCENE, (), dict(duration=NAN), "duration"),
@@ -200,6 +214,7 @@ TYPE_RULES = [
 ]
 FILE_CASES = [case for case in RULES if not isinstance(case[1], MaskParams)] + TYPE_RULES
 CONFIG_CASES = [case for case in RULES + TYPE_RULES if case[1] is CONFIG]
+VIDEO_ID_CASES = [case for case in RULES if case[1] is SCENE and "video_id" in case[3]]
 
 
 def owner_of(top, path):
@@ -275,6 +290,13 @@ class TestEveryRoute:
         assert printed.out == ""
         assert printed.err.startswith("config error: ")
         assert words in printed.err
+
+    @pytest.mark.parametrize("name, top, path, changes, words", VIDEO_ID_CASES,
+                             ids=[case[0] for case in VIDEO_ID_CASES])
+    def test_make_scene(self, name, top, path, changes, words):
+        with pytest.raises(InvalidSpec, match=words):
+            make_scene(changes["video_id"], LightingClass.DAY, False, (1.0, 8.0),
+                       False, seed=0, duration=10.0)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_cli_jobs(self, capsys, jobs):

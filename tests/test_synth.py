@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stallwatch import synth
 from stallwatch.codec import decode, encode
+from stallwatch.errors import InvalidParam, InvalidSpec
 from stallwatch.media import (
     FRAMES_PER_FILE,
     SEGMENT_NAME,
@@ -375,6 +376,15 @@ class TestCorpusRun:
         assert (videos / "day_stall" / "scene.json").is_file()
         assert not (videos / "snow_parked").exists()
 
+    def test_a_repeated_video_id_stops_the_run_before_any_directory(self, tmp_path):
+        # the second video's files would overwrite the first's, and gt.csv
+        # would list a stall that no video shows
+        specs = [make_scene("v", LightingClass.DAY, False, stall, False, seed=1,
+                            duration=10.0, fps=2.0) for stall in ((1.0, 8.0), None)]
+        with pytest.raises(InvalidSpec, match="'v'"):
+            corpus(tmp_path / "out", specs=specs)
+        assert not (tmp_path / "out").exists()
+
 
 class TestRenderFrame:
     def test_drawn_boxes_match_box_at(self):
@@ -613,3 +623,38 @@ class TestTableRenderer:
             t = i / spec.fps
             assert np.array_equal(frame.pixels, oracle_frame(spec, base, t, theirs)), i
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestDrawWords:
+    """A frame's draws are stitched from whole 64-bit outputs, and equal,
+    with the generator state after them, the uint16 draw they stand for."""
+
+    @given(pixels=st.integers(1, 64), frames=st.integers(1, 6),
+           buffered=st.booleans(), seed=st.integers(0, 2**32))
+    @example(pixels=1, frames=6, buffered=True, seed=0)  # all lead, then none
+    @example(pixels=2, frames=3, buffered=False, seed=0)
+    @example(pixels=61, frames=6, buffered=True, seed=1)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_draws_and_state_equal_the_uint16_draw(self, pixels, frames, buffered, seed):
+        # pixels 1-64: every residue mod 4, so of words per frame mod 2
+        spec = small_scene(width=pixels, height=1, bands=(RoadBand(0, 0, 1, 1, 70.0, 3.0),),
+                           vehicles=(), seed=seed)
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        if buffered:  # each holds the high half of a 64-bit output
+            for rng in (ours, theirs):
+                rng.integers(0, 1 << 32, dtype=np.uint32)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        buffers = FrameBuffers(spec, ours)
+        _base_canvas(spec, theirs)
+        for i in range(frames):
+            render_frame(buffers, [], ours)
+            expected = theirs.integers(0, 1 << 16, (pixels + 1) // 2, dtype=np.uint16)
+            assert np.array_equal(buffers.draws, expected), i
+            assert ours.bit_generator.state == theirs.bit_generator.state, i
+
+    def test_another_bit_generator_is_refused_before_any_draw(self):
+        rng, twin = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        with pytest.raises(InvalidParam, match="PCG64 generator, not MT19937"):
+            FrameBuffers(small_scene(), rng)
+        assert rng.integers(0, 1 << 32, size=4).tolist() == \
+               twin.integers(0, 1 << 32, size=4).tolist()
