@@ -1,13 +1,13 @@
 """
 Anomaly confirmation: the decision tree over one video's detections.
 
-A vehicle that survives the background median is a candidate; candidates off
-the road mask (a bool array) are discarded as parked. The rest are confirmed
-by how often foreground detections overlap them, one vectorised IoU of each
-candidate against the foreground columns: `decide` takes the candidate and
-its sorted supporting frames, whose first and last give the event's start
-and end. Nothing here reads files or runs the detector;
-`pipeline.process_video` computes the inputs once per video.
+A vehicle that survives the background median is a candidate; one with less
+than `min_road_overlap` of its box on the road mask is discarded as parked.
+The rest are confirmed by how often foreground detections overlap them, one
+vectorised IoU of each candidate against the foreground columns: `decide`
+takes the candidate and its sorted supporting frames, whose first and last
+give the event's start and end. Nothing here reads files or runs the
+detector; `pipeline.process_video` computes the inputs once per video.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AT_LEAST_1, FRACTION, NON_NEGATIVE, POSITIVE, InvalidParam, check
+from .errors import AT_LEAST_1, FRACTION, NON_NEGATIVE, POSITIVE, SHARE, InvalidParam, check
 from .media import AnomalyEvent, BBox, Detections
-from .roadmask import bbox_on_road
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -36,6 +35,7 @@ class DecisionParams:
 
     score_min: float = 0.5
     area_min: float = 0.001          # fraction of frame area
+    min_road_overlap: float = 0.2    # fraction of box area on the road mask
     iou_support: float = 0.3
     iou_merge: float = 0.5
     min_support_seconds: float = 1.0  # converted to frames at the video fps
@@ -44,9 +44,9 @@ class DecisionParams:
 
     def __post_init__(self):
         check(InvalidParam, self, "decision threshold ", score_min=FRACTION,
-              area_min=NON_NEGATIVE, iou_support=FRACTION, iou_merge=FRACTION,
-              min_support_seconds=POSITIVE, min_support_density=FRACTION,
-              min_windows=AT_LEAST_1)
+              area_min=NON_NEGATIVE, min_road_overlap=SHARE, iou_support=FRACTION,
+              iou_merge=FRACTION, min_support_seconds=POSITIVE,
+              min_support_density=FRACTION, min_windows=AT_LEAST_1)
 
     def min_support_frames(self, fps: float) -> int:
         return max(1, int(round(self.min_support_seconds * fps)))
@@ -66,7 +66,6 @@ def extract_candidates(
     bg_detections: list[tuple[float, Detections]],
     mask: np.ndarray,
     params: DecisionParams,
-    min_overlap: float,
 ) -> list[Candidate]:
     """Gate detections on score, area (a share of the mask's) and road overlap."""
     out: list[Candidate] = []
@@ -77,7 +76,8 @@ def extract_candidates(
                 continue
             if bbox.area < params.area_min * mask.size:
                 continue
-            if not bbox_on_road(bbox, mask, min_overlap):
+            road = int(mask[bbox.y:bbox.y2, bbox.x:bbox.x2].sum())
+            if road / bbox.area < params.min_road_overlap:
                 continue
             out.append(Candidate(bbox=bbox, score=score, first_seen=window_start))
     return out
@@ -174,7 +174,6 @@ def detect_anomalies(
     per_window: list[tuple[float, Detections]],
     foreground: Detections,
     params: DecisionParams,
-    min_overlap: float,
     fps: float,
     video_id: str,
 ) -> list[AnomalyEvent]:
@@ -185,7 +184,7 @@ def detect_anomalies(
     detections) for every background window, and `foreground` is the
     video's foreground detection columns.
     """
-    cands = extract_candidates(per_window, road, params, min_overlap=min_overlap)
+    cands = extract_candidates(per_window, road, params)
     cands = merge_candidates(cands, params.iou_merge)
 
     events = []

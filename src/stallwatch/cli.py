@@ -73,9 +73,6 @@ def _require(path: Path, what: str) -> None:
 
 
 def run(argv: list[str]) -> int:
-    if argv and argv[0] in ("-h", "--help"):
-        build_parser().print_help()
-        return EXIT_OK
     if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
         print(f"unknown subcommand {argv[0]!r}; choose from "
               f"{', '.join(SUBCOMMANDS)}", file=sys.stderr)
@@ -125,9 +122,6 @@ def run(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"{stage}: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except ConfigError as exc:
-        print(f"{stage}: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except StallwatchError as exc:
         print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

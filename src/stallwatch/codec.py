@@ -158,10 +158,10 @@ def write_json(path: str | Path, value) -> None:
 
 
 def read_json(path: str | Path, cls):
-    """Parse and decode one JSON file; a malformed file raises `ParseError`
+    """Parse and decode one UTF-8 JSON file; a malformed file raises `ParseError`
     naming it, also one nested too deep to parse. A missing file raises
     `FileNotFoundError`."""
     try:
-        return decode(cls, json.loads(Path(path).read_text()))
+        return decode(cls, json.loads(Path(path).read_text(encoding="utf-8")))
     except (ValueError, RecursionError, StallwatchError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

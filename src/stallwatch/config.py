@@ -16,8 +16,8 @@ from pathlib import Path
 from .anomaly import DecisionParams
 from .codec import decode, encode, read_json
 from .detector import TIMEOUT_S, VEHICLE_CLASSES
-from .errors import AT_LEAST_1, ConfigError, InvalidParam, ParseError, check
-from .roadmask import DEFAULT_BLOCK, DEFAULT_MIN_OVERLAP, MaskParams
+from .errors import AT_LEAST_1, SHARE, ConfigError, InvalidParam, ParseError, check
+from .roadmask import DEFAULT_BLOCK, MaskParams
 from .sorting import DEFAULT_K1K2, LightingClass
 
 
@@ -45,7 +45,6 @@ class PipelineConfig:
     seed: int = 0
     background_fraction: float = 0.10
     histogram_stride: int = 30
-    mask_min_overlap: float = DEFAULT_MIN_OVERLAP
     mask_block: int = DEFAULT_BLOCK
     # (k1, k2) per lighting class, keyed by the class value
     k1k2: dict[str, list[float]] = field(default_factory=lambda: {
@@ -57,8 +56,7 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        share = (lambda v: 0 < v <= 1, "in (0, 1]")
-        check(ConfigError, self, background_fraction=share, mask_min_overlap=share,
+        check(ConfigError, self, background_fraction=SHARE,
               histogram_stride=AT_LEAST_1, jobs=AT_LEAST_1)
         for cls in LightingClass:
             if cls.value not in self.k1k2:

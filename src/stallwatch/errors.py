@@ -97,6 +97,7 @@ FINITE = (math.isfinite, "finite")
 POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
+SHARE = (lambda v: 0 < v <= 1, "in (0, 1]")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 
 

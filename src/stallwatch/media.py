@@ -544,9 +544,15 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
     write_atomic(path, text.getvalue().encode())
 
 
+def _exact(v: float) -> str:
+    """`v` in `:g` form when that reads back as `v`, else its `repr`."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def write_ground_truth(entries: list[GroundTruthEntry], path: str | Path) -> None:
     _write_csv(path, GT_HEADER,
-               ([e.video_id, f"{e.start:g}", f"{e.end:g}"] for e in entries))
+               ([e.video_id, _exact(e.start), _exact(e.end)] for e in entries))
 
 
 def read_predictions(path: str | Path) -> list[AnomalyEvent]:

@@ -128,6 +128,9 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     """One value per name of STAGES, in order, each computed and written
     when the chain is advanced to it."""
     seq = open_sequence(video_dir)
+    if seq.video_id != video_dir.name:
+        raise ParseError(f"{video_dir / 'meta.json'}: video_id {seq.video_id!r} "
+                         f"is not the directory name {video_dir.name!r}")
     foreground = read_detections(video_dir / synth.FOREGROUND_FILE)
     category = sorting.sort_video(seq, foreground, stride=cfg.histogram_stride)
     out_vid.mkdir(parents=True, exist_ok=True)
@@ -165,13 +168,8 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
             per_window.append((window.window_start_s, dets))
     yield per_window
 
-    events = anomaly.detect_anomalies(
-        road, per_window, foreground,
-        params=cfg.decision,
-        min_overlap=cfg.mask_min_overlap,
-        fps=seq.fps,
-        video_id=seq.video_id,
-    )
+    events = anomaly.detect_anomalies(road, per_window, foreground, cfg.decision,
+                                      fps=seq.fps, video_id=seq.video_id)
     write_json(out_vid / "events.json", events)
     yield events
 

@@ -9,8 +9,8 @@ as road iff
 applied exactly as printed in the source method; k1 and k2 come from the
 video-sorting step. A mask is a 2-D bool array, True on road; the
 pipeline ORs a video's per-window masks into one and writes it as
-mask.pgm (0/255). Candidate boxes that do not overlap the mask are later
-rejected as off-road (parked) vehicles.
+mask.pgm (0/255). This module only makes masks; the decision tree's
+`anomaly.extract_candidates` rejects off-road (parked) candidates on them.
 
 mu and sigma come from exact integer window sums of the pixels and their
 squares in a zero-padded buffer, by doubling shifted adds along each axis
@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, InvalidBBox, InvalidParam, check
-from .media import BBox, Frame
+from .errors import POSITIVE, InvalidParam, check
+from .media import Frame
 
 DEFAULT_BLOCK = 31
-DEFAULT_MIN_OVERLAP = 0.2
 
 
 @dataclass(frozen=True)
@@ -119,15 +118,3 @@ def adaptive_road_mask(background: Frame, params: MaskParams) -> np.ndarray:
     """The road bits of `background`, as a bool array of its shape."""
     mu, sigma = local_stats(background, params.block)
     return _road_bits(background.pixels, mu, sigma, params.k1, params.k2)
-
-
-def bbox_on_road(bbox: BBox, mask: np.ndarray, min_overlap: float = DEFAULT_MIN_OVERLAP) -> bool:
-    """True iff at least min_overlap of the box area lies on road pixels."""
-    height, width = mask.shape
-    if bbox.x2 > width or bbox.y2 > height:
-        raise InvalidBBox(
-            f"box ({bbox.x},{bbox.y},{bbox.w},{bbox.h}) outside {width}x{height} mask"
-        )
-    road = int(mask[bbox.y : bbox.y2, bbox.x : bbox.x2].sum())
-    return road / bbox.area >= min_overlap
-

@@ -63,22 +63,42 @@ class TestExtract:
         low_score = det(40, 10, 16, 6, score=0.4)
         tiny = det(70, 10, 5, 5)  # 25 px < 0.001 * 76800
         cands = extract_candidates([(0.0, columns([good, low_score, tiny]))],
-                                   mask, params, min_overlap=0.2)
+                                   mask, params)
         assert [c.bbox for c in cands] == [good.bbox]
         # the area gate is a share of the mask's size: 9 px >= 0.001 * 4800,
         # but 9 px < 0.001 * 76800
         box = columns([det(10, 10, 3, 3)])
-        small = extract_candidates([(0.0, box)], full_mask(80, 60), params,
-                                   min_overlap=0.2)
+        small = extract_candidates([(0.0, box)], full_mask(80, 60), params)
         assert [c.bbox for c in small] == [BBox(10, 10, 3, 3)]
-        assert extract_candidates([(0.0, box)], mask, params, min_overlap=0.2) == []
+        assert extract_candidates([(0.0, box)], mask, params) == []
 
     def test_off_road_rejected(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:130, :] = True
         cands = extract_candidates([(0.0, columns([det(10, 10), det(10, 110)]))],
-                                   bits, DecisionParams(), min_overlap=0.2)
+                                   bits, DecisionParams())
         assert [c.bbox for c in cands] == [BBox(10, 110, 16, 6)]
+
+    @staticmethod
+    def kept_on_band(box, params=DecisionParams()):
+        """The boxes of `box`'s candidates on a 20x20 mask whose rows 5-14
+        are road."""
+        mask = np.zeros((20, 20), dtype=bool)
+        mask[5:15, :] = True
+        dets = columns([det(box.x, box.y, box.w, box.h)])
+        return [c.bbox for c in extract_candidates([(0.0, dets)], mask, params)]
+
+    def test_fully_on_road(self):
+        assert self.kept_on_band(BBox(2, 6, 4, 4)) == [BBox(2, 6, 4, 4)]
+
+    def test_fully_off_road(self):
+        assert self.kept_on_band(BBox(0, 0, 4, 4)) == []
+
+    def test_road_overlap_threshold(self):
+        # box rows 3..12, road rows 5..14: 8 of 10 rows covered
+        box = BBox(0, 3, 4, 10)
+        assert self.kept_on_band(box, DecisionParams(min_road_overlap=0.8)) == [box]
+        assert self.kept_on_band(box, DecisionParams(min_road_overlap=0.81)) == []
 
 
 class TestMerge:
@@ -236,7 +256,7 @@ class TestDecide:
                       (30.0, columns([det(10, y)]))]
         foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
         return detect_anomalies(road, per_window, foreground,
-                                DecisionParams(), min_overlap=0.2, fps=self.fps,
+                                DecisionParams(), fps=self.fps,
                                 video_id="v1")
 
     def test_detect_anomalies_on_road_event(self):

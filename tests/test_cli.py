@@ -189,6 +189,7 @@ class TestStages:
 
         bad = corpus / "videos" / "bad"
         shutil.copytree(corpus / "videos" / "clean", bad)
+        rename_video(bad)
         (bad / "foreground.jsonl").write_text("")
         assert run(["run-all", "--corpus", str(corpus),
                     "--out", str(out)]) == EXIT_FAILURE
@@ -218,8 +219,9 @@ class TestStages:
 
 def linked_corpus(mini_corpus: Path, corpus: Path, names=("mini_day_stall",)) -> Path:
     """The mini corpus's video under each of `names`: its small files
-    copied, its frame segments hard-linked, so that a test may overwrite
-    the small files without touching the fixture."""
+    copied, its meta.json naming the copy, its frame segments hard-linked,
+    so that a test may overwrite the small files without touching the
+    fixture."""
     src = mini_corpus / "videos" / "mini_day_stall"
     corpus.mkdir()
     shutil.copy(mini_corpus / "gt.csv", corpus)
@@ -228,9 +230,18 @@ def linked_corpus(mini_corpus: Path, corpus: Path, names=("mini_day_stall",)) ->
         video.mkdir(parents=True)
         for small in ("meta.json", "scene.json", "foreground.jsonl"):
             shutil.copy(src / small, video)
+        rename_video(video)
         for segment in src.glob("frames_*.pgm"):
             os.link(segment, video / segment.name)
     return corpus
+
+
+def rename_video(video: Path, video_id: str | None = None) -> None:
+    """Rewrite `video`'s meta.json with `video_id`, by default its
+    directory's name, which is the id a video must have."""
+    meta = json.loads((video / "meta.json").read_text())
+    meta["video_id"] = video_id or video.name
+    (video / "meta.json").write_text(json.dumps(meta))
 
 
 def tree_digests(root: Path) -> dict[str, str]:
@@ -240,6 +251,28 @@ def tree_digests(root: Path) -> dict[str, str]:
 
 
 class TestStageChain:
+    def test_a_meta_json_naming_another_video_fails_that_video(
+            self, mini_corpus, tmp_path, capsys):
+        """A video's id is its directory's name: a meta.json that names
+        another video fails its own video at sort, and the other video's
+        predictions are those it has beside a well-named copy."""
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus", ("a", "b"))
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(tmp_path / "named")]) == EXIT_OK
+        named = read_predictions(tmp_path / "named" / "predictions.csv")
+        assert [p.video_id for p in named] == ["a", "b"]
+
+        rename_video(corpus / "videos" / "b", "a")
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert [(f["video"], f["stage"]) for f in failures] == [("b", "sort")]
+        meta = corpus / "videos" / "b" / "meta.json"
+        assert (f"run-all: ParseError: b: sort: {meta}: video_id 'a' is not "
+                f"the directory name 'b'") in capsys.readouterr().err
+        assert read_predictions(out / "predictions.csv") == named[:1]
+
     def test_chain_error_names_the_video_and_stage(self, mini_corpus, tmp_path,
                                                    capsys):
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
@@ -888,6 +921,16 @@ class TestHardNegatives:
         assert preds[0].start == pytest.approx(10.0, abs=2.0)
 
 
+def python(*args: str, **env: str) -> str:
+    """The stdout of a fresh interpreter run with `args`, which imports
+    this stallwatch, under the environment and `env`."""
+    src = str(Path(stallwatch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], check=True,
+                          env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: a fresh interpreter importing the CLI
     and building its config has no scipy module loaded."""
@@ -895,9 +938,15 @@ def test_cli_import_loads_no_scipy():
             "from stallwatch.config import PipelineConfig\n"
             "PipelineConfig.from_obj({})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(stallwatch.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert python("-c", code).strip() == "[]"
+
+
+def test_config_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    """A UTF-8 config is read as UTF-8 whatever the locale's encoding:
+    here ASCII, with locale coercion and UTF-8 mode off."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"detector": {"command": ["/opt/détecteur"]}},
+                               ensure_ascii=False).encode())
+    out = python("-m", "stallwatch.cli", "--config", str(cfg), "--dump-config",
+                 PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
+    assert json.loads(out)["detector"]["command"] == ["/opt/détecteur"]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stallwatch
@@ -828,6 +828,17 @@ class TestGroundTruth:
         path.write_text("video_id,start_seconds,end_seconds\nv1,abc,10\n")
         with pytest.raises(ParseError):
             read_ground_truth(path)
+
+    @given(st.lists(st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2, unique=True).map(sorted))
+    @example([40.123456, 280.0])
+    @example([1234.5678, 2000.0])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_written_times_read_back_exactly(self, tmp_path_factory, interval):
+        entry = GroundTruthEntry("v1", *interval)
+        path = tmp_path_factory.mktemp("gt") / "gt.csv"
+        write_ground_truth([entry], path)
+        assert read_ground_truth(path) == [entry]
 
 
 @contextmanager

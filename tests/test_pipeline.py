@@ -186,14 +186,15 @@ GOLDEN = {
         PipelineConfig(),
         '{\n  "background_fraction": 0.1,\n  "decision": {\n'
         '    "area_min": 0.001,\n    "iou_merge": 0.5,\n    "iou_support": 0.3,\n'
-        '    "min_support_density": 0.3,\n    "min_support_seconds": 1.0,\n'
-        '    "min_windows": 2,\n    "score_min": 0.5\n  },\n  "detector": {\n'
+        '    "min_road_overlap": 0.2,\n    "min_support_density": 0.3,\n'
+        '    "min_support_seconds": 1.0,\n    "min_windows": 2,\n'
+        '    "score_min": 0.5\n  },\n  "detector": {\n'
         '    "command": [],\n    "directory": null,\n    "kind": "oracle",\n'
         '    "timeout": 30.0\n  },\n  "histogram_stride": 30,\n  "jobs": 1,\n'
         '  "k1k2": {\n    "day": [\n      2.0,\n      0.6\n    ],\n'
         '    "night": [\n      2.0,\n      0.6\n    ],\n    "snow": [\n'
         '      2.0,\n      0.6\n    ]\n  },\n  "mask_block": 31,\n'
-        '  "mask_min_overlap": 0.2,\n  "seed": 0,\n  "vehicle_classes": [\n'
+        '  "seed": 0,\n  "vehicle_classes": [\n'
         '    "car",\n    "truck",\n    "bus"\n  ]\n}\n'),
 }
 

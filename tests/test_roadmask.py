@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stallwatch import background, synth
-from stallwatch.errors import DimensionMismatch, InvalidBBox, InvalidParam
-from stallwatch.media import BBox, Frame
-from stallwatch.roadmask import MaskParams, adaptive_road_mask, bbox_on_road, local_stats
+from stallwatch.errors import DimensionMismatch, InvalidParam
+from stallwatch.media import Frame
+from stallwatch.roadmask import MaskParams, adaptive_road_mask, local_stats
 from stallwatch.sorting import LightingClass
 
 from conftest import make_frame, scratch
@@ -198,29 +198,6 @@ class TestMaskThreshold:
     def test_day_background_is_part_road(self, day_background):
         bits = adaptive_road_mask(day_background, MaskParams(k1=2.0, k2=0.6))
         assert 0.05 < bits.mean() < 0.95
-
-
-class TestBBoxOnRoad:
-    def setup_method(self):
-        self.mask = np.zeros((20, 20), dtype=bool)
-        self.mask[5:15, :] = True
-
-    def test_fully_on(self):
-        assert bbox_on_road(BBox(2, 6, 4, 4), self.mask)
-
-    def test_fully_off(self):
-        assert not bbox_on_road(BBox(0, 0, 4, 4), self.mask)
-
-    def test_partial_overlap_threshold(self):
-        # box rows 3..12, road rows 5..14: 8 of 10 rows covered
-        box = BBox(0, 3, 4, 10)
-        assert bbox_on_road(box, self.mask, min_overlap=0.8)
-        assert not bbox_on_road(box, self.mask, min_overlap=0.81)
-
-    def test_out_of_bounds_box(self):
-        with pytest.raises(InvalidBBox):
-            bbox_on_road(BBox(18, 18, 4, 4), self.mask)
-
 
 
 def reference_scene(rng) -> tuple[Frame, np.ndarray]:

@@ -71,8 +71,6 @@ RULES = [
     ("fraction-1.5", CONFIG, (), dict(background_fraction=1.5), "background_fraction"),
     ("fraction-nan", CONFIG, (), dict(background_fraction=NAN), "background_fraction"),
     ("stride-0", CONFIG, (), dict(histogram_stride=0), "histogram_stride"),
-    ("min-overlap-0", CONFIG, (), dict(mask_min_overlap=0.0), "mask_min_overlap"),
-    ("min-overlap-1.5", CONFIG, (), dict(mask_min_overlap=1.5), "mask_min_overlap"),
     ("mask-block-10", CONFIG, (), dict(mask_block=10), "mask_block"),
     ("mask-block-1", CONFIG, (), dict(mask_block=1), "mask_block"),
     ("k1-0", CONFIG, (), dict(k1k2=k1k2(day=[0.0, 1.0])), "k1k2"),
@@ -89,6 +87,10 @@ RULES = [
     ("area-min-negative", CONFIG, ("decision",), dict(area_min=-1.0), "area_min"),
     ("area-min-nan", CONFIG, ("decision",), dict(area_min=NAN), "area_min"),
     ("area-min-inf", CONFIG, ("decision",), dict(area_min=INF), "area_min"),
+    ("min-overlap-0", CONFIG, ("decision",), dict(min_road_overlap=0.0),
+     "min_road_overlap"),
+    ("min-overlap-1.5", CONFIG, ("decision",), dict(min_road_overlap=1.5),
+     "min_road_overlap"),
     ("support-seconds-0", CONFIG, ("decision",), dict(min_support_seconds=0.0),
      "min_support_seconds"),
     ("support-seconds-nan", CONFIG, ("decision",), dict(min_support_seconds=NAN),
