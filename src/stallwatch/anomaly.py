@@ -3,11 +3,13 @@ Anomaly confirmation: the decision tree over one video's detections.
 
 A vehicle that survives the background median is a candidate; one with less
 than `min_road_overlap` of its box on the road mask is discarded as parked.
-The rest are confirmed by how often foreground detections overlap them, one
-vectorised IoU of each candidate against the foreground columns: `decide`
-takes the candidate and its sorted supporting frames, whose first and last
-give the event's start and end. Nothing here reads files or runs the
-detector; `pipeline.process_video` computes the inputs once per video.
+`merge_candidates`, the one merge in space, joins a box seen again in later
+windows to its candidate. Candidates are confirmed by how often foreground
+detections overlap them, one vectorised IoU of each against the foreground
+columns, and their supporting frames are cut into runs at gaps over
+RUN_GAP_S: `decide` takes each run, whose first and last frame give one
+event's start and end. Nothing here reads files or runs the detector;
+`pipeline.process_video` computes the inputs once per video.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 
 from .errors import AT_LEAST_1, FRACTION, NON_NEGATIVE, POSITIVE, SHARE, InvalidParam, check
 from .media import AnomalyEvent, BBox, Detections
+
+# The longest time between two consecutive supporting frames of one event.
+# It equals scoring.MATCH_WINDOW_S: stops closer together than that cannot
+# be scored apart.
+RUN_GAP_S = 10.0
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -58,8 +65,7 @@ class Candidate:
 
     bbox: BBox
     score: float
-    first_seen: float       # window start, seconds
-    windows_seen: int = 1
+    windows: frozenset[float]   # starts, in seconds, of the windows that show it
 
 
 def extract_candidates(
@@ -79,21 +85,22 @@ def extract_candidates(
             road = int(mask[bbox.y:bbox.y2, bbox.x:bbox.x2].sum())
             if road / bbox.area < params.min_road_overlap:
                 continue
-            out.append(Candidate(bbox=bbox, score=score, first_seen=window_start))
+            out.append(Candidate(bbox, score, frozenset({window_start})))
     return out
 
 
 def merge_candidates(cands: list[Candidate], iou_merge: float) -> list[Candidate]:
-    """Greedy clustering in first_seen order; a stalled car recurring across
-    windows collapses to one candidate with windows_seen incremented."""
+    """Greedy clustering in first-window order, the one merge in space. A
+    candidate joins the first cluster whose box it overlaps at IoU >=
+    iou_merge, which takes its windows and the higher score; else it founds
+    a cluster. A cluster keeps its founding box, so no two clusters' boxes
+    overlap at IoU >= iou_merge."""
     merged: list[Candidate] = []
-    for cand in sorted(cands, key=lambda c: (c.first_seen, c.bbox.x, c.bbox.y)):
+    for cand in sorted(cands, key=lambda c: (min(c.windows), c.bbox.x, c.bbox.y)):
         for m in merged:
             if iou(cand.bbox, m.bbox) >= iou_merge:
-                m.windows_seen += 1
-                if cand.score > m.score:
-                    m.score = cand.score
-                    m.bbox = cand.bbox
+                m.score = max(m.score, cand.score)
+                m.windows |= cand.windows
                 break
         else:
             merged.append(replace(cand))
@@ -126,9 +133,9 @@ def decide(
     video_id: str,
     n_windows: int,
 ) -> AnomalyEvent | None:
-    """Confirmation: enough supporting `frames` (see `support_profile`),
-    dense enough, persistent across windows (of the video's `n_windows`).
-    Returns None on rejection."""
+    """Confirmation: enough supporting `frames` (a run of `support_profile`'s),
+    dense enough, persistent across windows (`cand.windows`, of the video's
+    `n_windows`). Returns None on rejection."""
     if len(frames) < params.min_support_frames(fps):
         return None
     first, last = frames[0], frames[-1]
@@ -136,7 +143,7 @@ def decide(
     if density < params.min_support_density:
         return None
     # a short video cannot contain more windows than it has
-    if cand.windows_seen < min(params.min_windows, n_windows):
+    if len(cand.windows) < min(params.min_windows, n_windows):
         return None
     start = first / fps
     end = last / fps
@@ -146,27 +153,12 @@ def decide(
                         bbox=cand.bbox, confidence=cand.score)
 
 
-def coalesce_events(events: list[AnomalyEvent], iou_merge: float) -> list[AnomalyEvent]:
-    """Merge accepted events that overlap in time and in space."""
-    out: list[AnomalyEvent] = []
-    for ev in sorted(events, key=lambda e: (e.start, e.end)):
-        merged = False
-        for i, kept in enumerate(out):
-            if ev.start <= kept.end and kept.start <= ev.end \
-                    and iou(ev.bbox, kept.bbox) >= iou_merge:
-                best = kept if kept.confidence >= ev.confidence else ev
-                out[i] = AnomalyEvent(
-                    video_id=kept.video_id,
-                    start=min(kept.start, ev.start),
-                    end=max(kept.end, ev.end),
-                    bbox=best.bbox,
-                    confidence=max(kept.confidence, ev.confidence),
-                )
-                merged = True
-                break
-        if not merged:
-            out.append(ev)
-    return out
+def _runs(frames: tuple[int, ...], fps: float) -> list[tuple[int, ...]]:
+    """The sorted `frames` cut wherever two consecutive ones lie more than
+    RUN_GAP_S apart; no frames are one empty run."""
+    cuts = np.flatnonzero(np.diff(frames) / fps > RUN_GAP_S) + 1
+    bounds = [0, *cuts.tolist(), len(frames)]
+    return [frames[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def detect_anomalies(
@@ -182,16 +174,20 @@ def detect_anomalies(
     `road` is the union of the per-window road masks, a bool array of the
     frame's shape; `per_window` holds (window start in seconds, background
     detections) for every background window, and `foreground` is the
-    video's foreground detection columns.
+    video's foreground detection columns. Each of a candidate's `_runs` is
+    decided as seen in those of its windows that hold one of the run's
+    frames; a frame's window is the last one that starts at or before it.
     """
     cands = extract_candidates(per_window, road, params)
-    cands = merge_candidates(cands, params.iou_merge)
-
+    starts = np.array([start for start, _ in per_window])
     events = []
-    for cand in cands:
+    for cand in merge_candidates(cands, params.iou_merge):
         frames = support_profile(cand, foreground, params.iou_support)
-        ev = decide(cand, frames, params, fps, video_id,
-                    n_windows=len(per_window))
-        if ev is not None:
-            events.append(ev)
-    return coalesce_events(events, params.iou_merge)
+        for run in _runs(frames, fps):
+            held = np.searchsorted(starts, np.divide(run, fps), side="right") - 1
+            seen = cand.windows & set(starts[held[held >= 0]].tolist())
+            ev = decide(replace(cand, windows=seen), run, params, fps, video_id,
+                        n_windows=len(per_window))
+            if ev is not None:
+                events.append(ev)
+    return events

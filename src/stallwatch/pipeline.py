@@ -16,10 +16,11 @@ a bug and stops the run. Run through decide, `run_corpus` writes
 predictions.csv from the finished videos.
 
 events.json is the one artifact read back: when the video's `stamp` file
-matches `_video_stamp` (the config less `jobs`, meta.json, foreground.jsonl,
-scene.json and a precomputed detector's .det.jsonl files; not the frames,
-see README), unless it is missing or damaged. Every chain run removes the
-stamp first; through decide, it writes the stamp after events.json.
+matches `_video_stamp` (the program version, the config less `jobs`,
+meta.json, foreground.jsonl, scene.json and a precomputed detector's
+.det.jsonl files; not the frames, see README), unless it is missing or
+damaged. Every chain run removes the stamp first; through decide, it
+writes the stamp after events.json.
 
 Output layout, per corpus:
 
@@ -48,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, background, scoring, sorting, synth
+from . import __version__, anomaly, background, scoring, sorting, synth
 from .codec import encode, read_json, write_atomic, write_json
 from .config import PipelineConfig
 from .detector import (
@@ -184,11 +185,11 @@ def _read(path: Path) -> bytes:
 
 def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                  cfg_hash: str) -> bytes:
-    """The sha256, in hex, of `cfg_hash` (the config's, less `jobs`) and of
-    the video's small input files, a missing one read as empty; then, for
-    a precomputed detector, of each of the video's .det.jsonl files in
-    name order, its name first."""
-    h = hashlib.sha256(cfg_hash.encode())
+    """The sha256, in hex, of the program's `__version__`, of `cfg_hash`
+    (the config's, less `jobs`) and of the video's small input files, a
+    missing one read as empty; then, for a precomputed detector, of each of
+    the video's .det.jsonl files in name order, its name first."""
+    h = hashlib.sha256(f"{__version__}\n{cfg_hash}".encode())
     files = [(b"", video_dir / name)
              for name in ("meta.json", synth.FOREGROUND_FILE, synth.SCENE_FILE)]
     if cfg.detector.kind == "precomputed":

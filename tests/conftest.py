@@ -1,6 +1,6 @@
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -87,4 +87,47 @@ def mini_corpus(tmp_path_factory):
     spec = make_scene("mini_day_stall", LightingClass.DAY, False,
                       (10.0, 50.0), False, seed=1, duration=60.0)
     corpus(root, specs=[spec])
+    return root
+
+
+DECISION_FPS = 2.0
+HOLE_S = (170.0, 175.0)
+
+
+@pytest.fixture(scope="session")
+def decision_corpus(tmp_path_factory):
+    """Hard cases for the decision tree, at DECISION_FPS, shared by the
+    tests that need them. Two stalls at one spot on a day freeway, on 30 s
+    windows: (20, 110) and (170, 260) s in `day_stalls_60s_apart`, (20,
+    130) and (150, 270) s in `day_stalls_20s_apart`; the second pair on a
+    night freeway, in one 300 s window (`night_stalls_20s_apart`); and a
+    (100, 250) s day stall whose foreground loses the stalled box for the
+    5 s HOLE_S (`day_holed_stall`), as a detector might."""
+    from stallwatch import synth
+    from stallwatch.media import read_detections, write_detections
+    from stallwatch.sorting import LightingClass
+
+    def twice(video_id, lighting, first, second, seed):
+        spec = synth.make_scene(video_id, lighting, False, first, False,
+                                seed=seed, fps=DECISION_FPS)
+        stalled = spec.vehicles[-1]  # make_scene adds the stalled vehicle last
+        again = replace(stalled, spawn=stalled.spawn + second[0] - first[0],
+                        stall=second)
+        return replace(spec, vehicles=spec.vehicles + (again,))
+
+    day, night = LightingClass.DAY, LightingClass.NIGHT
+    specs = [twice("day_stalls_60s_apart", day, (20.0, 110.0), (170.0, 260.0), 31),
+             twice("day_stalls_20s_apart", day, (20.0, 130.0), (150.0, 270.0), 32),
+             twice("night_stalls_20s_apart", night, (20.0, 130.0), (150.0, 270.0), 33),
+             synth.make_scene("day_holed_stall", day, False, (100.0, 250.0), False,
+                              seed=34, fps=DECISION_FPS)]
+    root = synth.corpus(tmp_path_factory.mktemp("decision"), specs=specs)
+    video = root / "videos" / "day_holed_stall"
+    (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
+    foreground = read_detections(video / synth.FOREGROUND_FILE)
+    t = foreground.frame / DECISION_FPS
+    hidden = ((t >= HOLE_S[0]) & (t < HOLE_S[1])
+              & (foreground.boxes == (box.x, box.y, box.w, box.h)).all(axis=1))
+    assert hidden.sum() == (HOLE_S[1] - HOLE_S[0]) * DECISION_FPS
+    write_detections(foreground.select(~hidden), video / synth.FOREGROUND_FILE)
     return root

@@ -193,8 +193,8 @@ def _gate_monotonicity_failures(rng, n=300) -> int:
     for _ in range(n):
         frames = tuple(sorted(rng.choice(3000, size=int(rng.integers(5, 400)),
                                          replace=False).tolist()))
-        cand = Candidate(BBox(10, 10, 16, 6), 0.9, 0.0,
-                         windows_seen=int(rng.integers(1, 6)))
+        cand = Candidate(BBox(10, 10, 16, 6), 0.9, frozenset(
+            30.0 * w for w in range(int(rng.integers(1, 6)))))
         loose = DecisionParams()
         tight = DecisionParams(
             min_support_seconds=loose.min_support_seconds + float(rng.uniform(0, 5)),

@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stallwatch import anomaly, scoring
 from stallwatch.anomaly import (
+    RUN_GAP_S,
     Candidate,
     DecisionParams,
-    coalesce_events,
     decide,
     detect_anomalies,
     extract_candidates,
@@ -14,7 +17,7 @@ from stallwatch.anomaly import (
     merge_candidates,
     support_profile,
 )
-from stallwatch.media import MAX_COORD, AnomalyEvent, BBox
+from stallwatch.media import MAX_COORD, BBox
 
 from conftest import Row, columns
 
@@ -28,8 +31,16 @@ def full_mask(w=320, h=240):
     return np.ones((h, w), dtype=bool)
 
 
+def seen(*starts):
+    """The windows, by start in seconds, that show a candidate."""
+    return frozenset(starts)
+
+
 boxes = st.builds(BBox, st.integers(0, 300), st.integers(0, 300),
                   st.integers(1, 100), st.integers(1, 100))
+# on a 20x20 mask, overlapping often
+small_boxes = st.builds(BBox, st.integers(0, 6), st.integers(0, 6),
+                        st.integers(1, 6), st.integers(1, 6))
 
 
 class TestIou:
@@ -72,6 +83,15 @@ class TestExtract:
         assert [c.bbox for c in small] == [BBox(10, 10, 3, 3)]
         assert extract_candidates([(0.0, box)], mask, params) == []
 
+    def test_area_exactly_area_min_kept(self):
+        """Like `score_min`, `area_min` is the least value kept: a box of
+        exactly `area_min * mask.size` px passes."""
+        params, mask = DecisionParams(), full_mask(100, 100)
+        assert params.area_min * mask.size == 10
+        kept = extract_candidates([(0.0, columns([det(0, 0, 5, 2), det(50, 50, 3, 3)]))],
+                                  mask, params)
+        assert [c.bbox for c in kept] == [BBox(0, 0, 5, 2)]
+
     def test_off_road_rejected(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:130, :] = True
@@ -103,41 +123,54 @@ class TestExtract:
 
 class TestMerge:
     def test_recurring_box_collapses(self):
-        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, first_seen=w * 30.0)
+        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, seen(w * 30.0))
                  for w in range(4)]
         merged = merge_candidates(cands, iou_merge=0.5)
         assert len(merged) == 1
-        assert merged[0].windows_seen == 4
-        assert merged[0].first_seen == 0.0
+        assert merged[0].windows == {0.0, 30.0, 60.0, 90.0}
 
     def test_distinct_boxes_kept(self):
-        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, 0.0),
-                 Candidate(BBox(200, 10, 16, 6), 0.9, 0.0)]
+        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, seen(0.0)),
+                 Candidate(BBox(200, 10, 16, 6), 0.9, seen(0.0))]
         assert len(merge_candidates(cands, 0.5)) == 2
 
-    def test_best_score_kept(self):
-        cands = [Candidate(BBox(10, 10, 16, 6), 0.6, 0.0),
-                 Candidate(BBox(11, 10, 16, 6), 0.9, 30.0)]
+    def test_founding_box_kept_with_max_score(self):
+        # a cluster never moves, so a later box cannot carry it onto
+        # another cluster's
+        cands = [Candidate(BBox(10, 10, 16, 6), 0.6, seen(0.0)),
+                 Candidate(BBox(11, 10, 16, 6), 0.9, seen(30.0))]
         merged = merge_candidates(cands, 0.5)
         assert merged[0].score == 0.9
-        assert merged[0].bbox == BBox(11, 10, 16, 6)
+        assert merged[0].bbox == BBox(10, 10, 16, 6)
 
     def test_input_not_mutated(self):
-        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, 0.0),
-                 Candidate(BBox(10, 10, 16, 6), 0.9, 30.0)]
+        cands = [Candidate(BBox(10, 10, 16, 6), 0.9, seen(0.0)),
+                 Candidate(BBox(10, 10, 16, 6), 0.9, seen(30.0))]
         merge_candidates(cands, 0.5)
-        assert all(c.windows_seen == 1 for c in cands)
+        assert [c.windows for c in cands] == [{0.0}, {30.0}]
+
+    def test_iou_exactly_iou_merge_merges(self):
+        """`iou_merge` may be 1.0 (a FRACTION), and a box seen again in the
+        next window at the same place has IoU exactly 1.0: it must merge,
+        or at that threshold no box could count a second window."""
+        same = [Candidate(BBox(10, 10, 16, 6), 0.9, seen(w)) for w in (0.0, 30.0)]
+        assert len(merge_candidates(same, 1.0)) == 1
+        # intersection 2, union 4
+        half = [Candidate(BBox(0, 0, 4, 1), 0.9, seen(0.0)),
+                Candidate(BBox(0, 0, 2, 1), 0.9, seen(30.0))]
+        assert iou(half[0].bbox, half[1].bbox) == 0.5
+        assert len(merge_candidates(half, 0.5)) == 1
 
 
 class TestSupport:
     def test_overlapping_frames_collected(self):
-        cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
+        cand = Candidate(BBox(10, 10, 16, 6), 1.0, seen(0.0))
         fg = [det(10, 10, frame=5), det(10, 10, frame=7),
               det(200, 10, frame=6)]
         assert support_profile(cand, columns(fg), iou_support=0.3) == (5, 7)
 
     def test_duplicates_deduplicated(self):
-        cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
+        cand = Candidate(BBox(10, 10, 16, 6), 1.0, seen(0.0))
         fg = [det(10, 10, frame=5), det(11, 10, frame=5)]
         assert support_profile(cand, columns(fg), iou_support=0.3) == (5,)
 
@@ -165,21 +198,21 @@ class TestSupportOracle:
            rows=st.lists(st.tuples(st.integers(0, 30), grid_boxes), max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_equals_loop(self, box, rows):
-        cand = Candidate(box, 1.0, 0.0)
+        cand = Candidate(box, 1.0, seen(0.0))
         fg = [det(b.x, b.y, b.w, b.h, frame=f) for f, b in rows]
         for iou_support in (0.0, 0.3, 1.0):
             assert support_profile(cand, columns(fg), iou_support) == \
                 loop_support_profile(cand, fg, iou_support), iou_support
 
     def test_disjoint_rows_support_at_zero(self):
-        cand = Candidate(BBox(10, 10, 16, 6), 1.0, 0.0)
+        cand = Candidate(BBox(10, 10, 16, 6), 1.0, seen(0.0))
         fg = [det(200, 100, frame=3), det(26, 10, frame=1)]  # far; touching
         assert support_profile(cand, columns(fg), 0.0) == (1, 3)
         assert support_profile(cand, columns(fg), 1e-12) == ()
 
     def test_threshold_is_inclusive(self):
         # intersection 3, union 10: IoU exactly 0.3
-        cand = Candidate(BBox(0, 0, 5, 1), 1.0, 0.0)
+        cand = Candidate(BBox(0, 0, 5, 1), 1.0, seen(0.0))
         fg = [det(2, 0, w=8, h=1, frame=4)]
         assert iou(cand.bbox, fg[0].bbox) == 0.3
         assert support_profile(cand, columns(fg), 0.3) == (4,)
@@ -188,8 +221,10 @@ class TestSupportOracle:
 class TestDecide:
     fps = 10.0
 
-    def _cand(self, windows_seen=5):
-        return Candidate(BBox(10, 10, 16, 6), 0.9, 0.0, windows_seen=windows_seen)
+    def _cand(self, windows=5):
+        """A candidate shown by the first `windows` 30 s windows."""
+        return Candidate(BBox(10, 10, 16, 6), 0.9,
+                         seen(*(30.0 * w for w in range(windows))))
 
     def test_accept_long_dense_support(self):
         cand = self._cand()
@@ -214,14 +249,14 @@ class TestDecide:
         assert ev is None
 
     def test_single_window_sighting_rejected(self):
-        cand = self._cand(windows_seen=1)
+        cand = self._cand(windows=1)
         ev = decide(cand, tuple(range(1000, 2500)),
                     DecisionParams(), self.fps, "v1", n_windows=10)
         assert ev is None
 
     def test_window_floor_capped_for_short_videos(self):
         # a video with a single background window cannot show two sightings
-        cand = self._cand(windows_seen=1)
+        cand = self._cand(windows=1)
         ev = decide(cand, tuple(range(1000, 2500)),
                     DecisionParams(), self.fps, "v1", n_windows=1)
         assert ev is not None
@@ -231,8 +266,7 @@ class TestDecide:
         for _ in range(200):
             frames = sorted(rng.choice(3000, size=rng.integers(5, 400),
                                        replace=False).tolist())
-            cand = Candidate(BBox(10, 10, 16, 6), 0.9, 0.0,
-                             windows_seen=int(rng.integers(1, 6)))
+            cand = self._cand(windows=int(rng.integers(1, 6)))
             base = DecisionParams()
             loose = decide(cand, tuple(frames), base,
                            self.fps, "v1", n_windows=10)
@@ -246,15 +280,43 @@ class TestDecide:
             if loose is None:
                 assert strict is None
 
-    def _video(self, y):
-        """A box seen in two background windows and densely supported by
-        foreground rows in frames 100-199, against a road band at rows
-        100-130."""
+    def test_exactly_min_support_frames_accepted(self):
+        """`min_support_seconds` is the least support that confirms: at
+        10 fps its 1 s is 10 frames, and 10 frames are enough."""
+        assert DecisionParams().min_support_frames(self.fps) == 10
+        ev = decide(self._cand(), tuple(range(1000, 1010)), DecisionParams(),
+                    self.fps, "v1", n_windows=10)
+        assert ev is not None
+
+    def test_density_exactly_min_support_density_accepted(self):
+        """`min_support_density` may be 1.0 (a FRACTION), the density of
+        an unbroken support, which must confirm; so a density equal to
+        the threshold passes, at 1.0 and at the default 0.3."""
+        unbroken = tuple(range(1000, 1010))
+        assert decide(self._cand(), unbroken, DecisionParams(min_support_density=1.0),
+                      self.fps, "v1", n_windows=10) is not None
+        frames = (*range(1000, 1087, 3), 1099)  # 30 frames over 100
+        assert len(frames) / (frames[-1] - frames[0] + 1) == 0.3
+        assert decide(self._cand(), frames, DecisionParams(),
+                      self.fps, "v1", n_windows=10) is not None
+
+    def test_single_frame_run_ends_one_frame_after_it_starts(self):
+        """An accepted run of one frame spans that frame: an event must end
+        after it starts, which `AnomalyEvent` checks."""
+        params = DecisionParams(min_support_seconds=0.01)
+        assert params.min_support_frames(self.fps) == 1
+        ev = decide(self._cand(), (1000,), params, self.fps, "v1", n_windows=10)
+        assert (ev.start, ev.end) == (100.0, 100.0 + 1 / self.fps)
+
+    def _video(self, y, frames=range(100, 400)):
+        """A box seen in background windows 0 and 30 s, densely supported
+        by foreground rows in `frames` (by default 10-39.9 s, so in both
+        windows), against a road band at rows 100-130."""
         road = np.zeros((240, 320), dtype=bool)
         road[100:130, :] = True
         per_window = [(0.0, columns([det(10, y, score=0.9)])),
                       (30.0, columns([det(10, y)]))]
-        foreground = columns([det(10, y, frame=f) for f in range(100, 200)])
+        foreground = columns([det(10, y, frame=f) for f in frames])
         return detect_anomalies(road, per_window, foreground,
                                 DecisionParams(), fps=self.fps,
                                 video_id="v1")
@@ -265,31 +327,98 @@ class TestDecide:
         ev = events[0]
         assert (ev.video_id, ev.bbox) == ("v1", BBox(10, 110, 16, 6))
         assert ev.start == pytest.approx(10.0)
-        assert ev.end == pytest.approx(19.9)
+        assert ev.end == pytest.approx(39.9)
         assert ev.confidence == 1.0
 
     def test_detect_anomalies_off_road_none(self):
         assert self._video(y=10) == []
 
+    def test_window_without_the_runs_frames_not_counted(self):
+        # seen in two windows, but supported only in the first
+        assert self._video(y=110, frames=range(100, 200)) == []
 
-class TestCoalesce:
-    def _ev(self, start, end, x=10, conf=0.9):
-        return AnomalyEvent("v1", start, end, BBox(x, 10, 16, 6), conf)
+    def test_frame_at_a_window_start_is_in_that_window(self):
+        """A window starts at its first frame (`background.window_bounds`),
+        which its median samples; so a run whose last frame is at exactly
+        30.0 s holds the window that starts there."""
+        events = self._video(y=110, frames=range(200, 301))
+        assert [(ev.start, ev.end) for ev in events] == [(20.0, 30.0)]
 
-    def test_overlapping_same_box_merged(self):
-        out = coalesce_events([self._ev(10, 40), self._ev(30, 60)], 0.5)
-        assert len(out) == 1
-        assert out[0].start == 10 and out[0].end == 60
 
-    def test_disjoint_in_time_kept(self):
-        out = coalesce_events([self._ev(10, 20), self._ev(50, 60)], 0.5)
-        assert len(out) == 2
+class TestWindowsGate:
+    def test_duplicate_boxes_of_one_window_count_once(self):
+        """Two boxes of one window at IoU >= iou_merge are one sighting: in
+        a 3-window video, with `min_windows` 2, they give no event,
+        however dense the support."""
+        per_window = [(0.0, columns([det(10, 10), det(11, 10)])),
+                      (30.0, columns([])), (60.0, columns([]))]
+        assert iou(BBox(10, 10, 16, 6), BBox(11, 10, 16, 6)) >= 0.5
+        foreground = columns([det(10, 10, frame=f) for f in range(900)])
+        assert detect_anomalies(full_mask(), per_window, foreground,
+                                DecisionParams(), fps=10.0, video_id="v1") == []
 
-    def test_overlap_in_time_different_box_kept(self):
-        out = coalesce_events([self._ev(10, 40, x=10), self._ev(20, 50, x=200)], 0.5)
-        assert len(out) == 2
 
-    def test_confidence_is_max(self):
-        out = coalesce_events([self._ev(10, 40, conf=0.6),
-                               self._ev(30, 60, conf=0.8)], 0.5)
-        assert out[0].confidence == 0.8
+class TestRuns:
+    """Each run of a candidate's support, cut at gaps over RUN_GAP_S, is
+    decided as its own event."""
+
+    @staticmethod
+    def spans(frames, fps):
+        """The (start, end) of every event of a one-window video whose one
+        box is supported on `frames`: the windows gate always passes."""
+        per_window = [(0.0, columns([det(10, 10)]))]
+        foreground = columns([det(10, 10, frame=f) for f in frames])
+        return [(ev.start, ev.end) for ev in detect_anomalies(
+            full_mask(), per_window, foreground, DecisionParams(), fps=fps,
+            video_id="v1")]
+
+    def test_gap_is_the_scoring_window(self):
+        # stops closer together than a match window cannot be scored apart
+        assert RUN_GAP_S == scoring.MATCH_WINDOW_S
+
+    @pytest.mark.parametrize("fps", [2.0, 10.0])
+    def test_gap_of_exactly_run_gap_s_is_one_run(self, fps):
+        gap = int(RUN_GAP_S * fps)
+        frames = [*range(40), *range(39 + gap, 79 + gap)]
+        assert self.spans(frames, fps) == [(0.0, (78 + gap) / fps)]
+
+    @pytest.mark.parametrize("fps", [2.0, 10.0])
+    def test_gap_over_run_gap_s_splits(self, fps):
+        gap = int(10.5 * fps)
+        frames = [*range(40), *range(39 + gap, 79 + gap)]
+        assert self.spans(frames, fps) == [(0.0, 39 / fps),
+                                           ((39 + gap) / fps, (78 + gap) / fps)]
+
+    def test_empty_support_is_decided_once(self, monkeypatch):
+        """One `decide` call per run, and an empty support is one empty
+        run, which the support gate rejects."""
+        calls = []
+        monkeypatch.setattr(anomaly, "decide",
+                            lambda cand, frames, *args, **kwargs: calls.append(frames))
+        assert self.spans([], 2.0) == []
+        assert calls == [()]
+
+    @given(windows=st.lists(st.lists(st.tuples(small_boxes, st.sampled_from(
+               [0.5, 0.7, 1.0])), max_size=5), min_size=1, max_size=3),
+           shown=st.sets(st.integers(0, 59)),
+           rows=st.lists(st.tuples(st.integers(0, 59), small_boxes), max_size=40),
+           iou_merge=st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_events_never_overlap_in_time_and_space(self, windows, shown, rows,
+                                                    iou_merge):
+        """The invariant the deleted `coalesce_events` enforced: no two of a
+        video's events overlap in time with boxes at IoU >= iou_merge. The
+        foreground holds every background box on the frames `shown`, and
+        the `rows`."""
+        per_window = [(20.0 * w, columns([det(b.x, b.y, b.w, b.h, score=score)
+                                          for b, score in boxes]))
+                      for w, boxes in enumerate(windows)]
+        every = [b for boxes in windows for b, _ in boxes]
+        rows = rows + [(f, b) for f in sorted(shown) for b in every]
+        foreground = columns([det(b.x, b.y, b.w, b.h, frame=f) for f, b in rows])
+        events = detect_anomalies(full_mask(20, 20), per_window, foreground,
+                                  DecisionParams(iou_merge=iou_merge), fps=1.0,
+                                  video_id="v1")
+        for a, b in itertools.combinations(events, 2):
+            assert not (a.start <= b.end and b.start <= a.end
+                        and iou(a.bbox, b.bbox) >= iou_merge), (a, b)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
@@ -24,11 +25,11 @@ from stallwatch.cli import (
 )
 from stallwatch.config import PipelineConfig
 from stallwatch.detector import OracleDetector
-from stallwatch.media import read_predictions, write_detections
+from stallwatch.media import read_ground_truth, read_predictions, write_detections
 from stallwatch.roadmask import adaptive_road_mask
 from stallwatch.sorting import LightingClass
 
-from conftest import Row, columns, frame_bytes
+from conftest import DECISION_FPS, HOLE_S, Row, columns, frame_bytes
 
 
 class TestExitCodes:
@@ -400,6 +401,22 @@ class TestStamp:
                         "--out", str(directory)]) == EXIT_OK
         assert read_predictions(out / "predictions.csv") == []
         assert without_manifest(out) == without_manifest(fresh)
+
+    def test_stamp_of_another_version_is_recomputed(self, mini_corpus, tmp_path,
+                                                    capsys, monkeypatch):
+        """The stamp covers the program's version, and so its decision
+        rule: an events.json another version wrote is not the answer."""
+        out = tmp_path / "out"
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, "__version__", "0.0.0")
+            assert run(["run-all", "--corpus", str(mini_corpus),
+                        "--out", str(out)]) == EXIT_OK
+        old_stamp = (out / "mini_day_stall" / "stamp").read_bytes()
+        (out / "mini_day_stall" / "events.json").write_text("[]\n")
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert (out / "mini_day_stall" / "stamp").read_bytes() != old_stamp
+        assert len(read_predictions(out / "predictions.csv")) == 1
 
     @pytest.mark.parametrize("deleted", ["events.json", "stamp"])
     def test_deleted_answer_recomputes_that_video_only(
@@ -862,6 +879,42 @@ class TestFaultIsolation:
         assert read_predictions(out / "predictions.csv") == []
 
 
+class TestStopsAtOneSpot:
+    """Each run of a candidate's support, cut at gaps over
+    `anomaly.RUN_GAP_S`, is its own event."""
+
+    @pytest.fixture(scope="class")
+    def out(self, decision_corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("decision_out")
+        assert run(["run-all", "--corpus", str(decision_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        return out
+
+    def test_one_event_per_stall(self, decision_corpus, out):
+        night = json.loads((out / "night_stalls_20s_apart" / "category.json").read_text())
+        assert night["background_window_s"] == 300.0
+        by_start = operator.attrgetter("video_id", "start")
+        truth = sorted(read_ground_truth(decision_corpus / "gt.csv"), key=by_start)
+        preds = sorted(read_predictions(out / "predictions.csv"), key=by_start)
+        assert len(truth) == 7
+        assert [p.video_id for p in preds] == [g.video_id for g in truth]
+        for pred, gt in zip(preds, truth):
+            assert abs(pred.start - gt.start) <= 1 / DECISION_FPS, (pred, gt)
+            assert abs(pred.end - gt.end) <= 1 / DECISION_FPS, (pred, gt)
+
+    def test_holed_stall_stays_one_event(self, decision_corpus, out):
+        video = decision_corpus / "videos" / "day_holed_stall"
+        (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
+        frames = anomaly.support_profile(
+            anomaly.Candidate(box, 1.0, frozenset({0.0})),
+            media.read_detections(video / synth.FOREGROUND_FILE),
+            PipelineConfig().decision.iou_support)
+        assert np.diff(frames).max() / DECISION_FPS == \
+               HOLE_S[1] - HOLE_S[0] + 1 / DECISION_FPS
+        events = json.loads((out / "day_holed_stall" / "events.json").read_text())
+        assert [(e["start"], e["end"]) for e in events] == [(100.0, 250.0)]
+
+
 class TestHardNegatives:
     def test_stop_shorter_than_a_window_gives_no_prediction(self, tmp_path,
                                                             capsys):
@@ -903,7 +956,7 @@ class TestHardNegatives:
             for row, s in zip(rows, supports) if not s or row["frame"] in kept]),
             video / "foreground.jsonl")
         frames = anomaly.support_profile(
-            anomaly.Candidate(box, 1.0, 0.0),
+            anomaly.Candidate(box, 1.0, frozenset({0.0})),
             media.read_detections(video / "foreground.jsonl"), iou_support)
         assert list(frames) == kept
         assert 0.25 <= len(frames) / (frames[-1] - frames[0] + 1) < 0.3
