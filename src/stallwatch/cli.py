@@ -1,11 +1,12 @@
 """
 Command-line entry point.
 
-Subcommands: synth, sort, background, mask, detect, score, run-all.
-Exit codes: 0 success, 2 bad configuration, 3 missing input,
-64 unknown subcommand, 1 any other stage failure, including any video
-that sort, background, mask, detect or run-all could not finish (the
-other videos still run).
+Subcommands: synth, one per name of `pipeline.STAGES` (sort, background,
+mask, detect), run-all and score.
+Exit codes: 0 success, 2 bad configuration, 3 missing input (`--corpus`,
+`--pred` or `--gt`), 64 unknown subcommand or bad arguments, 1 any other
+stage failure, including any video that a stage command or run-all could
+not finish (the other videos still run).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from . import pipeline, synth
 from .codec import dumps, encode
 from .config import PipelineConfig
 from .errors import ConfigError, StallwatchError
-
-SUBCOMMANDS = ("synth", "sort", "background", "mask", "detect", "score", "run-all")
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     p.add_argument("--out", type=Path, required=True)
 
-    for name in ("sort", "background", "mask", "detect", "run-all"):
+    for name in (*pipeline.STAGES, "run-all"):
         p = sub.add_parser(name)
         p.add_argument("--corpus", type=Path, required=True)
         p.add_argument("--out", type=Path, required=True)
@@ -66,18 +65,7 @@ def load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _require(path: Path, what: str) -> None:
-    if not path.exists():
-        print(f"missing {what}: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_MISSING_INPUT)
-
-
 def run(argv: list[str]) -> int:
-    if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
-        print(f"unknown subcommand {argv[0]!r}; choose from "
-              f"{', '.join(SUBCOMMANDS)}", file=sys.stderr)
-        return EXIT_USAGE
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -100,25 +88,21 @@ def run(argv: list[str]) -> int:
     stage = args.subcommand
     failures = []
     try:
-        if "corpus" in vars(args):
-            _require(args.corpus, "corpus directory")
+        # corpus_video_dirs would call a missing corpus missing metadata
+        if "corpus" in vars(args) and not args.corpus.exists():
+            raise FileNotFoundError(f"no corpus directory {args.corpus}")
         if stage == "synth":
             synth.corpus(args.out, seed=cfg.seed)
         elif stage in pipeline.STAGES:
-            through = "decide" if stage == "detect" else stage
             failures = encode(pipeline.run_corpus(args.corpus, args.out, cfg,
-                                                  through)[0])
+                                                  stage)[0])
         elif stage == "score":
-            _require(args.pred, "predictions file")
-            _require(args.gt, "ground-truth file")
             report = pipeline.score_corpus(args.pred, args.gt, args.out)
             sys.stdout.write(dumps(report))
         elif stage == "run-all":
             manifest = pipeline.run_all(args.corpus, args.out, cfg)
             sys.stdout.write(dumps(manifest))
             failures = manifest["failures"]
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_FAILURE
     except FileNotFoundError as exc:
         print(f"{stage}: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -1,25 +1,27 @@
 """
 Corpus orchestration: one per-video stage chain, then predictions and score.
 
-`_chain` computes one value per name of STAGES: sort (category.json),
-background (each window's index.json record and image), mask (mask.pgm),
-detect (detections per window; fails if all windows fail), decide (events.json).
-`process_video` runs it up to a given stage; the CLI's sort, background
-and mask commands stop after theirs, detect and run-all run it through
-decide. Each stage it reaches computes and writes its artifact.
+`_chain` computes one value per name of STAGES, which are also the CLI's
+per-video commands: sort (category.json), background (each window's
+index.json record and image), mask (mask.pgm), detect (the detector on
+every window, failing if all windows fail, then the decision tree:
+events.json). `process_video` runs it up to a given stage; each stage it
+reaches computes and writes its artifact, and run-all runs it through
+detect.
 
 `run_corpus` is the one loop over a corpus's videos, for every command.
 A `StallwatchError` or `OSError` fails that video only: `process_video`
-returns it as a `VideoFailure` (video, stage, error), which run-all lists
-in manifest.json, and the other videos still run. Any other exception is
-a bug and stops the run. Run through decide, `run_corpus` writes
-predictions.csv from the finished videos.
+returns it as a `VideoFailure` (video, the stage it reached, error),
+which run-all lists in manifest.json, and the other videos still run.
+Any other exception is a bug and stops the run. Run through detect,
+`run_corpus` removes an earlier run's score.json and manifest.json, then
+writes predictions.csv from the finished videos.
 
 events.json is the one artifact read back: when the video's `stamp` file
 matches `_video_stamp` (the program version, the config less `jobs`,
 meta.json, foreground.jsonl, scene.json and a precomputed detector's
 .det.jsonl files; not the frames, see README), unless it is missing or
-damaged. Every chain run removes the stamp first; through decide, it
+damaged. Every chain run removes the stamp first; through detect, it
 writes the stamp after events.json.
 
 Output layout, per corpus:
@@ -122,7 +124,7 @@ class VideoFailure:
 
 # --- the per-video stage chain ----------------------------------------------
 
-STAGES = ("sort", "background", "mask", "detect", "decide")
+STAGES = ("sort", "background", "mask", "detect")
 
 
 def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
@@ -167,8 +169,6 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
                                seq.video_id, window.window_start_s, exc)
                 dets = Detections()
             per_window.append((window.window_start_s, dets))
-    yield per_window
-
     events = anomaly.detect_anomalies(road, per_window, foreground, cfg.decision,
                                       fps=seq.fps, video_id=seq.video_id)
     write_json(out_vid / "events.json", events)
@@ -203,11 +203,11 @@ def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
 
 
 def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
-                  cfg_hash: str, through: str = "decide"
+                  cfg_hash: str, through: str = "detect"
                   ) -> tuple[list[AnomalyEvent], bytes] | VideoFailure:
     """Run the chain through `through`, a name of STAGES; returns the
-    accepted events ([] before decide) and the video's `_video_stamp`, or
-    the video's `VideoFailure`. Through decide, events.json is the answer
+    accepted events ([] before detect) and the video's `_video_stamp`, or
+    the video's `VideoFailure`. Through detect, events.json is the answer
     when the stamp file holds the stamp and it parses; a chain run writes
     the stamp after events.json. A `StallwatchError` or `OSError` fails
     the video at the stage it reached (`through` before the chain starts),
@@ -216,7 +216,7 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     stamp_path = out_vid / "stamp"
     try:
         stamp = _video_stamp(video_dir, out_vid, cfg, cfg_hash)
-        if through == "decide" and _read(stamp_path) == stamp:
+        if through == "detect" and _read(stamp_path) == stamp:
             with contextlib.suppress(FileNotFoundError, ParseError):
                 return read_json(out_vid / "events.json", list[AnomalyEvent]), stamp
         stamp_path.unlink(missing_ok=True)
@@ -226,18 +226,20 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     except (StallwatchError, OSError) as exc:
         return VideoFailure(video_dir.name, stage, f"{type(exc).__name__}: "
                             f"{video_dir.name}: {stage}: {exc}")
-    if through != "decide":
+    if through != "detect":
         return [], stamp
     write_atomic(stamp_path, stamp)
     return value, stamp
 
 
 def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
-               through: str = "decide"
+               through: str = "detect"
                ) -> tuple[list[VideoFailure], list[bytes]]:
     """Every video's chain up to `through` (`process_video`); returns the
     videos that failed and the stamps of those that finished. Run through
-    decide, it writes predictions.csv from the videos that finished."""
+    detect, it removes score.json and manifest.json, which would describe
+    an earlier run, and writes predictions.csv from the videos that
+    finished."""
     dirs = corpus_video_dirs(corpus_dir)
     args = (dirs, [out_dir / d.name for d in dirs])
     # built per call, so that it binds the process_video this module holds now
@@ -250,10 +252,12 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
         per_video = list(map(video, *args))
     failures = [r for r in per_video if isinstance(r, VideoFailure)]
     done = [r for r in per_video if not isinstance(r, VideoFailure)]
-    if through == "decide":
+    if through == "detect":
         events = [ev for evs, _ in done for ev in evs]
         events.sort(key=lambda e: (e.video_id, e.start, e.end))
         out_dir.mkdir(parents=True, exist_ok=True)  # when every video failed
+        for stale in ("score.json", "manifest.json"):
+            (out_dir / stale).unlink(missing_ok=True)
         write_predictions(events, out_dir / "predictions.csv")
     return failures, [stamp for _, stamp in done]
 
@@ -287,8 +291,6 @@ def run_all(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig) -> dict:
             report = score_corpus(out_dir / "predictions.csv", gt_path,
                                   out_dir / "score.json")
         timings["score"] = time.perf_counter() - t0
-    if report is None:  # an earlier run's score.json would contradict it
-        (out_dir / "score.json").unlink(missing_ok=True)
 
     manifest = {
         "config_hash": cfg.content_hash(),

@@ -92,18 +92,29 @@ def mini_corpus(tmp_path_factory):
 
 DECISION_FPS = 2.0
 HOLE_S = (170.0, 175.0)
+OCCLUDED_EVERY = 4
+STALLS_AT_ONE_SPOT = ("day_stalls_60s_apart", "day_stalls_20s_apart",
+                      "night_stalls_20s_apart", "day_holed_stall")
 
 
 @pytest.fixture(scope="session")
 def decision_corpus(tmp_path_factory):
     """Hard cases for the decision tree, at DECISION_FPS, shared by the
-    tests that need them. Two stalls at one spot on a day freeway, on 30 s
-    windows: (20, 110) and (170, 260) s in `day_stalls_60s_apart`, (20,
-    130) and (150, 270) s in `day_stalls_20s_apart`; the second pair on a
-    night freeway, in one 300 s window (`night_stalls_20s_apart`); and a
-    (100, 250) s day stall whose foreground loses the stalled box for the
-    5 s HOLE_S (`day_holed_stall`), as a detector might."""
-    from stallwatch import synth
+    tests that need them. STALLS_AT_ONE_SPOT: two stalls at one spot on a
+    day freeway, on 30 s windows: (20, 110) and (170, 260) s in
+    `day_stalls_60s_apart`, (20, 130) and (150, 270) s in
+    `day_stalls_20s_apart`; the second pair on a night freeway, in one
+    300 s window (`night_stalls_20s_apart`); and a (100, 250) s day stall
+    whose foreground loses the stalled box for the 5 s HOLE_S
+    (`day_holed_stall`), as a detector might. Hard negatives, in 60 s
+    day freeway videos: a (35, 40) s stop inside one 30 s window
+    (`day_short_stop`) beside a (10, 50) s stall across both
+    (`day_stall_beside_short_stop`); and a (10, 50) s stall whose
+    supporting foreground rows are kept on every OCCLUDED_EVERY-th of
+    their frames only (`day_occluded_stall`), as if traffic passed in
+    front of it."""
+    from stallwatch import anomaly, synth
+    from stallwatch.config import PipelineConfig
     from stallwatch.media import read_detections, write_detections
     from stallwatch.sorting import LightingClass
 
@@ -115,19 +126,54 @@ def decision_corpus(tmp_path_factory):
                         stall=second)
         return replace(spec, vehicles=spec.vehicles + (again,))
 
+    def minute(video_id, stall, seed):
+        return synth.make_scene(video_id, LightingClass.DAY, False, stall, False,
+                                seed=seed, duration=60.0, fps=DECISION_FPS)
+
     day, night = LightingClass.DAY, LightingClass.NIGHT
     specs = [twice("day_stalls_60s_apart", day, (20.0, 110.0), (170.0, 260.0), 31),
              twice("day_stalls_20s_apart", day, (20.0, 130.0), (150.0, 270.0), 32),
              twice("night_stalls_20s_apart", night, (20.0, 130.0), (150.0, 270.0), 33),
              synth.make_scene("day_holed_stall", day, False, (100.0, 250.0), False,
-                              seed=34, fps=DECISION_FPS)]
+                              seed=34, fps=DECISION_FPS),
+             minute("day_short_stop", (35.0, 40.0), 21),
+             minute("day_stall_beside_short_stop", (10.0, 50.0), 22),
+             minute("day_occluded_stall", (10.0, 50.0), 1)]
     root = synth.corpus(tmp_path_factory.mktemp("decision"), specs=specs)
+
+    def stall_box(video):
+        """The video's stalled box, and its foreground."""
+        (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
+        return box, read_detections(video / synth.FOREGROUND_FILE)
+
     video = root / "videos" / "day_holed_stall"
-    (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
-    foreground = read_detections(video / synth.FOREGROUND_FILE)
+    box, foreground = stall_box(video)
     t = foreground.frame / DECISION_FPS
     hidden = ((t >= HOLE_S[0]) & (t < HOLE_S[1])
               & (foreground.boxes == (box.x, box.y, box.w, box.h)).all(axis=1))
     assert hidden.sum() == (HOLE_S[1] - HOLE_S[0]) * DECISION_FPS
     write_detections(foreground.select(~hidden), video / synth.FOREGROUND_FILE)
+
+    video = root / "videos" / "day_occluded_stall"
+    box, foreground = stall_box(video)
+    iou_support = PipelineConfig().decision.iou_support
+    supports = np.array([anomaly.iou(BBox(*b), box) >= iou_support
+                         for b in foreground.boxes.tolist()])
+    cand = anomaly.Candidate(box, 1.0, frozenset({0.0}))
+    kept = anomaly.support_profile(cand, foreground, iou_support)[::OCCLUDED_EVERY]
+    write_detections(foreground.select(~supports | np.isin(foreground.frame, kept)),
+                     video / synth.FOREGROUND_FILE)
+    assert anomaly.support_profile(cand, read_detections(
+        video / synth.FOREGROUND_FILE), iou_support) == kept
     return root
+
+
+@pytest.fixture(scope="session")
+def decision_out(decision_corpus, tmp_path_factory):
+    """One run-all of `decision_corpus` with the default config."""
+    from stallwatch.cli import EXIT_OK, run
+
+    out = tmp_path_factory.mktemp("decision_out")
+    assert run(["run-all", "--corpus", str(decision_corpus),
+                "--out", str(out)]) == EXIT_OK
+    return out

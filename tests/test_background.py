@@ -13,7 +13,7 @@ from stallwatch.background import (
     sample_indices,
     window_bounds,
 )
-from stallwatch.errors import EmptyInput
+from stallwatch.errors import EmptyInput, VideoTooShort
 from stallwatch.media import Frame, SequenceMeta, open_sequence, write_sequence
 from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 
@@ -181,6 +181,19 @@ class TestStream:
         (_, first), (_, tail) = bgs
         assert first == Frame(np.full((3, 4), 255, dtype=np.uint8))
         assert tail == Frame(np.zeros((3, 4), dtype=np.uint8))
+
+    def test_a_video_of_one_second_is_long_enough(self, tmp_path):
+        """The shortest video is 1 s: its error says "< 1s", so a video of
+        exactly 1 s gets its background; one frame less does not."""
+        cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 1.0)
+        seq = self._sequence(tmp_path, [7] * 10, fps=10.0)
+        (window, frame), = background_stream(seq, cat, fraction=1.0, seed=0)
+        assert window.sampled_indices == list(range(10))
+        assert frame == Frame(np.full((3, 4), 7, dtype=np.uint8))
+        (tmp_path / "short").mkdir()
+        short = self._sequence(tmp_path / "short", [7] * 9, fps=10.0)
+        with pytest.raises(VideoTooShort, match="duration 0.900s < 1s"):
+            background_stream(short, cat, fraction=1.0, seed=0)
 
     def test_each_window_equals_median_of_its_frames(self, tmp_path, rng):
         values = rng.integers(0, 256, 47).tolist()

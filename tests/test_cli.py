@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from stallwatch.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     run,
 )
 from stallwatch.config import PipelineConfig
@@ -29,20 +31,40 @@ from stallwatch.media import read_ground_truth, read_predictions, write_detectio
 from stallwatch.roadmask import adaptive_road_mask
 from stallwatch.sorting import LightingClass
 
-from conftest import DECISION_FPS, HOLE_S, Row, columns, frame_bytes
+from conftest import (
+    DECISION_FPS,
+    HOLE_S,
+    OCCLUDED_EVERY,
+    STALLS_AT_ONE_SPOT,
+    Row,
+    columns,
+    frame_bytes,
+)
 
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
-        assert "unknown subcommand" in capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE
 
-    def test_missing_corpus(self, tmp_path, capsys):
-        assert run(["run-all", "--corpus", str(tmp_path / "nope"),
+    def test_subcommands_are_the_stages_and_three_more(self):
+        """The per-video commands are the chain's stages, named once."""
+        action, = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == ["synth", *pipeline.STAGES, "run-all", "score"]
+        assert pipeline.STAGES == ("sort", "background", "mask", "detect")
+
+    @pytest.mark.parametrize("command", [*pipeline.STAGES, "run-all"])
+    def test_missing_corpus(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope"
+        assert run([command, "--corpus", str(missing),
                     "--out", str(tmp_path / "out")]) == EXIT_MISSING_INPUT
+        assert f"{command}: missing input: no corpus directory {missing}" in \
+               capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -50,9 +72,11 @@ class TestExitCodes:
         assert run(["--config", str(cfg), "run-all",
                     "--corpus", str(tmp_path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_score_missing_inputs(self, tmp_path):
+    def test_score_missing_inputs(self, tmp_path, capsys):
         assert run(["score", "--pred", str(tmp_path / "p.csv"),
                     "--gt", str(tmp_path / "g.csv")]) == EXIT_MISSING_INPUT
+        assert f"score: missing input: [Errno 2] No such file or directory: " \
+               f"'{tmp_path / 'p.csv'}'" in capsys.readouterr().err
 
     def test_score_creates_the_report_directory(self, mini_corpus, tmp_path,
                                                 capsys):
@@ -217,6 +241,33 @@ class TestStages:
         assert json.loads((out / "manifest.json").read_text())["score"] is None
         assert not (out / "score.json").exists()
 
+    def test_detect_removes_the_score_and_manifest_of_an_earlier_run(
+            self, mini_corpus, tmp_path, capsys):
+        """score.json and manifest.json describe the predictions of the run
+        that wrote them: a detect after run-all, or a run-all whose gt.csv
+        fails to parse, removes them when it replaces predictions.csv."""
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert (out / "score.json").is_file() and (out / "manifest.json").is_file()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"decision": {"area_min": 0.5}}))
+        assert run(["--config", str(cfg), "detect", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert read_predictions(out / "predictions.csv") == []
+        assert not (out / "score.json").exists()
+        assert not (out / "manifest.json").exists()
+
+        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        (corpus / "gt.csv").write_text("video_id,start\n")
+        capsys.readouterr()
+        assert run(["run-all", "--corpus", str(corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        assert "run-all: ParseError: " in capsys.readouterr().err
+        assert len(read_predictions(out / "predictions.csv")) == 1
+        assert not (out / "score.json").exists()
+        assert not (out / "manifest.json").exists()
+
 
 def linked_corpus(mini_corpus: Path, corpus: Path, names=("mini_day_stall",)) -> Path:
     """The mini corpus's video under each of `names`: its small files
@@ -282,6 +333,20 @@ class TestStageChain:
                     "--out", str(tmp_path / "out")]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert "sort: InsufficientData: mini_day_stall: sort: detections span 0" in err
+
+    def test_a_failure_after_the_detector_is_labelled_detect(
+            self, mini_corpus, tmp_path, capsys):
+        """The decision tree and its events.json belong to the detect stage:
+        a failure there names detect, the command that runs it."""
+        out = tmp_path / "out"
+        (out / "mini_day_stall" / "events.json").mkdir(parents=True)
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_FAILURE
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert [(f["video"], f["stage"]) for f in failures] == \
+               [("mini_day_stall", "detect")]
+        assert "run-all: IsADirectoryError: mini_day_stall: detect: " in \
+               capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["sort", "background", "mask"])
     def test_staged_command_recomputes_and_drops_the_stamp(
@@ -883,26 +948,21 @@ class TestStopsAtOneSpot:
     """Each run of a candidate's support, cut at gaps over
     `anomaly.RUN_GAP_S`, is its own event."""
 
-    @pytest.fixture(scope="class")
-    def out(self, decision_corpus, tmp_path_factory):
-        out = tmp_path_factory.mktemp("decision_out")
-        assert run(["run-all", "--corpus", str(decision_corpus),
-                    "--out", str(out)]) == EXIT_OK
-        return out
-
-    def test_one_event_per_stall(self, decision_corpus, out):
-        night = json.loads((out / "night_stalls_20s_apart" / "category.json").read_text())
+    def test_one_event_per_stall(self, decision_corpus, decision_out):
+        night = json.loads((decision_out / "night_stalls_20s_apart" /
+                            "category.json").read_text())
         assert night["background_window_s"] == 300.0
         by_start = operator.attrgetter("video_id", "start")
-        truth = sorted(read_ground_truth(decision_corpus / "gt.csv"), key=by_start)
-        preds = sorted(read_predictions(out / "predictions.csv"), key=by_start)
+        truth = sorted((g for g in read_ground_truth(decision_corpus / "gt.csv")
+                        if g.video_id in STALLS_AT_ONE_SPOT), key=by_start)
+        preds = sorted(predictions_on(decision_out, STALLS_AT_ONE_SPOT), key=by_start)
         assert len(truth) == 7
         assert [p.video_id for p in preds] == [g.video_id for g in truth]
         for pred, gt in zip(preds, truth):
             assert abs(pred.start - gt.start) <= 1 / DECISION_FPS, (pred, gt)
             assert abs(pred.end - gt.end) <= 1 / DECISION_FPS, (pred, gt)
 
-    def test_holed_stall_stays_one_event(self, decision_corpus, out):
+    def test_holed_stall_stays_one_event(self, decision_corpus, decision_out):
         video = decision_corpus / "videos" / "day_holed_stall"
         (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
         frames = anomaly.support_profile(
@@ -911,66 +971,55 @@ class TestStopsAtOneSpot:
             PipelineConfig().decision.iou_support)
         assert np.diff(frames).max() / DECISION_FPS == \
                HOLE_S[1] - HOLE_S[0] + 1 / DECISION_FPS
-        events = json.loads((out / "day_holed_stall" / "events.json").read_text())
+        events = json.loads((decision_out / "day_holed_stall" / "events.json").read_text())
         assert [(e["start"], e["end"]) for e in events] == [(100.0, 250.0)]
 
 
+def predictions_on(out: Path, videos) -> list[media.AnomalyEvent]:
+    """The predictions in `out`'s predictions.csv on `videos`, in order."""
+    return [p for p in read_predictions(out / "predictions.csv")
+            if p.video_id in videos]
+
+
 class TestHardNegatives:
-    def test_stop_shorter_than_a_window_gives_no_prediction(self, tmp_path,
-                                                            capsys):
+    def test_stop_shorter_than_a_window_gives_no_prediction(self, decision_out):
         """A 5 s stop inside one 30 s background window is erased by that
         window's median: no candidate, no prediction. A stall across both
         windows of a video beside it is still predicted."""
-        specs = [synth.make_scene(name, LightingClass.DAY, False, stall, False,
-                                  seed=seed, duration=60.0, fps=2.0)
-                 for name, stall, seed in (("short_stop", (35.0, 40.0), 21),
-                                           ("stall", (10.0, 50.0), 22))]
-        corpus = synth.corpus(tmp_path / "corpus", specs=specs)
-        out = tmp_path / "out"
-        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+        out, pair = decision_out, ("day_short_stop", "day_stall_beside_short_stop")
         categories = [json.loads((out / name / "category.json").read_text())
-                      for name in ("short_stop", "stall")]
+                      for name in pair]
         assert [c["background_window_s"] for c in categories] == [30.0, 30.0]
-        assert json.loads((out / "short_stop" / "events.json").read_text()) == []
-        preds = read_predictions(out / "predictions.csv")
-        assert [p.video_id for p in preds] == ["stall"]
+        assert json.loads((out / "day_short_stop" / "events.json").read_text()) == []
+        preds = predictions_on(out, pair)
+        assert [p.video_id for p in preds] == ["day_stall_beside_short_stop"]
         assert 10.0 <= preds[0].start < 11.0
 
-    def test_occluded_stall_gives_no_prediction(self, mini_corpus, tmp_path,
-                                                capsys):
+    def test_occluded_stall_gives_no_prediction(self, decision_corpus,
+                                                decision_out, tmp_path, capsys):
         """The foreground rows that support the stall box are kept on every
-        4th of their frames only, as if traffic passed in front of it: a
-        support density of 0.25, under `min_support_density` 0.3, gives no
-        prediction. With that gate at 0.2 the stall is predicted."""
-        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
-        video = corpus / "videos" / "mini_day_stall"
+        OCCLUDED_EVERY-th of their frames only (`conftest.decision_corpus`),
+        as if traffic passed in front of it: a support density of 0.25,
+        under `min_support_density` 0.3, gives no prediction. With that
+        gate at 0.2 the stall is predicted."""
+        video = decision_corpus / "videos" / "day_occluded_stall"
         (box, _, _), = synth.static_boxes(synth.load_scene(video / synth.SCENE_FILE))
-        iou_support = PipelineConfig().decision.iou_support
-        rows = [json.loads(line) for line in
-                (video / "foreground.jsonl").read_text().splitlines()]
-        supports = [anomaly.iou(media.BBox(*row["bbox"]), box) >= iou_support
-                    for row in rows]
-        kept = sorted({row["frame"] for row, s in zip(rows, supports) if s})[::4]
-        media.write_detections(columns([
-            Row(row["frame"], row["class"], row["score"], media.BBox(*row["bbox"]))
-            for row, s in zip(rows, supports) if not s or row["frame"] in kept]),
-            video / "foreground.jsonl")
         frames = anomaly.support_profile(
             anomaly.Candidate(box, 1.0, frozenset({0.0})),
-            media.read_detections(video / "foreground.jsonl"), iou_support)
-        assert list(frames) == kept
+            media.read_detections(video / "foreground.jsonl"),
+            PipelineConfig().decision.iou_support)
+        assert set(np.diff(frames)) == {OCCLUDED_EVERY}
         assert 0.25 <= len(frames) / (frames[-1] - frames[0] + 1) < 0.3
 
-        out = tmp_path / "out"
-        assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
-        assert read_predictions(out / "predictions.csv") == []
+        occluded = {"day_occluded_stall"}
+        assert predictions_on(decision_out, occluded) == []
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"decision": {"min_support_density": 0.2}}))
         low = tmp_path / "low"
-        assert run(["--config", str(cfg), "run-all", "--corpus", str(corpus),
+        assert run(["--config", str(cfg), "run-all", "--corpus", str(decision_corpus),
                     "--out", str(low)]) == EXIT_OK
-        preds = read_predictions(low / "predictions.csv")
-        assert [p.video_id for p in preds] == ["mini_day_stall"]
+        preds = predictions_on(low, occluded)
+        assert [p.video_id for p in preds] == ["day_occluded_stall"]
         assert preds[0].start == pytest.approx(10.0, abs=2.0)
 
 

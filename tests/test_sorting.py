@@ -11,6 +11,7 @@ from stallwatch.media import BBox, open_sequence
 from stallwatch.sorting import (
     GATE_FRACTION,
     MIN_MOVE_PX,
+    SMOOTH_RADIUS,
     LightingClass,
     RoadType,
     VideoCategory,
@@ -101,6 +102,37 @@ class TestLighting:
     def test_two_peaks_mean_below_band_is_day(self):
         h = gaussian_hist(100) + gaussian_hist(220)
         assert classify_lighting(h / h.sum()) is LightingClass.DAY
+
+    @staticmethod
+    def _blocks(mass_at: dict[int, int]) -> np.ndarray:
+        """A histogram of flat 11-bin blocks of height mass / 64, one centred
+        on each bin of `mass_at`, cut off at bin 255: its smoothed peaks sit
+        on those bins with exactly mass / 64, so their mean bin is exact."""
+        h = np.zeros(256)
+        for b, mass in mass_at.items():
+            h[b - SMOOTH_RADIUS:b + SMOOTH_RADIUS + 1] = mass / 64
+        return h
+
+    @pytest.mark.parametrize("peak, lighting", [(50, LightingClass.NIGHT),
+                                                (51, LightingClass.DAY)])
+    def test_dominant_peak_at_bin_50_is_night(self, peak, lighting):
+        """The night range [0, 50] is closed, as the docstring gives it."""
+        h = self._blocks({peak: 1})
+        assert find_histogram_peaks(h) == [(peak, 1 / 64)]
+        assert classify_lighting(h) is lighting
+
+    @pytest.mark.parametrize("masses", [{180: 1, 220: 1}, {230: 1, 255: 4}],
+                             ids=["mean-200", "mean-250"])
+    def test_peaks_meaning_bin_200_or_250_are_snow(self, masses):
+        """The snow range [200, 250] is closed at both ends, as the
+        docstring gives it: peaks whose mass-weighted mean bin is exactly
+        200.0 or 250.0 are snow."""
+        h = self._blocks(masses)
+        peaks = find_histogram_peaks(h)
+        assert [b for b, _ in peaks] == list(masses)
+        mean_bin = sum(b * m for b, m in peaks) / sum(m for _, m in peaks)
+        assert mean_bin in (200.0, 250.0)
+        assert classify_lighting(h) is LightingClass.SNOW
 
 
 def track(points: list[tuple[int, float, float]]) -> list[Row]:
