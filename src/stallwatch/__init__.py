@@ -1,6 +1,6 @@
 """Stalled-vehicle anomaly detection for traffic-camera frame sequences."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .media import AnomalyEvent, BBox, Detections, Frame, GroundTruthEntry
 from .sorting import LightingClass, RoadType, VideoCategory

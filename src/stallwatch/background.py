@@ -1,9 +1,15 @@
 """
-Background estimation: per-window pixel-wise median of randomly sampled frames.
+Background estimation: per-window pixel-wise median of evenly spaced frames.
 
 Moving traffic is erased by the median; anything stationary for most of a
 window (including a stalled vehicle) survives into the background image.
 `background_stream` pairs each window's image with its index.json record.
+
+A window of n frames is sampled at the midpoints of k = ceil(fraction * n)
+equal strata (`sample_indices`), so its samples depend on its frame range
+and the fraction only, never on the video. Such evenly spaced samples can
+alias with traffic that repeats at a multiple of their spacing, about
+1 / fraction frames: it is then in every sample or in none.
 
 The median is selected by a comparator network of `np.minimum` and
 `np.maximum` calls on whole frame rows: Batcher's odd-even merge sort,
@@ -16,7 +22,6 @@ block, which it refills for every window.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,21 +48,14 @@ class BackgroundWindow:
     sampled_indices: list[int]
 
 
-def derive_seed(global_seed: int, video_id: str, window_start_frame: int) -> int:
-    """Stable per-window seed so windows can be recomputed independently."""
-    material = f"{global_seed}:{video_id}:{window_start_frame}".encode()
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-
-def sample_indices(window_frames: range, fraction: float, seed: int) -> list[int]:
-    """Uniform sample without replacement of ceil(fraction * n) indices, sorted."""
+def sample_indices(window_frames: range, fraction: float) -> list[int]:
+    """The midpoints of k = ceil(fraction * n) equal strata of the window's
+    n frames, in order: ``window_frames[(2*i + 1) * n // (2*k)]``, i < k."""
     n = len(window_frames)
     if n == 0:
         raise EmptyInput("empty frame window")
     k = math.ceil(fraction * n)
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(n, size=k, replace=False)
-    return sorted(window_frames[int(i)] for i in picks)
+    return [window_frames[(2 * i + 1) * n // (2 * k)] for i in range(k)]
 
 
 def _batcher_pairs(size: int) -> list[tuple[int, int]]:
@@ -152,19 +150,13 @@ def window_bounds(frame_count: int, fps: float, window_s: float) -> list[tuple[i
     return bounds
 
 
-def background_stream(
-    seq: FrameSequence,
-    category: VideoCategory,
-    fraction: float,
-    seed: int,
-) -> list[tuple[BackgroundWindow, Frame]]:
+def background_stream(seq: FrameSequence, category: VideoCategory,
+                      fraction: float) -> list[tuple[BackgroundWindow, Frame]]:
     """(record, background) per window of ``category.background_window_s`` s."""
     if seq.duration < 1.0:
         raise VideoTooShort(f"duration {seq.duration:.3f}s < 1s")
     windows = window_bounds(seq.frame_count, seq.fps, category.background_window_s)
-    samples = [sample_indices(range(start, end), fraction,
-                              derive_seed(seed, seq.video_id, start))
-               for start, end in windows]
+    samples = [sample_indices(range(start, end), fraction) for start, end in windows]
     # every window's sampled frames are read into the first rows of one block
     block = np.empty((max(map(len, samples)), seq.height, seq.width), dtype=np.uint8)
     out = []

@@ -13,15 +13,15 @@ detect.
 A `StallwatchError` or `OSError` fails that video only: `process_video`
 returns it as a `VideoFailure` (video, the stage it reached, error),
 which run-all lists in manifest.json, and the other videos still run.
-Any other exception is a bug and stops the run. Run through detect,
-`run_corpus` removes an earlier run's score.json and manifest.json, then
-writes predictions.csv from the finished videos.
+Any other exception is a bug and stops the run. `run_corpus` first removes
+an earlier run's predictions.csv, score.json and manifest.json; run
+through detect, it writes predictions.csv from the finished videos.
 
 events.json is the one artifact read back: when the video's `stamp` file
 matches `_video_stamp` (the program version, the config less `jobs`,
-meta.json, foreground.jsonl, scene.json and a precomputed detector's
-.det.jsonl files; not the frames, see README), unless it is missing or
-damaged. Every chain run removes the stamp first; through detect, it
+meta.json, foreground.jsonl, the oracle's scene.json and a precomputed
+detector's .det.jsonl files; not the frames, see README), unless it is
+missing or damaged. Every chain run removes the stamp first; through detect, it
 writes the stamp after events.json.
 
 Output layout, per corpus:
@@ -141,7 +141,7 @@ def _chain(video_dir: Path, out_vid: Path, cfg: PipelineConfig):
     yield category
 
     bg_dir = out_vid / "backgrounds"
-    bgs = background.background_stream(seq, category, cfg.background_fraction, cfg.seed)
+    bgs = background.background_stream(seq, category, cfg.background_fraction)
     bg_dir.mkdir(exist_ok=True)
     for window, frame in bgs:
         write_frame(frame, bg_dir / window.file)
@@ -186,12 +186,16 @@ def _read(path: Path) -> bytes:
 def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                  cfg_hash: str) -> bytes:
     """The sha256, in hex, of the program's `__version__`, of `cfg_hash`
-    (the config's, less `jobs`) and of the video's small input files, a
-    missing one read as empty; then, for a precomputed detector, of each of
-    the video's .det.jsonl files in name order, its name first."""
+    (the config's, less `jobs`) and of the video's small input files that
+    the run reads (meta.json, foreground.jsonl and, for the oracle
+    detector, scene.json), a missing one read as empty; then, for a
+    precomputed detector, of each of the video's .det.jsonl files in name
+    order, its name first."""
     h = hashlib.sha256(f"{__version__}\n{cfg_hash}".encode())
-    files = [(b"", video_dir / name)
-             for name in ("meta.json", synth.FOREGROUND_FILE, synth.SCENE_FILE)]
+    names = ("meta.json", synth.FOREGROUND_FILE)
+    if cfg.detector.kind == "oracle":
+        names += (synth.SCENE_FILE,)
+    files = [(b"", video_dir / name) for name in names]
     if cfg.detector.kind == "precomputed":
         files += [(path.name.encode() + b"\n", path) for path in sorted(
             _detection_dir(cfg, video_dir, out_vid).glob("*" + DETECTIONS_SUFFIX))]
@@ -236,11 +240,13 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
                through: str = "detect"
                ) -> tuple[list[VideoFailure], list[bytes]]:
     """Every video's chain up to `through` (`process_video`); returns the
-    videos that failed and the stamps of those that finished. Run through
-    detect, it removes score.json and manifest.json, which would describe
-    an earlier run, and writes predictions.csv from the videos that
-    finished."""
+    videos that failed and the stamps of those that finished. It first
+    removes predictions.csv, score.json and manifest.json, which would
+    describe an earlier run; run through detect, it writes predictions.csv
+    from the videos that finished."""
     dirs = corpus_video_dirs(corpus_dir)
+    for stale in ("predictions.csv", "score.json", "manifest.json"):
+        (out_dir / stale).unlink(missing_ok=True)
     args = (dirs, [out_dir / d.name for d in dirs])
     # built per call, so that it binds the process_video this module holds now
     video = functools.partial(process_video, cfg=cfg, through=through,
@@ -256,8 +262,6 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
         events = [ev for evs, _ in done for ev in evs]
         events.sort(key=lambda e: (e.video_id, e.start, e.end))
         out_dir.mkdir(parents=True, exist_ok=True)  # when every video failed
-        for stale in ("score.json", "manifest.json"):
-            (out_dir / stale).unlink(missing_ok=True)
         write_predictions(events, out_dir / "predictions.csv")
     return failures, [stamp for _, stamp in done]
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stallwatch.background import (
     MIN_PARTIAL_FRACTION,
     background_stream,
-    derive_seed,
     median_frame,
     sample_indices,
     window_bounds,
@@ -20,44 +19,50 @@ from stallwatch.sorting import LightingClass, RoadType, VideoCategory
 from conftest import make_frame, scratch
 
 
-class TestSeed:
-    def test_deterministic(self):
-        assert derive_seed(0, "v1", 0) == derive_seed(0, "v1", 0)
-
-    def test_sensitive_to_all_inputs(self):
-        base = derive_seed(0, "v1", 0)
-        assert derive_seed(1, "v1", 0) != base
-        assert derive_seed(0, "v2", 0) != base
-        assert derive_seed(0, "v1", 300) != base
-
-
 class TestSampling:
     def test_count_is_ceil(self):
-        assert len(sample_indices(range(100), 0.10, seed=1)) == 10
-        assert len(sample_indices(range(101), 0.10, seed=1)) == 11
-        assert len(sample_indices(range(5), 0.10, seed=1)) == 1
+        assert len(sample_indices(range(100), 0.10)) == 10
+        assert len(sample_indices(range(101), 0.10)) == 11
+        assert len(sample_indices(range(5), 0.10)) == 1
 
     def test_sorted_unique_within_window(self):
         window = range(300, 600)
-        picks = sample_indices(window, 0.10, seed=7)
+        picks = sample_indices(window, 0.10)
         assert picks == sorted(picks)
         assert len(set(picks)) == len(picks)
         assert all(i in window for i in picks)
 
-    def test_same_seed_same_picks(self):
-        a = sample_indices(range(1000), 0.10, seed=42)
-        b = sample_indices(range(1000), 0.10, seed=42)
-        assert a == b
+    def test_stratum_midpoints(self):
+        # 30 frames, 6 samples: the middle frame of each run of 5
+        assert sample_indices(range(300, 330), 0.2) == [302, 307, 312, 317, 322, 327]
+        assert sample_indices(range(4), 1.0) == [0, 1, 2, 3]
 
     def test_empty_window(self):
         with pytest.raises(EmptyInput):
-            sample_indices(range(0), 0.10, seed=0)
+            sample_indices(range(0), 0.10)
 
-    @given(st.integers(1, 500), st.floats(0.01, 1.0), st.integers(0, 2**31))
+    @given(st.integers(1, 500), st.floats(0.01, 1.0))
     @settings(max_examples=100, deadline=None)
-    def test_count_property(self, n, fraction, seed):
-        picks = sample_indices(range(n), fraction, seed)
+    def test_count_property(self, n, fraction):
+        picks = sample_indices(range(n), fraction)
         assert len(picks) == math.ceil(fraction * n)
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.05, 0.1, 0.2, 1 / 3, 0.5, 0.9, 1.0])
+    def test_spacing_property(self, fraction):
+        """Every window of n < 700 frames: k distinct, increasing samples,
+        ⌊n/k⌋ or ⌈n/k⌉ apart, the first ⌊n/(2k)⌋ frames into the window and
+        the last within ⌈n/(2k)⌉ of its end; a window placed elsewhere is
+        sampled at the same offsets."""
+        for n in range(1, 700):
+            start = 7 * n
+            picks = sample_indices(range(start, start + n), fraction)
+            k = len(picks)
+            assert picks == sorted(set(picks))
+            assert [p - start for p in picks] == sample_indices(range(n), fraction)
+            gaps = {b - a for a, b in zip(picks, picks[1:])}
+            assert gaps <= {n // k, -(-n // k)}, (n, k, gaps)
+            assert picks[0] - start == n // (2 * k)
+            assert 0 < start + n - picks[-1] <= -(-n // (2 * k))
 
 
 class TestMedian:
@@ -176,7 +181,7 @@ class TestStream:
         values = [255] * 10 + [0, 0, 0, 10, 10]
         seq = self._sequence(tmp_path, values, fps=10.0)
         cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 1.0)
-        bgs = background_stream(seq, cat, fraction=1.0, seed=0)
+        bgs = background_stream(seq, cat, fraction=1.0)
         assert [len(window.sampled_indices) for window, _ in bgs] == [10, 5]
         (_, first), (_, tail) = bgs
         assert first == Frame(np.full((3, 4), 255, dtype=np.uint8))
@@ -187,19 +192,19 @@ class TestStream:
         exactly 1 s gets its background; one frame less does not."""
         cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 1.0)
         seq = self._sequence(tmp_path, [7] * 10, fps=10.0)
-        (window, frame), = background_stream(seq, cat, fraction=1.0, seed=0)
+        (window, frame), = background_stream(seq, cat, fraction=1.0)
         assert window.sampled_indices == list(range(10))
         assert frame == Frame(np.full((3, 4), 7, dtype=np.uint8))
         (tmp_path / "short").mkdir()
         short = self._sequence(tmp_path / "short", [7] * 9, fps=10.0)
         with pytest.raises(VideoTooShort, match="duration 0.900s < 1s"):
-            background_stream(short, cat, fraction=1.0, seed=0)
+            background_stream(short, cat, fraction=1.0)
 
     def test_each_window_equals_median_of_its_frames(self, tmp_path, rng):
         values = rng.integers(0, 256, 47).tolist()
         seq = self._sequence(tmp_path, values, fps=10.0)
         cat = VideoCategory("v", LightingClass.DAY, RoadType.FREEWAY, 2.0)
-        bgs = background_stream(seq, cat, fraction=0.5, seed=3)
+        bgs = background_stream(seq, cat, fraction=0.5)
         assert len(bgs) == 3
         for window, frame in bgs:
             assert frame == median_frame(

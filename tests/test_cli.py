@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -268,6 +269,23 @@ class TestStages:
         assert not (out / "score.json").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", pipeline.STAGES[:-1])
+    def test_a_staged_command_removes_every_corpus_output_of_an_earlier_run(
+            self, mini_corpus, tmp_path, capsys, command):
+        """predictions.csv, score.json and manifest.json describe the
+        per-video artifacts of the run that wrote them: a sort, background
+        or mask run, which rewrites those artifacts, removes all three."""
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"background_fraction": 0.5}))
+        assert run(["--config", str(cfg), command, "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert (out / "mini_day_stall" / "category.json").is_file()
+        for stale in ("predictions.csv", "score.json", "manifest.json"):
+            assert not (out / stale).exists(), stale
+
 
 def linked_corpus(mini_corpus: Path, corpus: Path, names=("mini_day_stall",)) -> Path:
     """The mini corpus's video under each of `names`: its small files
@@ -353,7 +371,8 @@ class TestStageChain:
             self, mini_corpus, tmp_path, capsys, stage):
         """A staged command into a filled --out reads nothing back: it
         recomputes its stages from the video's inputs, writes the same
-        bytes and removes the stamp, so the next run-all runs the chain."""
+        bytes and removes the stamp, so the next run-all runs the chain,
+        and the corpus outputs the run-all wrote."""
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
         out = tmp_path / "out"
         assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
@@ -363,7 +382,9 @@ class TestStageChain:
         assert run([stage, "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
         assert category.stat().st_ino != before
         assert not (out / "mini_day_stall" / "stamp").exists()
-        del filled["mini_day_stall/stamp"]
+        for gone in ("mini_day_stall/stamp", "predictions.csv", "score.json",
+                     "manifest.json"):
+            del filled[gone]
         assert tree_digests(out) == filled
 
         video = corpus / "videos" / "mini_day_stall"
@@ -433,7 +454,7 @@ def drop_stall_rows(video: Path) -> None:
 
 
 class TestStamp:
-    """Through decide, a video is answered from its events.json only when
+    """Through detect, a video is answered from its events.json only when
     its stamp matches the config and the video's small input files."""
 
     @pytest.mark.parametrize("change", [{"decision": {"min_windows": 50}},
@@ -473,7 +494,7 @@ class TestStamp:
         rule: an events.json another version wrote is not the answer."""
         out = tmp_path / "out"
         with monkeypatch.context() as patched:
-            patched.setattr(pipeline, "__version__", "0.0.0")
+            patched.setattr(pipeline, "__version__", "0.2.0")
             assert run(["run-all", "--corpus", str(mini_corpus),
                         "--out", str(out)]) == EXIT_OK
         old_stamp = (out / "mini_day_stall" / "stamp").read_bytes()
@@ -482,6 +503,13 @@ class TestStamp:
                     "--out", str(out)]) == EXIT_OK
         assert (out / "mini_day_stall" / "stamp").read_bytes() != old_stamp
         assert len(read_predictions(out / "predictions.csv")) == 1
+
+    def test_package_and_project_versions_agree(self):
+        """The stamp hashes `stallwatch.__version__`; pyproject.toml's
+        version is the one a release is installed under."""
+        project = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with project.open("rb") as f:
+            assert tomllib.load(f)["project"]["version"] == stallwatch.__version__
 
     @pytest.mark.parametrize("deleted", ["events.json", "stamp"])
     def test_deleted_answer_recomputes_that_video_only(
@@ -632,6 +660,25 @@ class TestPrecomputed:
         assert read_predictions(out / "predictions.csv") == []
         assert tree_digests(out) == tree_digests(fresh)
 
+
+    def test_edited_scene_is_answered_from_events(self, mini_corpus, tmp_path,
+                                                  capsys):
+        """Only the oracle reads scene.json, so only its stamp covers it: a
+        precomputed detector's video is still answered from events.json."""
+        corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
+        stall_windows(mini_corpus, tmp_path / "dets" / "mini_day_stall")
+        cfg = precomputed_config(tmp_path, tmp_path / "dets")
+        out = tmp_path / "out"
+        detect = ["--config", str(cfg), "detect", "--corpus", str(corpus),
+                  "--out", str(out)]
+        assert run(detect) == EXIT_OK
+        answer = {name: (out / "mini_day_stall" / name).stat().st_ino
+                  for name in ("category.json", "events.json", "stamp")}
+        hide_stall_from_oracle(corpus / "videos" / "mini_day_stall")
+        assert run(detect) == EXIT_OK
+        assert answer == {name: (out / "mini_day_stall" / name).stat().st_ino
+                          for name in answer}
+        assert len(read_predictions(out / "predictions.csv")) == 1
 
 def stall_detector(tmp_path: Path, corpus: Path, hangs: str) -> Path:
     """A config whose external detector, given 0.5 s a request, sleeps on

@@ -212,3 +212,27 @@ class TestFormats:
         write_json(path, value)
         assert path.read_bytes() == text.encode()
         assert read_json(path, READ_AS.get(name, type(value))) == value
+
+
+class TestBackgroundSamples:
+    def test_a_videos_backgrounds_do_not_depend_on_its_id(self, tmp_path):
+        """A 60 s day freeway stall (10-50 s) at 2 fps has 6 samples a
+        30 s window. Evenly spaced, 4 of each window's show the stall
+        (frames 20-99), so both medians show it and it is found, under any
+        id."""
+        ids = ("v", "x4", "x5")
+        specs = [synth.make_scene(video_id, LightingClass.DAY, False, (10.0, 50.0),
+                                  False, seed=1, duration=60.0, fps=2.0)
+                 for video_id in ids]
+        corpus = synth.corpus(tmp_path / "corpus", specs=specs)
+        out = tmp_path / "out"
+        manifest = pipeline.run_all(corpus, out, PipelineConfig())
+        assert (manifest["score"]["f1"], manifest["failures"]) == (1.0, [])
+
+        def backgrounds(video_id):
+            return {p.name: p.read_bytes()
+                    for p in (out / video_id / "backgrounds").glob("*.pgm")}
+
+        first = backgrounds(ids[0])
+        assert sorted(first) == ["bg_0.pgm", "bg_30000.pgm"]
+        assert all(backgrounds(video_id) == first for video_id in ids[1:])
