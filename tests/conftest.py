@@ -1,6 +1,11 @@
+import hashlib
+import importlib.util
+import json
 import shutil
+import sys
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +80,49 @@ def timed_acceptance_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def acceptance_corpus(timed_acceptance_corpus):
     return timed_acceptance_corpus[0]
+
+
+@pytest.fixture(scope="session")
+def full_run(acceptance_corpus, tmp_path_factory):
+    """One default-config pipeline run over the whole corpus, timed: its
+    output directory, manifest and wall seconds."""
+    from stallwatch.config import PipelineConfig
+    from stallwatch.pipeline import run_all
+
+    out = tmp_path_factory.mktemp("run_a")
+    t0 = time.perf_counter()
+    manifest = run_all(acceptance_corpus, out, PipelineConfig())
+    elapsed = time.perf_counter() - t0
+    yield out, manifest, elapsed
+    shutil.rmtree(out)
+
+
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, imported from the checkout; the benchmark
+    directory is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def output_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under `root`, keyed by its relative path;
+    manifest.json's is taken without its `timings_s`, which differ from
+    run to run."""
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["timings_s"]
+            data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+        digests[str(path.relative_to(root))] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ oracles and property sweeps.
 import itertools
 import json
 import shutil
-import time
 
 import numpy as np
 import pytest
@@ -45,18 +44,6 @@ def report_line(capsys):
             print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {text}")
         assert ok, f"criterion {n} failed: {text}"
     return emit
-
-
-@pytest.fixture(scope="module")
-def full_run(acceptance_corpus, tmp_path_factory):
-    """One default-config pipeline run over the whole corpus, timed; its
-    output directory is removed when the module's tests are done."""
-    out = tmp_path_factory.mktemp("run_a")
-    t0 = time.perf_counter()
-    manifest = run_all(acceptance_corpus, out, PipelineConfig())
-    elapsed = time.perf_counter() - t0
-    yield out, manifest, elapsed
-    shutil.rmtree(out)
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ traced benchmark operation. This runs the pipeline under the tracer and
 checks that every per-layer metric comes out with the right counts.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -16,22 +15,16 @@ from stallwatch import pipeline, synth
 from stallwatch.config import PipelineConfig
 from stallwatch.media import read_detections, read_frame
 
+from conftest import perfbench_module
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
 def traced_spans(mini_corpus, tmp_path_factory):
     """The tracer module, the spans of one traced run_all and its output
     directory."""
-    tracer = load_tracer()
+    tracer = perfbench_module("tracer")
     spans = tracer.Tracer()
     out = tmp_path_factory.mktemp("traced") / "out"
     with tracer.installed(spans):
