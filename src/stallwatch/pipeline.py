@@ -214,8 +214,9 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     the video's `VideoFailure`. Through detect, events.json is the answer
     when the stamp file holds the stamp and it parses; a chain run writes
     the stamp after events.json. A `StallwatchError` or `OSError` fails
-    the video at the stage it reached (`through` before the chain starts),
-    its error "<Type>: <video dir>: <stage>: <message>"."""
+    the video at the stage it reached (`through` before the chain starts,
+    detect in the stamp's write), its error "<Type>: <video dir>: <stage>:
+    <message>"."""
     stage = through
     stamp_path = out_vid / "stamp"
     try:
@@ -227,13 +228,13 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
         chain = _chain(video_dir, out_vid, cfg)
         for stage in STAGES[:STAGES.index(through) + 1]:
             value = next(chain)
+        if through == "detect":
+            write_atomic(stamp_path, stamp)
+            return value, stamp
     except (StallwatchError, OSError) as exc:
         return VideoFailure(video_dir.name, stage, f"{type(exc).__name__}: "
                             f"{video_dir.name}: {stage}: {exc}")
-    if through != "detect":
-        return [], stamp
-    write_atomic(stamp_path, stamp)
-    return value, stamp
+    return [], stamp
 
 
 def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
