@@ -6,7 +6,9 @@ mask, detect), run-all and score.
 Exit codes: 0 success, 2 bad configuration, 3 missing input (`--corpus`,
 `--pred` or `--gt`), 64 unknown subcommand or bad arguments, 1 any other
 stage failure, including any video that a stage command or run-all could
-not finish (the other videos still run).
+not finish (the other videos still run) and any other `OSError`, such as
+a corpus file that cannot be read or written, printed as
+`<command>: <Type>: <message>`.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def run(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"{stage}: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except StallwatchError as exc:
+    except (StallwatchError, OSError) as exc:
         print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     for failure in failures:

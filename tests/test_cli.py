@@ -79,6 +79,15 @@ class TestExitCodes:
         assert f"score: missing input: [Errno 2] No such file or directory: " \
                f"'{tmp_path / 'p.csv'}'" in capsys.readouterr().err
 
+    def test_any_other_os_error_is_named_and_exits_1(self, tmp_path, capsys):
+        # an --out under a file: the first corpus output that run-all
+        # touches, an earlier run's predictions.csv to remove, cannot exist
+        (tmp_path / "corpus" / "videos").mkdir(parents=True)
+        (tmp_path / "file").touch()
+        assert run(["run-all", "--corpus", str(tmp_path / "corpus"),
+                    "--out", str(tmp_path / "file" / "out")]) == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("run-all: NotADirectoryError: ")
+
     def test_score_creates_the_report_directory(self, mini_corpus, tmp_path,
                                                 capsys):
         pred, report = tmp_path / "p.csv", tmp_path / "reports" / "x.json"
