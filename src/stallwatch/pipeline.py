@@ -18,10 +18,10 @@ an earlier run's predictions.csv, score.json and manifest.json; run
 through detect, it writes predictions.csv from the finished videos.
 
 events.json is the one artifact read back: when the video's `stamp` file
-matches `_video_stamp` (the program version, the config less `jobs`,
-meta.json, foreground.jsonl, the oracle's scene.json and a precomputed
-detector's .det.jsonl files; not the frames, see README), unless it is
-missing or damaged. Every chain run removes the stamp first; through detect, it
+matches `_video_stamp` (the program version, the config less `jobs` and
+`seed`, meta.json, foreground.jsonl, the oracle's scene.json and a
+precomputed detector's .det.jsonl files; not the frames, see README),
+unless it is missing or damaged. Every chain run removes the stamp first; through detect, it
 writes the stamp after events.json.
 
 Output layout, per corpus:
@@ -186,9 +186,10 @@ def _read(path: Path) -> bytes:
 def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
                  cfg_hash: str) -> bytes:
     """The sha256, in hex, of the program's `__version__`, of `cfg_hash`
-    (the config's, less `jobs`) and of the video's small input files that
-    the run reads (meta.json, foreground.jsonl and, for the oracle
-    detector, scene.json), a missing one read as empty; then, for a
+    (the config's, less `jobs` and `seed`, which no output depends on) and
+    of the video's small input files that the run reads (meta.json,
+    foreground.jsonl and, for the oracle detector, scene.json), a missing
+    one read as empty; then, for a
     precomputed detector, of each of the video's .det.jsonl files in name
     order, its name first."""
     h = hashlib.sha256(f"{__version__}\n{cfg_hash}".encode())
@@ -251,7 +252,7 @@ def run_corpus(corpus_dir: Path, out_dir: Path, cfg: PipelineConfig,
     args = (dirs, [out_dir / d.name for d in dirs])
     # built per call, so that it binds the process_video this module holds now
     video = functools.partial(process_video, cfg=cfg, through=through,
-                              cfg_hash=replace(cfg, jobs=1).content_hash())
+                              cfg_hash=replace(cfg, jobs=1, seed=0).content_hash())
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             per_video = list(pool.map(video, *args))

@@ -570,6 +570,26 @@ class TestStamp:
         assert json.loads(capsys.readouterr().out)["input_hash"] == \
                first["input_hash"]
 
+    def test_rerun_with_another_seed_is_answered_from_events(
+            self, mini_corpus, tmp_path, capsys, monkeypatch):
+        """`seed` seeds synth only, so no stamp covers it."""
+        out = tmp_path / "out"
+        assert run(["run-all", "--corpus", str(mini_corpus), "--out", str(out)]) == EXIT_OK
+        first = json.loads(capsys.readouterr().out)
+        chained = []
+        chain = pipeline._chain
+
+        def counted(video_dir, *args):
+            chained.append(video_dir.name)
+            return chain(video_dir, *args)
+
+        monkeypatch.setattr(pipeline, "_chain", counted)
+        assert run(["--seed", "1", "run-all", "--corpus", str(mini_corpus),
+                    "--out", str(out)]) == EXIT_OK
+        assert chained == []
+        assert json.loads(capsys.readouterr().out)["input_hash"] == \
+               first["input_hash"]
+
 
 def stall_windows(mini_corpus: Path, directory: Path, stall: bool = True,
                   score: float = 1.0, size: tuple[int, int] | None = None) -> None:
