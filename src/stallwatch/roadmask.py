@@ -13,8 +13,11 @@ mask.pgm (0/255). This module only makes masks; the decision tree's
 `anomaly.extract_candidates` rejects off-road (parked) candidates on them.
 
 mu and sigma come from exact integer window sums of the pixels and their
-squares in a zero-padded buffer, by doubling shifted adds along each axis
-(about 9 whole-array adds per axis at block 31; `_box_sums`).
+squares, taken from a summed-area table (Crow, SIGGRAPH 1984; the local
+mean and std of Shafait, Keysers and Breuel, DRR 2008) held in unsigned
+integers: its running sums may wrap, but each window sum is a difference
+of two, taken modulo the dtype's range, and so exact while it fits
+(`_box_sums`).
 """
 
 from __future__ import annotations
@@ -46,47 +49,42 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
 
     Neighborhoods are truncated at the image borders, so edge statistics are
     taken over the pixels that actually exist: the frame, then its squares,
-    sit in a flat buffer with block // 2 zero rows and columns on each side.
-    Sums are uint32 while block**2 * 255**2 < 2**32 (block <= 257), else uint64.
+    sit in one zero table of (h + block, w + block) values at offset
+    block // 2 + 1, read by `_box_sums`. Sums are uint32 while
+    block**2 * 255**2 < 2**32 (block <= 257), else uint64: the table's
+    running sums may wrap (those of the squares do on a 240x320 frame of
+    255s), but no window sum does, and each is a difference of two running
+    sums taken modulo 2**32, so it is exact.
     """
     h, w = frame.pixels.shape
     if block > min(h, w):
         raise InvalidParam(f"block {block} exceeds image side {min(h, w)}")
     r = block // 2
-    wide = w + 2 * r
-    buf = np.zeros((h + 2 * r) * wide + 2 * r,
-                   dtype=np.uint32 if block <= 257 else np.uint64)
-    inner = buf[:(h + 2 * r) * wide].reshape(-1, wide)[r:r + h, r:r + w]
+    table = np.zeros((h + block, w + block),
+                     dtype=np.uint32 if block <= 257 else np.uint64)
+    inner = table[r + 1:r + 1 + h, r + 1:r + 1 + w]
     inner[...] = frame.pixels
-    mean = np.divide(_box_sums(buf, wide, block), _counts(h, w, r))
-    np.multiply(inner, inner, out=inner)
-    var = np.divide(_box_sums(buf, wide, block), _counts(h, w, r))
+    mean = np.divide(_box_sums(table, block), _counts(h, w, r))
+    table[...] = 0
+    np.multiply(frame.pixels, frame.pixels, out=inner, dtype=table.dtype)
+    var = np.divide(_box_sums(table, block), _counts(h, w, r))
     var -= mean * mean
     return mean, np.sqrt(np.maximum(var, 0.0, out=var), out=var)
 
 
-def _box_sums(padded: np.ndarray, wide: int, n: int) -> np.ndarray:
-    """Sums over the n x n windows of `padded`, rows of `wide` values and
-    n - 1 values more, as a 2-D view to read before `padded` changes.
-    Doubling shifted adds down the columns (step `wide`), then along the
-    rows (step 1), where a window centred on a real column ends in its own
-    row's zero columns: sums of 1, 2, 4, 8, ... terms, each from two of the
-    last, and the ones that make up n added at their offsets."""
-    sums = padded
-    for step in (wide, 1):
-        part, size = sums, len(sums) - (n - 1) * step
-        sums, width, offset = None, 1, 0
-        while width <= n:
-            if n & width:
-                term = part[offset * step:offset * step + size]
-                # the first term is a view, the second makes a new array
-                sums = term if sums is None else np.add(
-                    sums, term, out=sums if sums.flags.owndata else None)
-                offset += width
-            if 2 * width <= n:
-                part = part[:-width * step] + part[width * step:]
-            width *= 2
-    return sums.reshape(-1, wide)[:, :wide - n + 1]
+def _box_sums(table: np.ndarray, n: int) -> np.ndarray:
+    """Window sums of the unsigned `table`: entry (i, j) is the sum of
+    table[i + 1:i + 1 + n, j + 1:j + 1 + n]. `table` is overwritten by its
+    running sums down the columns, whose differences n rows apart give
+    `rows`; then the same along `rows`. A running sum may wrap the dtype,
+    but a difference is taken modulo its range, so it is exact whenever
+    the window sum fits. `rows` is in column order, so that its running
+    sums add whole columns, as numpy does down the columns of `table`,
+    and not one value at a time."""
+    np.cumsum(table, axis=0, out=table)
+    rows = np.subtract(table[n:], table[:-n], out=np.empty_like(table[n:], order="F"))
+    np.cumsum(rows, axis=1, out=rows)
+    return rows[:, n:] - rows[:, :-n]
 
 
 @functools.cache
