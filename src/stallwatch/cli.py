@@ -5,10 +5,9 @@ Subcommands: synth, one per name of `pipeline.STAGES` (sort, background,
 mask, detect), run-all and score.
 Exit codes: 0 success, 2 bad configuration, 3 missing input (`--corpus`,
 `--pred` or `--gt`), 64 unknown subcommand or bad arguments, 1 any other
-stage failure, including any video that a stage command or run-all could
-not finish (the other videos still run) and any other `OSError`, such as
-a corpus file that cannot be read or written, printed as
-`<command>: <Type>: <message>`.
+stage failure or `OSError`, such as a corpus file that cannot be written,
+printed as `<command>: <Type>: <message>`, and any video that a stage
+command or run-all could not finish (the other videos still run).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ events.json is the one artifact read back: when the video's `stamp` file
 matches `_video_stamp` (the program version, the config less `jobs` and
 `seed`, meta.json, foreground.jsonl, the oracle's scene.json and a
 precomputed detector's .det.jsonl files; not the frames, see README),
-unless it is missing or damaged. Every chain run removes the stamp first; through detect, it
-writes the stamp after events.json.
+unless it is missing or damaged. Every chain run removes the stamp
+first; through detect, it writes the stamp after events.json.
 
 Output layout, per corpus:
 
@@ -189,9 +189,8 @@ def _video_stamp(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     (the config's, less `jobs` and `seed`, which no output depends on) and
     of the video's small input files that the run reads (meta.json,
     foreground.jsonl and, for the oracle detector, scene.json), a missing
-    one read as empty; then, for a
-    precomputed detector, of each of the video's .det.jsonl files in name
-    order, its name first."""
+    one read as empty; then, for a precomputed detector, of each of the
+    video's .det.jsonl files in name order, its name first."""
     h = hashlib.sha256(f"{__version__}\n{cfg_hash}".encode())
     names = ("meta.json", synth.FOREGROUND_FILE)
     if cfg.detector.kind == "oracle":
@@ -215,9 +214,8 @@ def process_video(video_dir: Path, out_vid: Path, cfg: PipelineConfig,
     the video's `VideoFailure`. Through detect, events.json is the answer
     when the stamp file holds the stamp and it parses; a chain run writes
     the stamp after events.json. A `StallwatchError` or `OSError` fails
-    the video at the stage it reached (`through` before the chain starts,
-    detect in the stamp's write), its error "<Type>: <video dir>: <stage>:
-    <message>"."""
+    the video at the stage it reached (`through` before the chain starts),
+    its error "<Type>: <video dir>: <stage>: <message>"."""
     stage = through
     stamp_path = out_vid / "stamp"
     try:

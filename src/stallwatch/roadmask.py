@@ -13,11 +13,9 @@ mask.pgm (0/255). This module only makes masks; the decision tree's
 `anomaly.extract_candidates` rejects off-road (parked) candidates on them.
 
 mu and sigma come from exact integer window sums of the pixels and their
-squares, taken from a summed-area table (Crow, SIGGRAPH 1984; the local
-mean and std of Shafait, Keysers and Breuel, DRR 2008) held in unsigned
-integers: its running sums may wrap, but each window sum is a difference
-of two, taken modulo the dtype's range, and so exact while it fits
-(`_box_sums`).
+squares, differences of running sums (a summed-area table: Crow, SIGGRAPH
+1984; Shafait, Keysers and Breuel, DRR 2008) that stay exact in unsigned
+integers where the running sums wrap (`local_stats`).
 """
 
 from __future__ import annotations
@@ -50,11 +48,9 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
     Neighborhoods are truncated at the image borders, so edge statistics are
     taken over the pixels that actually exist: the frame, then its squares,
     sit in one zero table of (h + block, w + block) values at offset
-    block // 2 + 1, read by `_box_sums`. Sums are uint32 while
-    block**2 * 255**2 < 2**32 (block <= 257), else uint64: the table's
-    running sums may wrap (those of the squares do on a 240x320 frame of
-    255s), but no window sum does, and each is a difference of two running
-    sums taken modulo 2**32, so it is exact.
+    block // 2 + 1. Sums are uint32 while block**2 * 255**2 < 2**32
+    (block <= 257), else uint64: a running sum may wrap, but a window sum,
+    the difference of two taken modulo 2**32, does not, so it is exact.
     """
     h, w = frame.pixels.shape
     if block > min(h, w):
@@ -73,18 +69,15 @@ def local_stats(frame: Frame, block: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_sums(table: np.ndarray, n: int) -> np.ndarray:
-    """Window sums of the unsigned `table`: entry (i, j) is the sum of
-    table[i + 1:i + 1 + n, j + 1:j + 1 + n]. `table` is overwritten by its
-    running sums down the columns, whose differences n rows apart give
-    `rows`; then the same along `rows`. A running sum may wrap the dtype,
-    but a difference is taken modulo its range, so it is exact whenever
-    the window sum fits. `rows` is in column order, so that its running
-    sums add whole columns, as numpy does down the columns of `table`,
-    and not one value at a time."""
-    np.cumsum(table, axis=0, out=table)
-    rows = np.subtract(table[n:], table[:-n], out=np.empty_like(table[n:], order="F"))
-    np.cumsum(rows, axis=1, out=rows)
-    return rows[:, n:] - rows[:, :-n]
+    """Window sums of `table`, which it overwrites: entry (i, j) is the sum
+    of table[i + 1:i + 1 + n, j + 1:j + 1 + n]. For each axis, running sums
+    down the columns, their differences n rows apart, transposed: numpy
+    adds whole rows for a running sum down the columns, but one value at a
+    time for one along a row."""
+    for _ in range(2):
+        np.cumsum(table, axis=0, out=table)
+        table = np.ascontiguousarray((table[n:] - table[:-n]).T)
+    return table
 
 
 @functools.cache

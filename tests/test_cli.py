@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import json
 import math
 import operator
@@ -40,6 +39,7 @@ from conftest import (
     Row,
     columns,
     frame_bytes,
+    output_digests,
 )
 
 
@@ -323,12 +323,6 @@ def rename_video(video: Path, video_id: str | None = None) -> None:
     (video / "meta.json").write_text(json.dumps(meta))
 
 
-def tree_digests(root: Path) -> dict[str, str]:
-    """sha256 of every file under `root`, keyed by its relative path."""
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 class TestStageChain:
     def test_a_meta_json_naming_another_video_fails_that_video(
             self, mini_corpus, tmp_path, capsys):
@@ -385,7 +379,7 @@ class TestStageChain:
         corpus = linked_corpus(mini_corpus, tmp_path / "corpus")
         out = tmp_path / "out"
         assert run(["run-all", "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
-        filled = tree_digests(out)
+        filled = output_digests(out)
         category = out / "mini_day_stall" / "category.json"
         before = category.stat().st_ino
         assert run([stage, "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
@@ -394,7 +388,7 @@ class TestStageChain:
         for gone in ("mini_day_stall/stamp", "predictions.csv", "score.json",
                      "manifest.json"):
             del filled[gone]
-        assert tree_digests(out) == filled
+        assert output_digests(out) == filled
 
         video = corpus / "videos" / "mini_day_stall"
         (video / "meta.json").write_text("not json {")
@@ -431,13 +425,13 @@ class TestStageChain:
                         "--out", str(staged)]) == EXIT_OK
         assert run(["run-all", "--corpus", str(mini_corpus),
                     "--out", str(chained)]) == EXIT_OK
-        want = tree_digests(chained)
+        want = output_digests(chained)
         del want["manifest.json"], want["score.json"]
-        assert tree_digests(staged) == want
+        assert output_digests(staged) == want
 
 
 def without_manifest(root: Path) -> dict[str, str]:
-    digests = tree_digests(root)
+    digests = output_digests(root)
     del digests["manifest.json"]
     return digests
 
@@ -687,7 +681,7 @@ class TestPrecomputed:
         for root in (out, fresh):
             assert run(detect + [str(root)]) == EXIT_OK
         assert read_predictions(out / "predictions.csv") == []
-        assert tree_digests(out) == tree_digests(fresh)
+        assert output_digests(out) == output_digests(fresh)
 
 
     def test_edited_scene_is_answered_from_events(self, mini_corpus, tmp_path,
@@ -915,8 +909,8 @@ class TestFaultIsolation:
                 assert run(["--jobs", str(jobs), stage, "--corpus", str(corpus),
                             "--out", str(tmp_path / f"jobs{jobs}")]) == EXIT_OK, \
                     capsys.readouterr().err
-            assert (tree_digests(tmp_path / "jobs2")
-                    == tree_digests(tmp_path / "jobs1"))
+            assert (output_digests(tmp_path / "jobs2")
+                    == output_digests(tmp_path / "jobs1"))
 
     def test_non_utf8_foreground_fails_its_video_only(self, mini_corpus, tmp_path,
                                                       capsys):
