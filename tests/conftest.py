@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stallwatch.codec import dumps
 from stallwatch.media import BBox, Detections, Frame
 
 
@@ -120,7 +121,7 @@ def output_digests(root: Path) -> dict[str, str]:
         if path.name == "manifest.json":
             manifest = json.loads(data)
             del manifest["timings_s"]
-            data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+            data = dumps(manifest).encode()
         digests[str(path.relative_to(root))] = hashlib.sha256(data).hexdigest()
     return digests
 
